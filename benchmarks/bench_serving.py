@@ -28,9 +28,9 @@ each, how fast the simulator chews through simulated time:
   monotonically as headroom shrinks);
 - ``mega_batch``      -- a 256-point open-loop seed sweep co-stepped by
   the ``repro.megabatch`` struct-of-arrays engine, timed against the
-  same sweep with ``REPRO_SIM_MEGABATCH=0`` (the per-point path) at
-  ``max_workers=1``; reports the speedup and fails loudly if the two
-  paths disagree on total simulated cycles;
+  same sweep with ``REPRO_SIM_MEGABATCH=0`` (each point stepped alone
+  by ``Simulator.run()``) at ``max_workers=1``; reports the speedup and
+  fails loudly if the two paths disagree on total simulated cycles;
 - ``sweep_resume``    -- a 64-point seed sweep through the executor
   layer (``repro.exec``) with a ``--checkpoint`` journal, timed against
   the bare ``parallel_map`` sweep (same per-point engine on both
@@ -466,10 +466,10 @@ def bench_mega_batch(quick: bool, repeats: int) -> Dict:
     ``repro.megabatch`` accelerates: hundreds of independent windows of
     the same scenario, differing only in their arrival draws, co-stepped
     in 64-lane chunks with memoized epoch skip-ahead.  The mode times
-    the same sweep twice -- engine on (default) and forced off via the
-    ``REPRO_SIM_MEGABATCH=0`` escape hatch, i.e. the per-point
-    ``run_scenario`` path -- with ``max_workers=1`` on both sides so
-    the ratio isolates the engine rather than pool scaling.  Totals
+    the same sweep twice -- engine on (default) and forced off via
+    ``REPRO_SIM_MEGABATCH=0``, which steps each point alone with
+    ``Simulator.run()`` -- with ``max_workers=1`` on both sides so the
+    ratio isolates the engine rather than pool scaling.  Totals
     must match bit-for-bit; the headline rate (and the CI floor) is
     the engine-on rate.
     """

@@ -10,7 +10,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy"],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis", "pyyaml"],
         # YAML scenario files for `repro run` (JSON works without it).

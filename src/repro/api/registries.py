@@ -245,13 +245,8 @@ def all_scheme_names() -> Tuple[str, ...]:
     return SCHEDULERS.names()
 
 
-def arrival_kind_names(generative_only: bool = False) -> Tuple[str, ...]:
-    names = ARRIVALS.names()
-    if generative_only:
-        # "trace" needs recorded timestamps, so CLI choice lists that
-        # synthesise arrivals exclude it.
-        names = tuple(n for n in names if n != "trace")
-    return names
+def arrival_kind_names() -> Tuple[str, ...]:
+    return ARRIVALS.names()
 
 
 def workload_names() -> Tuple[str, ...]:

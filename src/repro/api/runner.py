@@ -539,27 +539,24 @@ def _prepare_batchable(scenario: Scenario):
 
 
 def _run_scenario_batch_payload(payloads: Sequence[str]) -> List[Dict[str, Any]]:
-    """Picklable sweep worker: co-step one chunk of sweep points through
-    a single :class:`repro.megabatch.MegaBatchEngine` batch.
+    """Picklable sweep worker: run one chunk of sweep points.
 
-    Batchable scenarios become lanes of one engine; the rest run through
+    Batchable scenarios become the lanes of one
+    :func:`repro.megabatch.run_simulators` call; the rest run through
     ``run_scenario`` unchanged.  Output order matches input order, and
-    every metric is bit-identical to the per-point worker's."""
+    every metric is bit-identical to ``run_scenario``'s."""
+    from repro.megabatch import run_simulators
+
     scenarios = [Scenario.from_dict(json.loads(p)) for p in payloads]
     prepared = [_prepare_batchable(sc) for sc in scenarios]
-    sims = [pf[0] for pf in prepared if pf is not None]
-    if len(sims) > 1:
-        from repro.megabatch import run_simulators
-
-        lane_results = iter(run_simulators(sims))
-        out = []
-        for scenario, pf in zip(scenarios, prepared):
-            if pf is None:
-                out.append(run_scenario(scenario).to_dict())
-            else:
-                out.append(pf[1](next(lane_results)).to_dict())
-        return out
-    return [run_scenario(sc).to_dict() for sc in scenarios]
+    lane_results = iter(
+        run_simulators([pf[0] for pf in prepared if pf is not None])
+    )
+    return [
+        run_scenario(scenario).to_dict() if pf is None
+        else pf[1](next(lane_results)).to_dict()
+        for scenario, pf in zip(scenarios, prepared)
+    ]
 
 
 def sweep_variants(
@@ -638,26 +635,16 @@ def sweep_scenario(
     for variant in variants:
         variant.validate()  # fail fast, before spawning workers
     payloads = [json.dumps(v.to_dict()) for v in variants]
-    from repro.megabatch import megabatch_default
-
-    if megabatch_default() and len(payloads) > 1:
-        # Mega-batch path: chunk the sweep and co-step each chunk's
-        # simulations through one struct-of-arrays engine per worker.
-        # Bit-identical to the per-point path (the REPRO_SIM_MEGABATCH=0
-        # escape hatch) for any chunking or worker count.
-        chunks = [
-            payloads[i : i + _SWEEP_BATCH]
-            for i in range(0, len(payloads), _SWEEP_BATCH)
-        ]
-        chunked = parallel_map(
-            _run_scenario_batch_payload, chunks, max_workers=max_workers
-        )
-        results = [r for chunk in chunked for r in chunk]
-    else:
-        results = parallel_map(
-            _run_scenario_payload, payloads, max_workers=max_workers
-        )
-    return [RunResult.from_dict(r) for r in results]
+    # Each job co-steps one chunk of points through the batch engine;
+    # results are identical for any chunking or worker count.
+    chunks = [
+        payloads[i : i + _SWEEP_BATCH]
+        for i in range(0, len(payloads), _SWEEP_BATCH)
+    ]
+    chunked = parallel_map(
+        _run_scenario_batch_payload, chunks, max_workers=max_workers
+    )
+    return [RunResult.from_dict(r) for chunk in chunked for r in chunk]
 
 
 # ----------------------------------------------------------------------

@@ -13,19 +13,11 @@ Subcommands (``python -m repro.cli ...`` or the installed ``repro``)::
     bench scenario.yaml --profile     # + cProfile top-25 (cumulative)
     fuzz --seed 0 --budget 25         # metamorphic fuzzing (exit 1 on bug)
     fuzz --seed 0 --budget 500 --shrink --out /tmp/repros
-    traffic ...                       # legacy open-loop flags (deprecated)
 
 ``--json`` emits the uniform :class:`repro.api.RunResult` schema on
 stdout (one object, or a list when several scenarios ran), so output
 is scriptable and CI-checkable via
 :func:`repro.api.result.validate_run_result`.
-
-Legacy invocations keep working through deprecation shims::
-
-    python -m repro.cli fig19         # == fig fig19 (notice on stderr)
-    python -m repro.cli all           # every experiment; nonzero if any fails
-    python -m repro.cli quickstart
-    python -m repro.cli traffic ...
 """
 
 from __future__ import annotations
@@ -37,20 +29,6 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import Neu10Error
-
-SUBCOMMANDS = (
-    "run", "sweep", "serve", "list", "fig", "bench", "fuzz", "traffic",
-)
-#: Legacy positional tokens accepted for backwards compatibility.
-LEGACY_EXTRA = ("all", "quickstart")
-
-
-def _deprecated(old: str, new: str) -> None:
-    print(
-        f"note: `{old}` is deprecated; use `{new}` "
-        "(see `python -m repro.cli --help`)",
-        file=sys.stderr,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -422,8 +400,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
           "scenarios; also `run --checkpoint DIR`):")
     for field_name, blurb in CHECKPOINT_FIELD_DOCS.items():
         print(f"  {field_name:20s} {blurb}")
-    print("Legacy: traffic  (open-loop flags; prefer `run` with an "
-          "open_loop scenario)")
     return 0
 
 
@@ -567,55 +543,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             f"[seed={report.seed}] in {report.elapsed_s:.1f}s"
         )
     return 0 if report.ok else 1
-
-
-# ----------------------------------------------------------------------
-# Legacy shims
-# ----------------------------------------------------------------------
-def _run_quickstart() -> int:
-    print("==== quickstart " + "=" * 50)
-    try:
-        import repro
-
-        repro.quickstart()
-    except Exception as exc:  # noqa: BLE001 - keep the batch going
-        print(f"FAILED quickstart: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _legacy_dispatch(argv: List[str]) -> Optional[int]:
-    """Handle pre-subcommand invocations; None = not legacy."""
-    if not argv or argv[0].startswith("-") or argv[0] in SUBCOMMANDS:
-        return None
-    from repro.api import FIGURES
-
-    tokens = list(argv)
-    known = set(FIGURES.names()) | set(LEGACY_EXTRA)
-    unknown = [t for t in tokens if t not in known]
-    if unknown:
-        print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    if tokens == ["all"]:
-        _deprecated("all", "repro fig --all")
-        names = [n for n in FIGURES.names() if n != "ablations"]
-        return _run_figures(names, as_json=False)
-    fig_tokens = [t for t in tokens if t != "quickstart"]
-    hint = (f"repro fig {' '.join(fig_tokens)}" if fig_tokens
-            else "python examples/quickstart.py")
-    _deprecated(" ".join(tokens), hint)
-    # Run in the order given, quickstart included, never aborting the
-    # batch on one failure (mirrors the old sequential loop, minus the
-    # old behavior of dying mid-way and skipping the rest).
-    code = 0
-    for token in tokens:
-        code = max(
-            code,
-            _run_quickstart() if token == "quickstart"
-            else _run_figures([token], as_json=False),
-        )
-    return code
 
 
 # ----------------------------------------------------------------------
@@ -868,20 +795,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-
-    if argv and argv[0] == "traffic":
-        # Flag-driven subcommand with its own parser (deprecated in
-        # favour of `run` with an open_loop/cluster scenario file).
-        _deprecated("traffic", "repro run <open-loop scenario.yaml>")
-        from repro.traffic.cli import main as traffic_main
-
-        return traffic_main(argv[1:])
-
-    legacy = _legacy_dispatch(argv)
-    if legacy is not None:
-        return legacy
-
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) is None:

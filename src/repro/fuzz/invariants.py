@@ -38,7 +38,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.api.result import RunResult, canonical_digest
-from repro.api.runner import run_scenario, sweep_scenario, sweep_scenario_report
+from repro.api.runner import (
+    run_scenario,
+    sweep_scenario,
+    sweep_scenario_report,
+    sweep_variants,
+)
 from repro.api.scenario import Scenario
 
 #: Invariant names, as reported in violations and the CLI summary.
@@ -246,8 +251,9 @@ def check_megabatch(
 
     Cluster scenarios exercise the toggle through their host-segment
     fan-out on a plain run; other kinds go through a 2-point
-    single-worker sweep so the sweep chunking path is the thing under
-    test.
+    single-worker sweep so the sweep chunk worker is the thing under
+    test, and each swept point must also equal a plain
+    ``run_scenario`` of its variant.
     """
     out: List[Violation] = []
     if scenario.kind == "cluster":
@@ -275,6 +281,15 @@ def check_megabatch(
         out.append(Violation(
             INV_MEGABATCH, scenario.name,
             "sweep differs between REPRO_SIM_MEGABATCH=0 and =1", scenario,
+        ))
+    plain = [
+        _metrics_digest(run_scenario(variant))
+        for variant in sweep_variants(base, "load", values)
+    ]
+    if plain != digests[1]:
+        out.append(Violation(
+            INV_MEGABATCH, scenario.name,
+            "sweep differs from run_scenario of each variant", scenario,
         ))
     return out
 

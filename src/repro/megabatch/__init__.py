@@ -1,16 +1,16 @@
-"""Mega-batch vectorized engine core.
+"""Mega-batch engine core.
 
 Steps many independent :class:`repro.sim.engine.Simulator` instances
 ("lanes") together through one struct-of-arrays epoch loop.  Lanes in
 memoised steady state are bound to shared *chain nodes* (interned
 structural states) and advance through per-unit remaining-work arrays
--- vectorised with numpy across every lane sharing a node -- instead of
-re-fingerprinting and re-planning per epoch.  Results are bit-identical
-to running each simulator alone.
+instead of re-fingerprinting and re-planning per epoch.  Results are
+bit-identical to running each simulator alone.
 
-Escape hatch: ``REPRO_SIM_MEGABATCH=0`` disables the batched call sites
-(``api.runner.sweep_scenario`` and the cluster host-segment fan-out),
-restoring the one-simulation-per-job paths exactly.
+Every fan-out job (``api.runner.sweep_scenario`` chunks and the cluster
+host-segment chunks) runs its simulators through :func:`run_simulators`.
+``REPRO_SIM_MEGABATCH=0`` makes it step the lanes one by one with
+``Simulator.run()`` -- the differential reference for the engine.
 """
 
 from repro.megabatch.engine import (

@@ -12,8 +12,6 @@ that sit on a node through plain remaining-work arrays:
   every lane on a node shares the epoch plan verbatim;
 - per-lane state shrinks to two float lists (remaining ME/VE work per
   slot), the clock, and the real ``Tenant`` request queues;
-- epoch-boundary detection (the ``delta`` min-scan) and the work
-  advance run vectorised with numpy across all lanes of a node;
 - a completion triggers a *transition*: the successor fingerprint key
   is constructed arithmetically from the node (packed template ids,
   updated states, creation-rank permutation) and looked up in the same
@@ -42,24 +40,9 @@ from repro.errors import SimulationError
 from repro.sim.engine import EPS, MIN_DELTA, Request, Simulator, SimResult
 from repro.sim.scheduler_base import ExecUnit, UnitState
 
-try:  # numpy is optional: the scalar lane path is complete without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - baked into the CI image
-    _np = None
-
-#: Environment escape hatch: set REPRO_SIM_MEGABATCH=0 to disable the
-#: batched sweep/cluster call sites (one simulation per job, exactly the
-#: pre-megabatch behaviour).
+#: Differential toggle: with REPRO_SIM_MEGABATCH=0, :func:`run_simulators`
+#: steps its lanes one by one through ``Simulator.run()``.
 MEGABATCH_ENV = "REPRO_SIM_MEGABATCH"
-
-#: Minimum lanes sharing a node before the numpy kernel takes over from
-#: the per-lane Python loops (both produce identical bits).  ``None``
-#: disables bucketing: at the slot widths the serving scenarios produce
-#: (~10 units per lane) the fused interpreter path beats the numpy
-#: kernel -- list<->ndarray conversion per epoch costs more than the
-#: vectorised math saves -- so the kernel is opt-in via
-#: ``numpy_min_lanes`` and kept bit-identical by the differential tests.
-_NUMPY_MIN_LANES = None
 
 #: Safety valves for the process-wide chain caches.
 _SCOPE_LIMIT = 256
@@ -72,7 +55,7 @@ _STATE_CODE = {_READY: 0, _RUNNING: 1, _DONE: 2}
 
 
 def megabatch_default() -> bool:
-    """Whether the mega-batch call sites are enabled (default: yes)."""
+    """Whether :func:`run_simulators` co-steps its lanes (default: yes)."""
     return os.environ.get(MEGABATCH_ENV, "1").lower() not in ("0", "false", "off")
 
 
@@ -180,11 +163,7 @@ class _ChainNode:
         "dense_codes", "creation_order", "me_adv", "ve_adv", "delta_me",
         "delta_ve", "blocked_tids", "serving_pos", "me_busy", "ve_busy",
         "harvested", "me_busy_items", "ve_busy_items", "harv_items",
-        "trans", "start_trans", "completers_cache", "np_ready", "np_d_me",
-        "np_d_me_rates", "np_d_ve", "np_d_ve_rates", "np_a_me",
-        "np_a_me_rates", "np_emb_idx", "np_emb_slots", "np_emb_ve",
-        "np_emb_granted", "np_a_ve", "np_a_ve_rates", "me_slot_list",
-        "ve_slot_list",
+        "trans", "start_trans", "completers_cache",
     )
 
     @classmethod
@@ -266,7 +245,6 @@ class _ChainNode:
         node.trans = {}
         node.start_trans = {}
         node.completers_cache = {}
-        node.np_ready = False
         return node
 
     # ------------------------------------------------------------------
@@ -492,35 +470,6 @@ class _ChainNode:
             self.start_trans[starters] = trans
         return trans
 
-    # ------------------------------------------------------------------
-    def ensure_numpy(self) -> None:
-        """Lazily build the numpy views of the per-slot vectors."""
-        if self.np_ready:
-            return
-        asarray = _np.asarray
-        self.np_d_me = asarray([i for i, _r in self.delta_me], dtype=_np.intp)
-        self.np_d_me_rates = asarray([r for _i, r in self.delta_me])
-        self.np_d_ve = asarray([i for i, _r in self.delta_ve], dtype=_np.intp)
-        self.np_d_ve_rates = asarray([r for _i, r in self.delta_ve])
-        self.np_a_me = asarray([e[0] for e in self.me_adv], dtype=_np.intp)
-        self.np_a_me_rates = asarray([e[1] for e in self.me_adv])
-        emb = [
-            (k, e[0], e[2], e[3])
-            for k, e in enumerate(self.me_adv)
-            if e[2] > 0
-        ]
-        self.np_emb_idx = asarray([k for k, _s, _v, _g in emb], dtype=_np.intp)
-        self.np_emb_slots = asarray([s for _k, s, _v, _g in emb], dtype=_np.intp)
-        self.np_emb_ve = asarray([v for _k, _s, v, _g in emb])
-        self.np_emb_granted = asarray(
-            [float(g) for _k, _s, _v, g in emb]
-        )
-        self.np_a_ve = asarray([i for i, _r in self.ve_adv], dtype=_np.intp)
-        self.np_a_ve_rates = asarray([r for _i, r in self.ve_adv])
-        self.me_slot_list = [e[0] for e in self.me_adv]
-        self.ve_slot_list = [i for i, _r in self.ve_adv]
-        self.np_ready = True
-
 
 # ----------------------------------------------------------------------
 # Lanes
@@ -608,15 +557,8 @@ class MegaBatchEngine:
     never depends on a lane being accelerated.
     """
 
-    def __init__(
-        self,
-        sims: Sequence[Simulator],
-        numpy_min_lanes: Optional[int] = _NUMPY_MIN_LANES,
-    ) -> None:
+    def __init__(self, sims: Sequence[Simulator]) -> None:
         self.sims = list(sims)
-        if numpy_min_lanes is not None and _np is None:
-            numpy_min_lanes = None
-        self.numpy_min_lanes = numpy_min_lanes
         self.group_stats: Dict[str, int] = {}
 
     def run(self) -> List[SimResult]:
@@ -659,39 +601,27 @@ class MegaBatchEngine:
         """Advance every active lane by at least one epoch.
 
         Array-mode lanes *burst* -- they keep stepping until they leave
-        array mode, finish, or (for numpy buckets) the bucket disperses
-        -- so the scheduling overhead of this method is off the hot
-        path.  Object-mode lanes step one epoch per round, giving each
-        a promotion attempt."""
+        array mode or finish -- so the scheduling overhead of this
+        method is off the hot path.  Object-mode lanes step one epoch
+        per round, giving each a promotion attempt."""
         object_lanes: List[_Lane] = []
         buckets: Dict[int, List[_Lane]] = {}
-        nodes: Dict[int, _ChainNode] = {}
         for lane in active:
             if not self._check(lane):
                 continue
             if lane.in_array_mode:
-                key = id(lane.node)
-                nodes[key] = lane.node
-                buckets.setdefault(key, []).append(lane)
+                buckets.setdefault(id(lane.node), []).append(lane)
             else:
                 object_lanes.append(lane)
 
         for lane in object_lanes:
             self._object_epoch(lane)
-        min_lanes = self.numpy_min_lanes
-        for key, group in buckets.items():
-            if min_lanes is not None and len(group) >= min_lanes:
-                # Lanes marching through the same structural state:
-                # vectorised epochs across the whole bucket for as long
-                # as it holds together.
-                self._bucket_burst(nodes[key], group)
-            else:
-                # Too few co-located lanes to amortise the numpy kernel:
-                # burst each lane through consecutive array epochs
-                # instead (lanes are independent, so nothing requires
-                # them to stay in lockstep).
-                for lane in group:
-                    self._array_burst(lane)
+        # Lanes are independent, but they fill the shared chain caches
+        # as they go: bursting them grouped by node keeps that order,
+        # and so group_stats, stable.
+        for group in buckets.values():
+            for lane in group:
+                self._array_burst(lane)
         return [lane for lane in active if not lane.done]
 
     def _finish(self, lane: _Lane) -> None:
@@ -716,29 +646,6 @@ class MegaBatchEngine:
                 self._finish(lane)
                 return
             _array_epoch(lane)
-
-    def _bucket_burst(self, node: _ChainNode, group: List[_Lane]) -> None:
-        """Run vectorised epochs over a same-node bucket until it
-        disperses (transitions diverge, lanes finish or materialise) or
-        shrinks below the numpy threshold.  Dispersed lanes return to
-        the next round untouched -- every lane stepped here advanced by
-        whole epochs only."""
-        min_lanes = self.numpy_min_lanes
-        while True:
-            _bucket_epoch(node, group)
-            # Lockstep check: lanes that transitioned to the same
-            # successor keep bursting together.
-            node = group[0].node
-            if node is None:
-                return
-            keep = [lane for lane in group if lane.node is node]
-            if len(keep) < min_lanes:
-                return
-            group = [lane for lane in keep if self._check(lane)]
-            if len(group) < min_lanes:
-                for lane in group:
-                    self._array_burst(lane)
-                return
 
     # ------------------------------------------------------------------
     def _object_epoch(self, lane: _Lane) -> None:
@@ -775,10 +682,10 @@ class MegaBatchEngine:
 
 
 # ----------------------------------------------------------------------
-# Array-mode epoch (scalar lane)
+# Array-mode epoch
 # ----------------------------------------------------------------------
 def _array_epoch(lane: _Lane) -> None:
-    """One epoch for a lane bound to a chain node (pure Python path).
+    """One epoch for a lane bound to a chain node.
 
     Fully fused -- delta scan, work advance, accounting, completion
     transition, and arrival admission in one frame -- because this is
@@ -990,116 +897,6 @@ def _admit_arrivals(lane: _Lane, now: float) -> None:
         lane.sync_arrival_watch()
 
 
-def _finish_delta(lane: _Lane, best: float) -> float:
-    """Fold in the per-lane event candidates (arrivals, horizon) and
-    clamp -- the non-unit half of ``_pick_delta``."""
-    now = lane.sim.now
-    for _tpos, tenant in lane.arrival_watch:
-        pending = tenant.pending_arrivals
-        if pending:
-            c = pending[0] - now
-            if EPS < c < best:
-                best = c
-    horizon = lane.horizon
-    if horizon is not None:
-        c = horizon - now
-        if EPS < c < best:
-            best = c
-    if best == math.inf:
-        _materialize(lane)
-        lane.sim._raise_deadlock()
-    return best if best > MIN_DELTA else MIN_DELTA
-
-
-def _epoch_tail(lane: _Lane, delta: float, winners: List[int]) -> None:
-    """Accounting, clock, completions, and arrival admission for one
-    array-mode epoch -- same accumulation order as the scalar engine."""
-    node = lane.node
-    sim = lane.sim
-    stats = lane.stats
-    tenants = lane.tenants
-
-    blocked = lane.blocked_map
-    for tid in node.blocked_tids:
-        blocked[tid] += delta
-    for tpos in node.serving_pos:
-        tenants[tpos].active_service_cycles += delta
-    stats.total_cycles += delta
-    integral = stats.me_busy_integral
-    per_tenant = lane.me_map
-    for owner, mes in node.me_busy_items:
-        v = mes * delta
-        integral += v
-        per_tenant[owner] += v
-    stats.me_busy_integral = integral
-    integral = stats.ve_busy_integral
-    per_tenant = lane.ve_map
-    for owner, ves in node.ve_busy_items:
-        v = ves * delta
-        integral += v
-        per_tenant[owner] += v
-    stats.ve_busy_integral = integral
-    harv = node.harv_items
-    if harv:
-        per_tenant = lane.harv_map
-        for owner, mes in harv:
-            per_tenant[owner] += mes * delta
-
-    sim.now += delta
-    lane.array_epochs += 1
-    now = sim.now
-
-    if winners:
-        wkey = tuple(winners)
-        completers = node.request_completers(wkey)
-        if completers:
-            flags = tuple(
-                tenants[tpos].closed_loop or bool(tenants[tpos].queued_requests)
-                for tpos in completers
-            )
-        else:
-            flags = ()
-        trans = node.transition(wkey, flags)
-        if trans is None:
-            _fallback_complete(lane, winners)
-            return
-        # Request-completion effects on the real tenant objects
-        # (identical to on_unit_done's request tail, minus unit spawns
-        # which are encoded in the successor node).
-        for k, tpos in enumerate(trans.completers):
-            tenant = tenants[tpos]
-            request = tenant.current_request
-            request.finish_cycle = now
-            tenant.completed.append(request)
-            tenant.current_request = None
-            if tenant.closed_loop:
-                tenant.queued_requests.append(
-                    Request(request_id=tenant._take_id(), issue_cycle=now)
-                )
-            if flags[k]:
-                nxt = tenant.queued_requests.popleft()
-                nxt.start_cycle = now
-                tenant.current_request = nxt
-            lane.check_finish = True
-        nxt_node = trans.next_node
-        rem_me = lane.rem_me
-        rem_ve = lane.rem_ve
-        new_me = trans.me_base.copy()
-        new_ve = trans.ve_base.copy()
-        for new_slot, old_slot in trans.carry:
-            new_me[new_slot] = rem_me[old_slot]
-            new_ve[new_slot] = rem_ve[old_slot]
-        lane.node = nxt_node
-        lane.rem_me = new_me
-        lane.rem_ve = new_ve
-        node = nxt_node
-
-    # Arrival admission (scalar pre_step runs this at the same clock
-    # value next epoch).
-    if lane.arrival_watch:
-        _admit_arrivals(lane, now)
-
-
 def _fallback_complete(lane: _Lane, winners: List[int]) -> None:
     """Unknown transition (cold memo for the successor): rebuild unit
     objects and drive the engine's own completion handler, which also
@@ -1166,84 +963,15 @@ def _materialize(lane: _Lane) -> List[ExecUnit]:
 
 
 # ----------------------------------------------------------------------
-# Array-mode epoch (numpy bucket)
-# ----------------------------------------------------------------------
-def _bucket_epoch(node: _ChainNode, lanes: List[_Lane]) -> None:
-    """One epoch for every lane sharing ``node``, with the delta scan
-    and work advance vectorised across lanes.
-
-    Elementwise float64 numpy ops are IEEE-identical to the scalar
-    expressions (same operands, same grouping), so this path produces
-    the same bits as `_array_epoch` -- the differential tests cover
-    both by varying batch size."""
-    node.ensure_numpy()
-    L = len(lanes)
-    for lane in lanes:
-        lane.epochs += 1
-        if lane.epochs > lane.sim.max_epochs:
-            _materialize(lane)
-            raise SimulationError(
-                f"exceeded {lane.sim.max_epochs} epochs at cycle "
-                f"{lane.sim.now:.0f}; likely a scheduling livelock"
-            )
-    R_me = _np.array([lane.rem_me for lane in lanes])
-    R_ve = _np.array([lane.rem_ve for lane in lanes])
-
-    best = _np.full(L, _np.inf)
-    if node.np_d_me.size:
-        C = R_me[:, node.np_d_me] / node.np_d_me_rates
-        C[C <= EPS] = _np.inf
-        _np.minimum(best, C.min(axis=1), out=best)
-    if node.np_d_ve.size:
-        C = R_ve[:, node.np_d_ve] / node.np_d_ve_rates
-        C[C <= EPS] = _np.inf
-        _np.minimum(best, C.min(axis=1), out=best)
-    deltas = [
-        _finish_delta(lane, b) for lane, b in zip(lanes, best.tolist())
-    ]
-    delta_col = _np.asarray(deltas)[:, None]
-
-    me_win = None
-    if node.np_a_me.size:
-        P = node.np_a_me_rates * delta_col
-        new_me = R_me[:, node.np_a_me] - P
-        R_me[:, node.np_a_me] = _np.where(new_me > 0.0, new_me, 0.0)
-        me_win = (new_me <= EPS).tolist()
-        if node.np_emb_idx.size:
-            new_ve = R_ve[:, node.np_emb_slots] - (
-                (P[:, node.np_emb_idx] * node.np_emb_ve) * node.np_emb_granted
-            )
-            R_ve[:, node.np_emb_slots] = _np.where(new_ve > 0.0, new_ve, 0.0)
-    ve_win = None
-    if node.np_a_ve.size:
-        new_ve2 = R_ve[:, node.np_a_ve] - node.np_a_ve_rates * delta_col
-        R_ve[:, node.np_a_ve] = _np.where(new_ve2 > 0.0, new_ve2, 0.0)
-        ve_win = (new_ve2 <= EPS).tolist()
-
-    me_rows = R_me.tolist()
-    ve_rows = R_ve.tolist()
-    me_slots = node.me_slot_list
-    ve_slots = node.ve_slot_list
-    for k, lane in enumerate(lanes):
-        lane.rem_me = me_rows[k]
-        lane.rem_ve = ve_rows[k]
-        winners: List[int] = []
-        if me_win is not None:
-            for s, w in zip(me_slots, me_win[k]):
-                if w:
-                    winners.append(s)
-        if ve_win is not None:
-            for s, w in zip(ve_slots, ve_win[k]):
-                if w:
-                    winners.append(s)
-        _epoch_tail(lane, deltas[k], winners)
-
-
-# ----------------------------------------------------------------------
-# Convenience entry point
+# Entry point for the fan-out chunk workers
 # ----------------------------------------------------------------------
 def run_simulators(sims: Sequence[Simulator]) -> List[SimResult]:
-    """Run a batch of freshly constructed simulators to completion."""
-    if not sims:
-        return []
-    return MegaBatchEngine(sims).run()
+    """Run a batch of freshly constructed simulators to completion.
+
+    Two or more lanes co-step through one :class:`MegaBatchEngine`; a
+    single lane, or any batch under ``REPRO_SIM_MEGABATCH=0``, steps
+    each simulator alone through ``Simulator.run()``.  Results come
+    back in input order and are bit-identical either way."""
+    if len(sims) > 1 and megabatch_default():
+        return MegaBatchEngine(sims).run()
+    return [sim.run() for sim in sims]

@@ -18,11 +18,6 @@ from typing import Dict, Hashable, Mapping, Sequence, Tuple
 
 from repro.errors import SimulationError
 
-try:  # numpy accelerates the bulk waterfill; the scalar path needs nothing.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
 
 def maxmin_fair(demands: Mapping[Hashable, float], capacity: float) -> Dict[Hashable, float]:
     """Max-min fair allocation of ``capacity`` across ``demands``.
@@ -96,50 +91,6 @@ def hierarchical_fair_factors(
         if demand <= 0:
             factors[key] = 1.0
     return factors
-
-
-def maxmin_fair_vectorized(
-    demands: Sequence[float], capacity: float
-) -> "Tuple[float, ...]":
-    """Numpy waterfill over a demand *vector* (positional API).
-
-    Mathematically equivalent to :func:`maxmin_fair` but computed with
-    vectorised prefix sums, so large consumer sets (cluster-scale sweeps,
-    offline analysis) avoid the Python loop.  The two implementations can
-    differ in the last floating-point bits because the reduction order
-    differs; the simulation engine therefore uses the scalar waterfill
-    (via :class:`FairFactorCache`) and this entry point serves bulk
-    analysis paths.
-    """
-    if capacity < 0:
-        raise SimulationError("capacity cannot be negative")
-    if _np is None or len(demands) < 2:
-        ordered = maxmin_fair(dict(enumerate(demands)), capacity)
-        return tuple(ordered[i] for i in range(len(demands)))
-    d = _np.asarray(demands, dtype=float)
-    if (d < 0).any():
-        raise SimulationError("demand cannot be negative")
-    alloc = _np.zeros_like(d)
-    pos = d > 0
-    active = d[pos]
-    order = _np.argsort(active, kind="stable")
-    sorted_d = active[order]
-    n = len(sorted_d)
-    # remaining capacity before consumer i = capacity - sum of smaller
-    # demands that were fully satisfied; the first index where the even
-    # share no longer covers the demand marks the waterline.
-    prefix = _np.concatenate(([0.0], _np.cumsum(sorted_d)[:-1]))
-    shares = (capacity - prefix) / _np.arange(n, 0, -1)
-    unsatisfied = sorted_d > shares
-    granted = _np.where(unsatisfied, 0.0, sorted_d)
-    if unsatisfied.any():
-        first = int(_np.argmax(unsatisfied))
-        level = max(0.0, (capacity - float(prefix[first])) / (n - first))
-        granted[first:] = _np.minimum(sorted_d[first:], level)
-    out = _np.zeros(n)
-    out[order] = granted
-    alloc[pos] = out
-    return tuple(float(a) for a in alloc)
 
 
 class FairFactorCache:

@@ -271,12 +271,12 @@ def make_arrival_process(
     amplitude: float = 0.8,
     trace_times: Optional[Sequence[float]] = None,
 ) -> ArrivalProcess:
-    """Factory used by the CLI and the open-loop runners.
+    """Factory used by the open-loop runners.
 
     Dispatches through :data:`repro.api.registries.ARRIVALS`, so kinds
     registered by third parties are constructed the same way as the
     built-ins.  Burst/period defaults are derived from
-    ``duration_cycles`` so a bare ``--arrival bursty`` or ``--arrival
+    ``duration_cycles`` so a bare ``arrival: bursty`` or ``arrival:
     diurnal`` is immediately usable.
     """
     from repro.api.registries import ARRIVALS

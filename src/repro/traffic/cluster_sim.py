@@ -80,7 +80,7 @@ from repro.errors import (
     SimulationError,
     ValidationError,
 )
-from repro.megabatch import megabatch_default
+from repro.megabatch import run_simulators
 from repro.parallel import parallel_map
 from repro.runtime import command as _command_module
 from repro.api.registries import SCHEDULERS, scheme_isa
@@ -92,7 +92,6 @@ from repro.traffic.stepper import (
     ClusterCheckpoint,
     Timeline,
     build_timeline,
-    merge_boundaries,
 )
 from repro.traffic.openloop import (
     OpenLoopConfig,
@@ -367,32 +366,27 @@ def _finalize_host_segment(
     )
 
 
-def _simulate_host_segment(
-    job: _HostSegmentJob,
-) -> Tuple[str, float, float, float, List[Tuple[str, SloReport]]]:
-    """Worker entry point: simulate one host over one segment."""
-    return _finalize_host_segment(job, _build_host_segment(job).run())
-
-
-#: Host segments co-stepped per mega-batch worker (see
-#: ``repro.megabatch``); chunking keeps multi-process fan-out useful on
-#: big fleets while each worker amortises its batch engine.
+#: Host segments co-stepped per fan-out job (see ``repro.megabatch``);
+#: chunking keeps multi-process fan-out useful on big fleets while each
+#: worker amortises its batch engine.
 _SEGMENT_BATCH = 64
+
+
+def _segment_chunks(
+    jobs: Sequence[_HostSegmentJob],
+) -> List[Sequence[_HostSegmentJob]]:
+    return [
+        jobs[i : i + _SEGMENT_BATCH]
+        for i in range(0, len(jobs), _SEGMENT_BATCH)
+    ]
 
 
 def _simulate_host_segment_batch(
     jobs: Sequence[_HostSegmentJob],
 ) -> List[Tuple[str, float, float, float, List[Tuple[str, SloReport]]]]:
-    """Worker entry point: co-step one chunk of host segments through a
-    single mega-batch engine.  Bit-identical to mapping
-    ``_simulate_host_segment`` over the chunk."""
-    sims = [_build_host_segment(job) for job in jobs]
-    if len(sims) > 1:
-        from repro.megabatch import run_simulators
-
-        results = run_simulators(sims)
-    else:
-        results = [sim.run() for sim in sims]
+    """Worker entry point: simulate one chunk of host-segment jobs
+    through :func:`repro.megabatch.run_simulators`."""
+    results = run_simulators([_build_host_segment(job) for job in jobs])
     return [
         _finalize_host_segment(job, result)
         for job, result in zip(jobs, results)
@@ -404,12 +398,12 @@ def _executor_fan_out(
 ) -> List[Tuple[str, float, float, float, List[Tuple[str, SloReport]]]]:
     """Fan one segment's host jobs out through a ``repro.exec`` backend.
 
-    Mirrors the ``parallel_map`` branch exactly (same mega-batch
-    chunking, same merge order), adding the executor's retry/timeout
-    robustness.  ``keep_going`` is coerced off: unlike sweep points,
-    host segments are partial products of one simulation -- silently
-    dropping one would skew cluster metrics rather than shrink a result
-    list -- so a permanently failed segment aborts the run with
+    Mirrors the ``parallel_map`` fan-out exactly (same chunks, same
+    merge order), adding the executor's retry/timeout robustness.
+    ``keep_going`` is coerced off: unlike sweep points, host segments
+    are partial products of one simulation -- silently dropping one
+    would skew cluster metrics rather than shrink a result list -- so a
+    permanently failed segment aborts the run with
     :class:`repro.errors.ExecError`.
     """
     import dataclasses
@@ -426,27 +420,12 @@ def _executor_fan_out(
     if changes:
         spec = dataclasses.replace(spec, **changes)
     executor = make_executor(spec)
-    if megabatch_default() and len(jobs) > 1:
-        chunks = [
-            jobs[i : i + _SEGMENT_BATCH]
-            for i in range(0, len(jobs), _SEGMENT_BATCH)
-        ]
-        tasks = [
-            ExecTask(key=f"chunk-{i}-{chunk[0].host_name}", payload=chunk)
-            for i, chunk in enumerate(chunks)
-        ]
-        outcomes = executor.map_tasks(_simulate_host_segment_batch, tasks)
-        return [item for o in outcomes for item in o.value]
     tasks = [
-        ExecTask(key=f"host-{job.host_name}", payload=job) for job in jobs
+        ExecTask(key=f"chunk-{i}-{chunk[0].host_name}", payload=chunk)
+        for i, chunk in enumerate(_segment_chunks(jobs))
     ]
-    outcomes = executor.map_tasks(_simulate_host_segment, tasks)
-    return [o.value for o in outcomes]
-
-
-#: The boundary merge now lives in :mod:`repro.traffic.stepper` (it is
-#: property-tested there); this alias keeps the historical name.
-_segment_boundaries = merge_boundaries
+    outcomes = executor.map_tasks(_simulate_host_segment_batch, tasks)
+    return [item for o in outcomes for item in o.value]
 
 
 class _Fleet:
@@ -1383,30 +1362,20 @@ class ClusterSimulation:
                 )
             )
 
-        # Hosts are independent within a stable segment: fan out, then
-        # merge in deterministic host order.  The mega-batch path
-        # co-steps each chunk's hosts through one engine per worker;
-        # REPRO_SIM_MEGABATCH=0 restores the one-sim-per-job fan-out.
+        # Hosts are independent within a stable segment: fan out in
+        # chunks, then merge in deterministic host order.
         if cfg.executor is not None and len(jobs) > 0:
             outcomes = _executor_fan_out(jobs, cfg)
-        elif megabatch_default() and len(jobs) > 1:
-            chunks = [
-                jobs[i : i + _SEGMENT_BATCH]
-                for i in range(0, len(jobs), _SEGMENT_BATCH)
-            ]
+        else:
             outcomes = [
                 outcome
                 for chunk in parallel_map(
                     _simulate_host_segment_batch,
-                    chunks,
+                    _segment_chunks(jobs),
                     max_workers=cfg.max_workers,
                 )
                 for outcome in chunk
             ]
-        else:
-            outcomes = parallel_map(
-                _simulate_host_segment, jobs, max_workers=cfg.max_workers
-            )
         seg_me = seg_ve = 0.0
         seg_offered = seg_attained = 0
         for host_name, me_seconds, ve_seconds, cycles, host_reports in outcomes:

@@ -1,4 +1,4 @@
-"""The redesigned CLI: subcommands, --json schema, legacy shims."""
+"""The CLI: subcommands, --json schema, exit codes."""
 
 import json
 from pathlib import Path
@@ -150,9 +150,9 @@ def test_failing_experiment_returns_nonzero_but_finishes_batch(capsys):
     assert "injected failure" in captured.err
 
 
-def test_legacy_all_propagates_failures(capsys, monkeypatch):
-    """`all` used to swallow nothing but also ran minutes of work; patch
-    the registry down to two entries to prove the exit-code contract."""
+def test_fig_all_propagates_failures(capsys, monkeypatch):
+    """`fig --all` runs minutes of work; patch the registry down to two
+    entries to prove the exit-code contract."""
     def boom():
         raise RuntimeError("kaboom")
 
@@ -162,28 +162,10 @@ def test_legacy_all_propagates_failures(capsys, monkeypatch):
     }
     monkeypatch.setattr(FIGURES, "names", lambda: tuple(fake))
     monkeypatch.setattr(FIGURES, "get", lambda name: fake[name])
-    assert cli_main(["all"]) == 1
+    assert cli_main(["fig", "--all"]) == 1
     captured = capsys.readouterr()
+    assert "uTOp scheduler hardware cost" in captured.out
     assert "FAILED broken" in captured.err
-    assert "deprecated" in captured.err
-
-
-# ----------------------------------------------------------------------
-# Legacy shims
-# ----------------------------------------------------------------------
-def test_legacy_positional_experiment_still_works(capsys):
-    assert cli_main(["hwcost"]) == 0
-    captured = capsys.readouterr()
-    assert "uTOp scheduler hardware cost" in captured.out
-    assert "deprecated" in captured.err
-
-
-def test_legacy_quickstart_mixes_with_figures(capsys):
-    assert cli_main(["quickstart", "hwcost"]) == 0
-    captured = capsys.readouterr()
-    assert "quickstart" in captured.out
-    assert "uTOp scheduler hardware cost" in captured.out
-    assert "deprecated" in captured.err
 
 
 def test_sweep_values_without_param_overrides_block(tiny_file, capsys):
@@ -196,19 +178,12 @@ def test_sweep_values_without_param_overrides_block(tiny_file, capsys):
 
 
 def test_legacy_unknown_experiment_returns_two(capsys):
-    assert cli_main(["frobnicate"]) == 2
-    assert "unknown experiments" in capsys.readouterr().err
-
-
-def test_legacy_traffic_subcommand_still_works(capsys):
-    code = cli_main([
-        "traffic", "--scheme", "neu10", "--load", "0.8",
-        "--duration-s", "0.0003",
-    ])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "attain" in captured.out
-    assert "deprecated" in captured.err
+    """An unknown bare token is not a subcommand: argparse rejects it
+    with its usage error."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["frobnicate"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_no_arguments_prints_help(capsys):

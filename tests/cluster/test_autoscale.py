@@ -387,9 +387,9 @@ def test_duplicate_pool_names_rejected():
 def test_interval_boundaries_have_no_float_jitter_duplicates():
     """7 * 0.0001 != 0.0007 in floats; the boundary grid must not turn
     that into a phantom ~0-width segment next to a churn event."""
-    from repro.traffic.cluster_sim import _segment_boundaries
+    from repro.traffic.stepper import merge_boundaries
 
-    cuts = _segment_boundaries(
+    cuts = merge_boundaries(
         [ChurnEvent(0.0007, "depart", "x")], 0.002, 0.0001
     )
     assert 0.0007 in cuts

@@ -136,12 +136,12 @@ def test_cli_lists_experiments(capsys):
     assert cli_main(["list"]) == 0
     out = capsys.readouterr().out
     assert "fig19" in out and "hwcost" in out
-    assert cli_main(["no-such-experiment"]) == 2
+    assert cli_main(["fig", "no-such-experiment"]) == 2
 
 
 def test_cli_runs_fast_experiment(capsys):
     from repro.cli import main as cli_main
 
-    assert cli_main(["hwcost"]) == 0
+    assert cli_main(["fig", "hwcost"]) == 0
     out = capsys.readouterr().out
     assert "uTOp scheduler" in out

@@ -129,7 +129,7 @@ def _snapshot(result):
     }
 
 
-def _assert_batch_matches_scalar(specs, numpy_min_lanes=None):
+def _assert_batch_matches_scalar(specs):
     """Build each spec twice; batch run must equal per-sim runs exactly.
 
     ``specs`` is a list of ``(scheme, kind, seed, record_ops)`` tuples;
@@ -138,7 +138,7 @@ def _assert_batch_matches_scalar(specs, numpy_min_lanes=None):
     """
     scalar = [_snapshot(_make_sim(*spec).run()) for spec in specs]
     sims = [_make_sim(*spec) for spec in specs]
-    engine = MegaBatchEngine(sims, numpy_min_lanes=numpy_min_lanes)
+    engine = MegaBatchEngine(sims)
     batched = [_snapshot(result) for result in engine.run()]
     assert batched == scalar
     return engine
@@ -197,14 +197,6 @@ def test_lane_order_does_not_change_any_lane():
             assert _snapshot(res) == base[spec]
 
 
-def test_numpy_bucket_path_bit_identical():
-    """numpy_min_lanes=2 forces the vectorised bucket kernel (the
-    default keeps it opt-in); results must not move by a bit."""
-    specs = [("neu10", "open", i, False) for i in range(8)]
-    specs += [("neu10", "closed", 33, False) for _ in range(4)]
-    _assert_batch_matches_scalar(specs, numpy_min_lanes=2)
-
-
 def test_record_ops_lanes_bit_identical():
     """Serving-style lanes (record_ops=True) never enter the chain path
     but must still co-step correctly through the object engine."""
@@ -222,11 +214,28 @@ def test_empty_and_single_batches():
 
 
 # ----------------------------------------------------------------------
-# End-to-end: the wired call sites with the escape hatch toggled
+# End-to-end: the fan-out call sites with the toggle flipped
 # ----------------------------------------------------------------------
 def _run_result_dicts(results):
     return [json.loads(json.dumps(r.to_dict(), sort_keys=True))
             for r in results]
+
+
+def _assert_sweep_on_off_identical(monkeypatch, base, param, values):
+    """Engine on, engine off (lanes stepped by ``Simulator.run()``) and
+    a plain ``run_scenario`` per point all agree exactly."""
+    from repro.api import run_scenario, sweep_scenario, sweep_variants
+
+    sides = []
+    for flag in ("1", "0"):
+        monkeypatch.setenv(MEGABATCH_ENV, flag)
+        sides.append(_run_result_dicts(sweep_scenario(
+            base, param=param, values=values, max_workers=1
+        )))
+    sides.append(_run_result_dicts(
+        run_scenario(v) for v in sweep_variants(base, param, values)
+    ))
+    assert sides[0] == sides[1] == sides[2]
 
 
 def test_megabatch_default_env_gate(monkeypatch):
@@ -240,7 +249,7 @@ def test_megabatch_default_env_gate(monkeypatch):
 
 
 def test_sweep_scenario_on_off_identical(monkeypatch):
-    from repro.api import Scenario, ScenarioTenant, sweep_scenario
+    from repro.api import Scenario, ScenarioTenant
 
     base = Scenario(
         name="mb-sweep",
@@ -255,16 +264,11 @@ def test_sweep_scenario_on_off_identical(monkeypatch):
         duration_s=0.0015,
         seed=11,
     )
-    seeds = list(range(9))
-    monkeypatch.setenv(MEGABATCH_ENV, "1")
-    on = sweep_scenario(base, param="seed", values=seeds, max_workers=1)
-    monkeypatch.setenv(MEGABATCH_ENV, "0")
-    off = sweep_scenario(base, param="seed", values=seeds, max_workers=1)
-    assert _run_result_dicts(on) == _run_result_dicts(off)
+    _assert_sweep_on_off_identical(monkeypatch, base, "seed", list(range(9)))
 
 
 def test_sweep_scenario_serving_kind_on_off_identical(monkeypatch):
-    from repro.api import Scenario, ScenarioTenant, sweep_scenario
+    from repro.api import Scenario, ScenarioTenant
 
     base = Scenario(
         name="mb-serving-sweep",
@@ -276,14 +280,9 @@ def test_sweep_scenario_serving_kind_on_off_identical(monkeypatch):
         ),
         target_requests=4,
     )
-    values = [3, 4, 5]
-    monkeypatch.setenv(MEGABATCH_ENV, "1")
-    on = sweep_scenario(base, param="target_requests", values=values,
-                        max_workers=1)
-    monkeypatch.setenv(MEGABATCH_ENV, "0")
-    off = sweep_scenario(base, param="target_requests", values=values,
-                         max_workers=1)
-    assert _run_result_dicts(on) == _run_result_dicts(off)
+    _assert_sweep_on_off_identical(
+        monkeypatch, base, "target_requests", [3, 4, 5]
+    )
 
 
 def test_cluster_scenario_on_off_identical(monkeypatch):

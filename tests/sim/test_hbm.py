@@ -9,7 +9,6 @@ from repro.sim.hbm import (
     aggregate_demand,
     hierarchical_fair_factors,
     maxmin_fair,
-    maxmin_fair_vectorized,
     slowdown_factors,
 )
 
@@ -30,12 +29,21 @@ def test_equal_split_when_all_large():
     assert alloc["a"] == pytest.approx(30.0)
     assert alloc["b"] == pytest.approx(30.0)
     assert alloc["c"] == pytest.approx(30.0)
+    # Contended equal demands split the channel exactly evenly.
+    alloc = maxmin_fair(dict.fromkeys(range(8), 50.0), capacity=100.0)
+    assert set(alloc.values()) == {12.5}
 
 
 def test_zero_demand_gets_zero():
     alloc = maxmin_fair({"a": 0.0, "b": 10.0}, capacity=5.0)
     assert alloc["a"] == 0.0
     assert alloc["b"] == 5.0
+    # Zeros interleaved with real demands do not shift the waterline.
+    alloc = maxmin_fair({0: 10.0, 1: 200.0, 2: 0.0, 3: 10.0}, capacity=100.0)
+    assert alloc == {0: 10.0, 1: 80.0, 2: 0.0, 3: 10.0}
+    # Zero capacity grants nothing.
+    alloc = maxmin_fair({0: 7.0, 1: 7.0, 2: 50.0}, capacity=0.0)
+    assert alloc == {0: 0.0, 1: 0.0, 2: 0.0}
 
 
 def test_negative_inputs_rejected():
@@ -184,77 +192,6 @@ def test_factor_cache_rejects_bad_config():
         FairFactorCache(100.0, policy="nope")
     with pytest.raises(SimulationError):
         FairFactorCache(100.0, maxsize=0)
-
-
-# ----------------------------------------------------------------------
-# Vectorized waterfill (bulk analysis path)
-# ----------------------------------------------------------------------
-@given(
-    demands=st.lists(
-        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-        min_size=0, max_size=12,
-    ),
-    capacity=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-)
-@settings(max_examples=80, deadline=None)
-def test_vectorized_waterfill_matches_scalar(demands, capacity):
-    scalar = maxmin_fair(dict(enumerate(demands)), capacity)
-    vector = maxmin_fair_vectorized(demands, capacity)
-    assert len(vector) == len(demands)
-    for i, alloc in enumerate(vector):
-        assert alloc == pytest.approx(scalar[i], rel=1e-9, abs=1e-9)
-
-
-def test_vectorized_waterfill_rejects_negative():
-    with pytest.raises(SimulationError):
-        maxmin_fair_vectorized([1.0, -2.0], 10.0)
-    with pytest.raises(SimulationError):
-        maxmin_fair_vectorized([1.0], -1.0)
-
-
-def test_vectorized_empty_demand_vector():
-    assert maxmin_fair_vectorized([], 100.0) == ()
-    assert maxmin_fair_vectorized([], 0.0) == ()
-
-
-def test_vectorized_single_tenant():
-    # len < 2 takes the scalar fallback inside the vectorized entry point.
-    assert maxmin_fair_vectorized([10.0], 100.0) == (10.0,)
-    assert maxmin_fair_vectorized([10.0], 4.0) == (4.0,)
-    assert maxmin_fair_vectorized([0.0], 4.0) == (0.0,)
-
-
-def test_vectorized_all_equal_demands():
-    # Contended equal demands split the channel exactly evenly; the even
-    # share must match the scalar waterfill bit-for-bit on these inputs.
-    n = 8
-    vector = maxmin_fair_vectorized([50.0] * n, 100.0)
-    scalar = maxmin_fair(dict(enumerate([50.0] * n)), 100.0)
-    assert vector == tuple(scalar[i] for i in range(n))
-    assert sum(vector) == pytest.approx(100.0)
-    assert len(set(vector)) == 1  # no tenant favoured over another
-    # Uncontended: everyone gets their full demand.
-    assert maxmin_fair_vectorized([5.0] * n, 100.0) == (5.0,) * n
-
-
-@pytest.mark.parametrize(
-    "demands, capacity",
-    [
-        ([10.0, 200.0, 0.0, 10.0], 100.0),   # zeros interleaved
-        ([100.0, 100.0, 100.0], 90.0),        # all above the waterline
-        ([10.0, 20.0, 30.0], 60.0),           # capacity == total demand
-        ([30.0, 20.0, 10.0], 60.0),           # same set, reversed order
-        ([1e-12, 1e6, 1e-12], 5.0),           # extreme spread
-        ([7.0, 7.0, 7.0, 50.0], 0.0),         # zero capacity
-    ],
-)
-def test_vectorized_matches_scalar_elementwise(demands, capacity):
-    scalar = maxmin_fair(dict(enumerate(demands)), capacity)
-    vector = maxmin_fair_vectorized(demands, capacity)
-    assert len(vector) == len(demands)
-    for i, demand in enumerate(demands):
-        assert vector[i] == pytest.approx(scalar[i], rel=1e-12, abs=1e-12)
-        assert vector[i] <= demand + 1e-12  # never over-allocates
 
 
 def test_factor_cache_eviction_is_fifo_not_lru():

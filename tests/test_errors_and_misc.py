@@ -1,5 +1,10 @@
 """Error-hierarchy and miscellaneous coverage tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -30,6 +35,25 @@ def test_package_exports():
     assert repro.__version__
     for name in repro.__all__:
         assert hasattr(repro, name), name
+
+
+def test_run_paths_do_not_import_numpy():
+    """numpy is not a dependency: a fresh interpreter loading every run
+    path (scenarios, batch engine, live control, cluster driver) must
+    not pull it in."""
+    code = (
+        "import sys\n"
+        "import repro.api, repro.megabatch, repro.serve\n"
+        "import repro.traffic.cluster_sim\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_ablations_driver_smoke():
