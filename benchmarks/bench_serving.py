@@ -31,10 +31,10 @@ each, how fast the simulator chews through simulated time:
   same sweep with ``REPRO_SIM_MEGABATCH=0`` (each point stepped alone
   by ``Simulator.run()``) at ``max_workers=1``; reports the speedup and
   fails loudly if the two paths disagree on total simulated cycles;
-- ``sweep_resume``    -- a 64-point seed sweep through the executor
-  layer (``repro.exec``) with a ``--checkpoint`` journal, timed against
-  the bare ``parallel_map`` sweep (same per-point engine on both
-  sides); reports the checkpointing overhead (low single-digit
+- ``sweep_resume``    -- a 64-point seed sweep through
+  ``sweep_scenario_report`` with a ``--checkpoint`` journal, timed
+  against the plain ``sweep_scenario`` sweep (same per-point engine on
+  both sides); reports the checkpointing overhead (low single-digit
   percent) and the wall time of a no-op ``--resume`` replay.
 
 Every mode is a declarative :class:`repro.api.Scenario` executed through
@@ -525,9 +525,9 @@ def bench_mega_batch(quick: bool, repeats: int) -> Dict:
 
 
 def bench_sweep_resume(quick: bool, repeats: int) -> Dict:
-    """Checkpointed executor sweep vs the bare ``parallel_map`` path.
+    """Checkpointed executor sweep vs the plain ``sweep_scenario`` path.
 
-    A seed sweep run three ways: the legacy ``sweep_scenario`` path at
+    A seed sweep run three ways: ``sweep_scenario`` at
     ``max_workers=1`` (the baseline), the same sweep through
     ``sweep_scenario_report`` with the ``serial`` backend and a
     ``--checkpoint`` journal (digest sharding + fsynced JSONL appends

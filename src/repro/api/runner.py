@@ -10,8 +10,8 @@ engines the bespoke entry points used to call directly:
 - ``llm``       -> :func:`repro.llmserve.engine.run_llm_serving`
 - ``figure``    -> the :data:`repro.api.figures.FIGURES` registry
 
-``sweep_scenario`` fans scenario variants out over
-:func:`repro.parallel.parallel_map`; results are identical for any
+``sweep_scenario`` fans scenario variants out in mega-batch chunks
+through :func:`repro.exec.map_chunks`; results are identical for any
 worker count because each variant is an independent simulation rebuilt
 from its serialised spec.
 """
@@ -27,7 +27,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from repro.api.result import RunResult, base_provenance, canonical_digest
 from repro.api.scenario import Scenario, ScenarioChurn, ScenarioTenant
 from repro.errors import ConfigError
-from repro.parallel import parallel_map
 
 
 # ----------------------------------------------------------------------
@@ -491,12 +490,6 @@ def _run_scenario_payload(payload: str) -> Dict[str, Any]:
     return run_scenario(scenario).to_dict()
 
 
-#: Sweep points per mega-batch: enough lanes to amortise the batch
-#: engine's round overhead, small enough that a multi-process sweep
-#: still spreads chunks across its pool.
-_SWEEP_BATCH = 64
-
-
 def _prepare_batchable(scenario: Scenario):
     """``(simulator, finalize)`` when the scenario's engine supports the
     build/step/summarise split the mega-batch core needs, else None.
@@ -617,7 +610,10 @@ def sweep_scenario(
     are validated *before* any worker starts, rebuilt from their
     serialised spec inside the pool, and returned in value order --
     results are identical for any ``max_workers`` (``None`` = CPU
-    count / ``REPRO_PARALLEL_WORKERS``; ``1`` = in-process).
+    count / ``REPRO_PARALLEL_WORKERS``; ``1`` = in-process).  Without
+    an ``executor:`` block the points run in mega-batch chunks on the
+    default ``pool`` backend; with one, through
+    :func:`sweep_scenario_report`.
 
     Example::
 
@@ -631,20 +627,19 @@ def sweep_scenario(
         return sweep_scenario_report(
             scenario, param=param, values=values, max_workers=max_workers
         ).results
+    from repro.exec import ExecSpec, map_chunks
+
     variants = sweep_variants(scenario, param, values)
     for variant in variants:
         variant.validate()  # fail fast, before spawning workers
-    payloads = [json.dumps(v.to_dict()) for v in variants]
-    # Each job co-steps one chunk of points through the batch engine;
+    # Each task co-steps one chunk of points through the batch engine;
     # results are identical for any chunking or worker count.
-    chunks = [
-        payloads[i : i + _SWEEP_BATCH]
-        for i in range(0, len(payloads), _SWEEP_BATCH)
-    ]
-    chunked = parallel_map(
-        _run_scenario_batch_payload, chunks, max_workers=max_workers
+    results = map_chunks(
+        _run_scenario_batch_payload,
+        [json.dumps(v.to_dict()) for v in variants],
+        ExecSpec(max_workers=max_workers),
     )
-    return [RunResult.from_dict(r) for chunk in chunked for r in chunk]
+    return [RunResult.from_dict(r) for r in results]
 
 
 # ----------------------------------------------------------------------

@@ -432,9 +432,10 @@ class ScenarioExecutor:
     bounded retries with backoff, per-item fault isolation).  The block
     configures *dispatch only* -- simulations are deterministic
     functions of their spec, so results are bit-identical across
-    backends, worker counts and resumes.  Omitting the block keeps
-    sweeps on the legacy in-process path, bit-identical to releases
-    without executors.
+    backends, worker counts and resumes.  Without the block a sweep
+    runs its points in mega-batch chunks on the default ``pool``
+    backend, and a cluster run fans its hosts out as under
+    ``executor: {}``.
     """
 
     backend: str = "pool"
@@ -601,8 +602,8 @@ class Scenario:
     faults: Tuple[ScenarioFault, ...] = ()
     #: Continuous-batching LLM serving block (llm kind only).
     llm: Optional[ScenarioLlm] = None
-    #: Sweep fan-out backend (None = legacy in-process sweep path,
-    #: bit-identical to pre-executor runs; results never depend on it).
+    #: Fan-out backend (None = mega-batch sweep chunks on the default
+    #: ``pool`` backend; results never depend on it).
     executor: Optional[ScenarioExecutor] = None
     #: Journaled segment checkpoints (cluster kind; None = no snapshots
     #: are written.  Persistence only: metrics never depend on it).

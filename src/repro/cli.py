@@ -258,7 +258,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         or scenario.executor is not None
     )
     if not executor_requested:
-        # Bit-identical legacy path: no executor asked for anywhere.
+        # No executor asked for anywhere: mega-batch chunks on the
+        # default pool, with no per-point shards or provenance stamp.
         results = sweep_scenario(
             scenario, param=args.param, values=values,
             max_workers=args.workers,
@@ -673,8 +674,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--executor", default=None,
                          help="fan-out backend from the EXECUTORS registry "
                               "(serial, pool, local-queue); default: the "
-                              "scenario's `executor:` block, else the "
-                              "legacy in-process path")
+                              "scenario's `executor:` block, else "
+                              "mega-batch chunks on the default pool")
     p_sweep.add_argument("--checkpoint", default=None, metavar="DIR",
                          help="journal completed sweep points to DIR as "
                               "they finish (crash-safe, append-only)")

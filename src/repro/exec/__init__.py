@@ -11,10 +11,12 @@ backends plug in by name, and :class:`SweepJournal` adds append-only
 checkpointing so a killed sweep resumes bit-identically instead of
 restarting.
 
-Call sites: :func:`repro.api.runner.sweep_scenario` (and the richer
-:func:`~repro.api.runner.sweep_scenario_report`) shard sweeps through
-an executor, and :mod:`repro.traffic.cluster_sim` fans host segments
-out through one.  See ``docs/sweeps.md`` for the how-to.
+Every process fan-out goes through an executor: :func:`map_chunks`
+serves :func:`repro.api.runner.sweep_scenario`,
+:mod:`repro.traffic.cluster_sim` and
+:func:`repro.experiments.common.run_all_pairs`, and
+:func:`~repro.api.runner.sweep_scenario_report` maps one journalled
+task per sweep point.  See ``docs/sweeps.md`` for the how-to.
 """
 
 from repro.errors import ExecError
@@ -27,6 +29,7 @@ from repro.exec.base import (
     Executor,
     TaskFailure,
     TaskOutcome,
+    map_chunks,
     summarize_failures,
 )
 from repro.exec.journal import JOURNAL_SCHEMA_VERSION, SweepJournal
@@ -49,5 +52,6 @@ __all__ = [
     "SweepJournal",
     "TaskFailure",
     "TaskOutcome",
+    "map_chunks",
     "summarize_failures",
 ]

@@ -8,9 +8,9 @@ loop to a crash-tolerant worker crew without the call sites changing:
 
 - ``serial``      (:mod:`repro.exec.serial`)     -- in-process, the
   determinism reference every other backend must reproduce;
-- ``pool``        (:mod:`repro.exec.pool`)       -- today's
-  :func:`repro.parallel.parallel_map` process-pool semantics, plus
-  per-item exception isolation and in-worker retries;
+- ``pool``        (:mod:`repro.exec.pool`)       -- a
+  ``ProcessPoolExecutor`` fan-out with per-item exception isolation and
+  in-worker retries (the default);
 - ``local-queue`` (:mod:`repro.exec.localqueue`) -- a spawn-based
   worker crew with per-task timeouts, bounded retries with backoff,
   and survival of worker death (crash or kill).
@@ -29,13 +29,15 @@ the ``--keep-going`` per-item fault isolation mode.
 
 Third-party backends plug in by name through
 :data:`repro.api.registries.EXECUTORS`, exactly like schedulers and
-preemption policies.
+preemption policies.  :func:`map_chunks` is the one fan-out every
+simulation layer uses: it cuts a job list into chunks and maps them
+through the registry.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, ExecError
@@ -234,7 +236,45 @@ def summarize_failures(failures: Sequence[TaskFailure]) -> str:
     return "\n".join(lines)
 
 
+#: Items per task when the caller does not choose: enough mega-batch
+#: lanes to amortise the batch engine's round overhead, few enough that
+#: a big fan-out still spreads across the pool.
+CHUNK = 64
+
+
+def map_chunks(
+    fn: Callable[[List[Any]], List[Any]],
+    items: Sequence[Any],
+    spec: Optional[ExecSpec] = None,
+    size: Optional[int] = None,
+) -> List[Any]:
+    """Map a chunk function over ``items`` through an executor backend.
+
+    ``items`` are cut into tasks of ``size`` items (default
+    :data:`CHUNK`) and run by ``make_executor(spec or ExecSpec())``;
+    ``fn`` takes one chunk and returns one result per item.  Results
+    come back flattened in item order, so a deterministic ``fn`` gives
+    the same list for every backend, worker count and chunk size.
+    ``keep_going`` is forced off: a chunk is a partial product of one
+    answer, so a permanently failed chunk raises
+    :class:`~repro.errors.ExecError` rather than leave a hole.
+    """
+    from repro.api.registries import make_executor
+
+    size = CHUNK if size is None else size
+    if size < 1:
+        raise ConfigError(f"chunk size must be >= 1, got {size}")
+    spec = replace(spec or ExecSpec(), keep_going=False)
+    tasks = [
+        ExecTask(key=f"chunk-{i // size}", payload=items[i : i + size])
+        for i in range(0, len(items), size)
+    ]
+    outcomes = make_executor(spec).map_tasks(fn, tasks)
+    return [value for outcome in outcomes for value in outcome.value]
+
+
 __all__ = [
+    "CHUNK",
     "CompletionHook",
     "DEFAULT_BACKOFF_S",
     "DEFAULT_RETRIES",
@@ -245,5 +285,6 @@ __all__ = [
     "TaskFailure",
     "TaskOutcome",
     "failure_from_exception",
+    "map_chunks",
     "summarize_failures",
 ]

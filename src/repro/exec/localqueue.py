@@ -18,10 +18,13 @@ a freshly spawned process the parent owns outright, so the parent can
 
 Dispatch is single-feeder: every worker has its own task queue, so the
 parent always knows exactly which task a dead or stuck worker was
-holding.  Results are merged by task index, and tasks are deterministic
-functions of their payloads, so scheduling nondeterminism (who ran
-what, in which order, after how many crashes) never reaches the output:
-the merged result list is bit-identical to the ``serial`` backend's.
+holding.  Replies come back on a per-worker pipe, so no lock is shared
+between workers: a worker that dies mid-write cannot leave one held
+and stall the rest of the crew.  Results are merged by task index, and
+tasks are deterministic functions of their payloads, so scheduling
+nondeterminism (who ran what, in which order, after how many crashes)
+never reaches the output: the merged result list is bit-identical to
+the ``serial`` backend's.
 
 ``spawn`` (not ``fork``) keeps workers independent of parent state --
 the same start method on every platform, and no inherited locks to
@@ -31,7 +34,7 @@ deadlock on after a kill.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
+import multiprocessing.connection
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
@@ -59,7 +62,7 @@ _BOOT_TIMEOUT_S = 60.0
 _CTX = multiprocessing.get_context("spawn")
 
 
-def _worker_main(fn: Callable[[Any], Any], task_queue, result_queue) -> None:
+def _worker_main(fn: Callable[[Any], Any], task_queue, results) -> None:
     """Worker loop: one task in, one ``(index, attempt, ...)`` reply out.
 
     Replies carry the dispatch's attempt number so the parent can drop
@@ -73,21 +76,23 @@ def _worker_main(fn: Callable[[Any], Any], task_queue, result_queue) -> None:
         index, attempt, payload = item
         # Announce pickup so the parent's task_timeout_s clock measures
         # the task itself, not queueing or this worker's spawn boot.
-        result_queue.put((index, attempt, "start", None))
+        results.send((index, attempt, "start", None))
         try:
             value = fn(payload)
         except Exception as exc:  # noqa: BLE001 - isolation is the point
-            result_queue.put(
+            results.send(
                 (index, attempt, False, (type(exc).__name__, str(exc)))
             )
         else:
-            result_queue.put((index, attempt, True, value))
+            results.send((index, attempt, True, value))
 
 
 @dataclass
 class _Worker:
     process: Any
     task_queue: Any
+    #: Read end of the worker's reply pipe (EOF once the worker exits).
+    results: Any
     #: (task index, attempt, clock start, started?); None when idle.
     #: ``started`` flips True when the worker announces pickup, which
     #: also restarts the clock -- task_timeout_s measures the task
@@ -154,7 +159,6 @@ class _CrewRun:
         self.tasks = list(tasks)
         self.crew_size = crew_size
         self.on_complete = on_complete
-        self.result_queue = _CTX.Queue()
         self.states = [_TaskState(t, i) for i, t in enumerate(self.tasks)]
         self.pending: List[_TaskState] = list(self.states)
         self.outcomes: List[Optional[TaskOutcome]] = [None] * len(self.tasks)
@@ -165,14 +169,15 @@ class _CrewRun:
     # ------------------------------------------------------------------
     def _spawn_worker(self) -> _Worker:
         task_queue = _CTX.Queue()
+        results, writer = _CTX.Pipe(duplex=False)
         process = _CTX.Process(
             target=_worker_main,
-            args=(self.fn, task_queue, self.result_queue),
+            args=(self.fn, task_queue, writer),
             daemon=True,
         )
         process.start()
-        worker = _Worker(process=process, task_queue=task_queue)
-        return worker
+        writer.close()  # the worker holds the only write end
+        return _Worker(process=process, task_queue=task_queue, results=results)
 
     def _kill_worker(self, worker: _Worker) -> None:
         if worker.process.is_alive():
@@ -180,6 +185,7 @@ class _CrewRun:
         worker.process.join(_JOIN_S)
         # Release the queue's feeder thread resources.
         worker.task_queue.close()
+        worker.results.close()
         worker.running = None
 
     def _shutdown(self) -> None:
@@ -194,7 +200,6 @@ class _CrewRun:
             worker.process.join(max(0.0, deadline - time.monotonic()))
         for worker in self.workers:
             self._kill_worker(worker)
-        self.result_queue.close()
 
     # ------------------------------------------------------------------
     # Main loop
@@ -225,16 +230,16 @@ class _CrewRun:
             )
 
     def _collect(self) -> None:
-        try:
-            reply = self.result_queue.get(timeout=_POLL_S)
-        except queue_mod.Empty:
-            return
-        while True:
-            self._absorb(reply)
+        ready = multiprocessing.connection.wait(
+            [w.results for w in self.workers], timeout=_POLL_S
+        )
+        for results in ready:
             try:
-                reply = self.result_queue.get_nowait()
-            except queue_mod.Empty:
-                return
+                while results.poll():
+                    self._absorb(results.recv())
+            except (EOFError, OSError):
+                # The worker exited; the liveness check replaces it.
+                continue
 
     def _absorb(self, reply: tuple) -> None:
         index, attempt, ok, value = reply

@@ -1,13 +1,11 @@
-"""The process-pool executor: ``repro.parallel.parallel_map`` semantics
-behind the :class:`~repro.exec.base.Executor` interface.
+"""The process-pool executor, the default backend.
 
-Same worker model as :func:`repro.parallel.parallel_map` -- a
-``ProcessPoolExecutor`` sized by :func:`repro.parallel.default_workers`,
-serial degeneration for one worker or one task, serial fallback when a
-pool cannot be spawned -- plus what the bare map lacks: per-item
-exception isolation (a failing task becomes a
+A ``ProcessPoolExecutor`` sized by :func:`repro.parallel.default_workers`
+that degenerates to the in-process ``serial`` reference for one worker
+or one task, and falls back to it (announced once) when a pool cannot
+be spawned.  Each task is isolated: a failing task becomes a
 :class:`~repro.exec.base.TaskFailure` instead of poisoning the whole
-map) and bounded in-worker retries with backoff.
+map, after bounded in-worker retries with backoff.
 
 Limits, by design: a worker *process* death (crash, OOM-kill) breaks a
 ``concurrent.futures`` pool for every outstanding task, so this backend
@@ -19,6 +17,7 @@ pool cannot kill one worker).  The ``local-queue`` backend covers both.
 from __future__ import annotations
 
 import time
+import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -33,7 +32,30 @@ from repro.exec.base import (
     TaskOutcome,
 )
 from repro.exec.serial import SerialExecutor, _warn_timeout_unenforced
-from repro.parallel import default_workers, warn_pool_fallback
+from repro.parallel import default_workers
+
+_pool_fallback_warned = False
+
+
+def warn_pool_fallback(cause: BaseException) -> None:
+    """One-time warning that a process pool could not be spawned.
+
+    Falling back to serial execution keeps results bit-identical (the
+    one-worker path is the reference), but silently losing all
+    parallelism turns a 5-minute sweep into an hour-long one with no
+    explanation -- so the first degraded map names its cause.
+    """
+    global _pool_fallback_warned
+    if _pool_fallback_warned:
+        return
+    _pool_fallback_warned = True
+    warnings.warn(
+        "process pool unavailable "
+        f"({type(cause).__name__}: {cause}); falling back to serial "
+        "execution (results are unchanged, wall time is not)",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 def _pool_entry(item: Tuple[Callable[[Any], Any], Any, int, float]) -> Tuple:
@@ -76,7 +98,7 @@ class PoolExecutor(Executor):
             return self._serial(fn, tasks, on_complete)
         try:
             pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
-        except OSError as exc:  # pragma: no cover - constrained sandboxes
+        except OSError as exc:  # constrained sandboxes
             warn_pool_fallback(exc)
             return self._serial(fn, tasks, on_complete)
         items = [
@@ -114,8 +136,8 @@ class PoolExecutor(Executor):
         on_complete: Optional[CompletionHook],
     ) -> List[TaskOutcome]:
         # One worker (or one task) degenerates to the in-process
-        # reference, exactly like parallel_map; drop the timeout first
-        # so SerialExecutor does not warn a second time.
+        # reference; drop the timeout first so SerialExecutor does not
+        # warn a second time.
         spec = ExecSpec(
             backend=self.name,
             max_workers=1,

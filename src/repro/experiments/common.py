@@ -7,7 +7,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import DEFAULT_CORE, NpuCoreConfig
 from repro.experiments import expected
-from repro.parallel import parallel_map
 from repro.serving.metrics import PairMetrics
 from repro.serving.server import (
     ALL_SCHEMES,
@@ -121,25 +120,26 @@ def run_pair_cached(
     return run
 
 
-def _run_pair_job(job: Tuple) -> PairRun:
-    """Picklable worker for one collocation pair (all schemes)."""
-    w1, w2, schemes, target_requests = job
-    return run_pair(w1, w2, schemes, target_requests)
+def _run_pair_jobs(jobs: Sequence[Tuple]) -> List[PairRun]:
+    """Picklable worker for a chunk of collocation pairs (all schemes)."""
+    return [run_pair(*job) for job in jobs]
 
 
 def run_all_pairs(
     schemes: Sequence[str] = ALL_SCHEMES,
     target_requests: int = DEFAULT_TARGET_REQUESTS,
     pairs: Optional[Sequence[Tuple[str, str]]] = None,
-    max_workers: Optional[int] = None,
 ) -> List[PairRun]:
     """All collocation pairs, fanned out over a process pool.
 
     Each pair is an independent closed-loop simulation, so uncached
-    pairs are dispatched through :func:`repro.parallel.parallel_map`
-    (results identical for any worker count) and fed back into the
-    shared pair cache that Figs. 19-23 and Table III draw from.
+    pairs are dispatched one per task through
+    :func:`repro.exec.map_chunks` (results identical for any worker
+    count) and fed back into the shared pair cache that Figs. 19-23 and
+    Table III draw from.
     """
+    from repro.exec import map_chunks
+
     pairs = pairs if pairs is not None else expected.ALL_PAIRS
     key_schemes = tuple(schemes)
     missing = [
@@ -149,10 +149,10 @@ def run_all_pairs(
         not in _pair_cache
     ]
     if missing:
-        fresh = parallel_map(
-            _run_pair_job,
+        fresh = map_chunks(
+            _run_pair_jobs,
             [(w1, w2, key_schemes, target_requests) for w1, w2 in missing],
-            max_workers=max_workers,
+            size=1,
         )
         for (w1, w2), run in zip(missing, fresh):
             key = _pair_cache_key(

@@ -19,7 +19,7 @@ policy and mode (``swap`` keeps KV off-device and pays a reload;
 RUNNING > SWAPPED > WAITING, all ordered by ``(arrival, rid)``.
 
 Everything is seeded through :func:`repro.config.spawn_rng`, so a run
-replays bit-exactly in-process and across ``parallel_map`` workers.
+replays bit-exactly in-process and across pool workers.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ structural states) and advance through per-unit remaining-work arrays
 instead of re-fingerprinting and re-planning per epoch.  Results are
 bit-identical to running each simulator alone.
 
-Every fan-out job (``api.runner.sweep_scenario`` chunks and the cluster
-host-segment chunks) runs its simulators through :func:`run_simulators`.
+Every :func:`repro.exec.map_chunks` task of ``api.runner.sweep_scenario``
+and of the cluster host-segment fan-out runs its simulators through
+:func:`run_simulators`.
 ``REPRO_SIM_MEGABATCH=0`` makes it step the lanes one by one with
 ``Simulator.run()`` -- the differential reference for the engine.
 """

@@ -1,59 +1,20 @@
-"""Deterministic process-pool fan-out for independent simulations.
+"""Default fan-out width for the process-pool executors.
 
-Cluster sweeps and experiment grids are embarrassingly parallel: each
-host segment, collocation pair, or sweep point is one self-contained
-fluid simulation.  :func:`parallel_map` fans such jobs out over a
-process pool while keeping the results **deterministic**: outputs are
-returned in input order, every stochastic input (arrival streams, RNG
-substreams via :func:`repro.config.spawn_rng`) is generated *before*
-dispatch, and a worker count of one degenerates to a plain serial map --
-so results are bit-identical for any worker count.
-
-Workers default to the machine's CPU count; override with the
-``REPRO_PARALLEL_WORKERS`` environment variable (``1`` forces serial
-execution, which is also the fallback -- announced once via
-:mod:`warnings` -- whenever a pool cannot be spawned).  Job functions
-and their arguments must be picklable --
-module-level functions with plain-data arguments.
+Every process fan-out goes through :func:`repro.exec.map_chunks` or an
+executor from the :data:`repro.api.registries.EXECUTORS` registry;
+this module only decides how wide a pool is by default.  Override the
+width with the ``REPRO_PARALLEL_WORKERS`` environment variable (``1``
+forces serial execution).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigError
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 #: Environment override for the default pool size.
 WORKERS_ENV = "REPRO_PARALLEL_WORKERS"
-
-_pool_fallback_warned = False
-
-
-def warn_pool_fallback(cause: BaseException) -> None:
-    """One-time warning that a process pool could not be spawned.
-
-    Falling back to serial execution keeps results bit-identical (the
-    one-worker path is the reference), but silently losing all
-    parallelism turns a 5-minute sweep into an hour-long one with no
-    explanation -- so the first degraded map names its cause.
-    """
-    global _pool_fallback_warned
-    if _pool_fallback_warned:
-        return
-    _pool_fallback_warned = True
-    warnings.warn(
-        "process pool unavailable "
-        f"({type(cause).__name__}: {cause}); falling back to serial "
-        "execution (results are unchanged, wall time is not)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def default_workers() -> int:
@@ -83,34 +44,3 @@ def default_workers() -> int:
         except OSError:  # pragma: no cover - exotic platforms
             pass
     return os.cpu_count() or 1
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    max_workers: Optional[int] = None,
-) -> List[R]:
-    """Map ``fn`` over ``items`` with deterministic result ordering.
-
-    Results come back in input order regardless of completion order or
-    worker count.  ``max_workers=None`` uses :func:`default_workers`;
-    one worker (or zero/one items) runs serially in-process, which is
-    the reference behaviour every pool size must reproduce exactly.
-    Exceptions raised by a job propagate to the caller.
-    """
-    jobs: Sequence[T] = list(items)
-    workers = default_workers() if max_workers is None else int(max_workers)
-    if workers < 1:
-        raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    try:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
-    except OSError as exc:  # pragma: no cover - constrained sandboxes
-        warn_pool_fallback(exc)
-        return [fn(job) for job in jobs]
-    try:
-        futures = [pool.submit(fn, job) for job in jobs]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown()

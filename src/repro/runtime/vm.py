@@ -27,8 +27,8 @@ class HostAddressSpace:
     live in module-level mutable state, which made host bases depend on
     how many VMs *any* earlier test or run had created in the process;
     scoping the counter to an owner (each :class:`Hypervisor` holds its
-    own) restores run-to-run determinism and ``parallel_map`` worker
-    equivalence.
+    own) restores run-to-run determinism and worker-count
+    equivalence across process pools.
     """
 
     def __init__(self) -> None:

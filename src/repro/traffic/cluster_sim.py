@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import orchestrator as _orchestrator_module
@@ -81,7 +81,6 @@ from repro.errors import (
     ValidationError,
 )
 from repro.megabatch import run_simulators
-from repro.parallel import parallel_map
 from repro.runtime import command as _command_module
 from repro.api.registries import SCHEDULERS, scheme_isa
 from repro.serving.server import make_scheduler
@@ -153,12 +152,6 @@ class ClusterTrafficConfig:
     end_s: float = 0.002
     seed: int = DEFAULT_SEED
     policy: Optional[PlacementPolicy] = None
-    #: Process-pool width for simulating independent hosts of one
-    #: segment concurrently (None = REPRO_PARALLEL_WORKERS / CPU count;
-    #: 1 = serial).  Results are identical for any worker count: every
-    #: stochastic input is drawn before dispatch and merged in host
-    #: order.
-    max_workers: Optional[int] = None
     #: Elastic host pools (empty = the fixed num_hosts x cores_per_host
     #: fleet).
     pools: Tuple[HostPoolSpec, ...] = ()
@@ -173,10 +166,12 @@ class ClusterTrafficConfig:
     #: free hypercalls, no control-plane telemetry on the result --
     #: the exact pre-virtualization code path).
     virtualization: Optional[VirtualizationSpec] = None
-    #: Fan host segments out through a :mod:`repro.exec` backend
-    #: (an :class:`repro.exec.ExecSpec`; None = the plain
-    #: ``parallel_map`` path, bit-identical to pre-executor releases).
-    #: ``keep_going`` is coerced off: host segments are partial products
+    #: How independent hosts of one segment fan out: an
+    #: :class:`repro.exec.ExecSpec` for :func:`repro.exec.map_chunks`
+    #: (None = ``ExecSpec()``, the default ``pool`` backend).  Results
+    #: are identical for any backend or worker count: every stochastic
+    #: input is drawn before dispatch and merged in host order.
+    #: ``keep_going`` is forced off: host segments are partial products
     #: of one simulation, so a dropped segment must abort, not skew.
     executor: Optional[object] = None
     #: Injected failures (host crashes, VF loss, hypercall spikes,
@@ -285,11 +280,6 @@ class _TenantJob:
     priority: float
     target_cycles: float
     arrivals: Tuple[float, ...]
-    #: Arrivals generated for the segment (conservation source of truth
-    #: for ``offered``; None = legacy jobs, fall back to the issued
-    #: count).  Differs from ``len(arrivals)`` never -- kept explicit so
-    #: the job stays self-describing across pickling.
-    offered: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -352,7 +342,7 @@ def _finalize_host_segment(
             build_slo_report(
                 tj.name, job.scheme, tj.target_cycles,
                 result.tenant(idx), job.seg_s,
-                offered=tj.offered,
+                offered=len(tj.arrivals),
             ),
         )
         for idx, tj in enumerate(job.tenants)
@@ -366,21 +356,6 @@ def _finalize_host_segment(
     )
 
 
-#: Host segments co-stepped per fan-out job (see ``repro.megabatch``);
-#: chunking keeps multi-process fan-out useful on big fleets while each
-#: worker amortises its batch engine.
-_SEGMENT_BATCH = 64
-
-
-def _segment_chunks(
-    jobs: Sequence[_HostSegmentJob],
-) -> List[Sequence[_HostSegmentJob]]:
-    return [
-        jobs[i : i + _SEGMENT_BATCH]
-        for i in range(0, len(jobs), _SEGMENT_BATCH)
-    ]
-
-
 def _simulate_host_segment_batch(
     jobs: Sequence[_HostSegmentJob],
 ) -> List[Tuple[str, float, float, float, List[Tuple[str, SloReport]]]]:
@@ -391,41 +366,6 @@ def _simulate_host_segment_batch(
         _finalize_host_segment(job, result)
         for job, result in zip(jobs, results)
     ]
-
-
-def _executor_fan_out(
-    jobs: Sequence[_HostSegmentJob], cfg: "ClusterTrafficConfig"
-) -> List[Tuple[str, float, float, float, List[Tuple[str, SloReport]]]]:
-    """Fan one segment's host jobs out through a ``repro.exec`` backend.
-
-    Mirrors the ``parallel_map`` fan-out exactly (same chunks, same
-    merge order), adding the executor's retry/timeout robustness.
-    ``keep_going`` is coerced off: unlike sweep points, host segments
-    are partial products of one simulation -- silently dropping one
-    would skew cluster metrics rather than shrink a result list -- so a
-    permanently failed segment aborts the run with
-    :class:`repro.errors.ExecError`.
-    """
-    import dataclasses
-
-    from repro.api.registries import make_executor
-    from repro.exec import ExecTask
-
-    spec = cfg.executor
-    changes = {}
-    if spec.keep_going:
-        changes["keep_going"] = False
-    if spec.max_workers is None and cfg.max_workers is not None:
-        changes["max_workers"] = cfg.max_workers
-    if changes:
-        spec = dataclasses.replace(spec, **changes)
-    executor = make_executor(spec)
-    tasks = [
-        ExecTask(key=f"chunk-{i}-{chunk[0].host_name}", payload=chunk)
-        for i, chunk in enumerate(_segment_chunks(jobs))
-    ]
-    outcomes = executor.map_tasks(_simulate_host_segment_batch, tasks)
-    return [item for o in outcomes for item in o.value]
 
 
 class _Fleet:
@@ -870,15 +810,18 @@ class ClusterSimulation:
         self.segment_log: List[SegmentObservation] = []
         self._next = 0
         #: Identity of this (events, config) pair, stamped into every
-        #: checkpoint.  Computed before any stepping: the configured
-        #: autoscaler's *internal* state mutates as the run advances, so
-        #: the digest is only stable at construction time.  ``None``
-        #: when the configuration is not picklable (e.g. an ad-hoc local
-        #: autoscaler class): such runs simulate fine, they just cannot
-        #: be checkpointed.
+        #: checkpoint.  The executor is left out: it decides where host
+        #: segments run, never what they compute, so a checkpoint
+        #: restores under any backend.  Computed before any stepping:
+        #: the configured autoscaler's *internal* state mutates as the
+        #: run advances, so the digest is only stable at construction
+        #: time.  ``None`` when the configuration is not picklable (e.g.
+        #: an ad-hoc local autoscaler class): such runs simulate fine,
+        #: they just cannot be checkpointed.
         try:
+            identity = replace(cfg, executor=None)
             self.config_digest: Optional[str] = hashlib.sha256(
-                pickle.dumps((ordered, cfg), protocol=4)
+                pickle.dumps((ordered, identity), protocol=4)
             ).hexdigest()
         except (AttributeError, TypeError, pickle.PicklingError):
             self.config_digest = None
@@ -1346,7 +1289,6 @@ class ClusterSimulation:
                         priority=spec.priority,
                         target_cycles=spec.slo.resolve(svc),
                         arrivals=tuple(arrivals),
-                        offered=len(arrivals),
                     )
                 )
             if all(not tj.arrivals for tj in tenant_jobs):
@@ -1363,19 +1305,10 @@ class ClusterSimulation:
             )
 
         # Hosts are independent within a stable segment: fan out in
-        # chunks, then merge in deterministic host order.
-        if cfg.executor is not None and len(jobs) > 0:
-            outcomes = _executor_fan_out(jobs, cfg)
-        else:
-            outcomes = [
-                outcome
-                for chunk in parallel_map(
-                    _simulate_host_segment_batch,
-                    _segment_chunks(jobs),
-                    max_workers=cfg.max_workers,
-                )
-                for outcome in chunk
-            ]
+        # mega-batch chunks, then merge in deterministic host order.
+        from repro.exec import map_chunks
+
+        outcomes = map_chunks(_simulate_host_segment_batch, jobs, cfg.executor)
         seg_me = seg_ve = 0.0
         seg_offered = seg_attained = 0
         for host_name, me_seconds, ve_seconds, cycles, host_reports in outcomes:
@@ -1535,8 +1468,8 @@ class ClusterSimulation:
         """
         if self.config_digest is None:
             raise CheckpointError(
-                "this configuration is not picklable (custom autoscaler "
-                "or executor?); checkpointing is unavailable for it"
+                "this configuration is not picklable (custom "
+                "autoscaler?); checkpointing is unavailable for it"
             )
         state: Dict[str, object] = {
             name: getattr(self, name) for name in _STATE_ATTRS
@@ -1568,8 +1501,8 @@ class ClusterSimulation:
         sim = cls(events, cfg)
         if sim.config_digest is None:
             raise CheckpointError(
-                "this configuration is not picklable (custom autoscaler "
-                "or executor?); checkpoints cannot restore under it"
+                "this configuration is not picklable (custom "
+                "autoscaler?); checkpoints cannot restore under it"
             )
         if checkpoint.config_digest != sim.config_digest:
             raise CheckpointError(
@@ -1651,8 +1584,8 @@ def run_cluster_checkpointed(
     if directory is not None:
         if sim.config_digest is None:
             raise CheckpointError(
-                "this configuration is not picklable (custom autoscaler "
-                "or executor?); checkpointing is unavailable for it"
+                "this configuration is not picklable (custom "
+                "autoscaler?); checkpointing is unavailable for it"
             )
         from repro.exec.journal import SweepJournal
 

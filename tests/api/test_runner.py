@@ -126,7 +126,7 @@ def test_run_result_json_round_trip():
     assert clone == result
 
 
-def test_sweep_matches_individual_runs():
+def test_sweep_matches_individual_runs(spawned_pools):
     """A sweep is exactly one run per variant, regardless of pool."""
     scenario = Scenario(
         name="sweepy", kind="open_loop", tenants=TENANTS,
@@ -134,6 +134,7 @@ def test_sweep_matches_individual_runs():
     )
     swept = sweep_scenario(scenario, param="load", values=[0.5, 1.0],
                            max_workers=2)
+    assert spawned_pools, "the pooled sweep never left this process"
     for value, result in zip([0.5, 1.0], swept):
         solo = run_scenario(scenario.replaced(
             name=f"sweepy@load={value}", load=value

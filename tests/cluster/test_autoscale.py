@@ -16,6 +16,7 @@ from repro.cluster.host import Host
 from repro.cluster.orchestrator import ClusterOrchestrator, PlacementRequest
 from repro.config import DEFAULT_CORE
 from repro.errors import AllocationError, ConfigError
+from repro.exec import ExecSpec
 from repro.traffic.cluster_sim import (
     ChurnEvent,
     ClusterTrafficConfig,
@@ -314,14 +315,14 @@ def test_drain_migrates_residents_and_retires_host():
     assert min(n for _, n in result.host_count_timeline) < 3
 
 
-def test_autoscaled_run_is_deterministic_across_worker_counts():
+def test_autoscaled_run_is_deterministic_across_worker_counts(spawned_pools):
     events = _arrivals(5)
 
     def run(workers):
         return run_cluster_traffic(
             events,
             _cfg(
-                max_workers=workers,
+                executor=ExecSpec(max_workers=workers),
                 autoscaler=make_autoscaler(
                     "slo-burn-rate", slo_target=0.75
                 ),
@@ -329,6 +330,7 @@ def test_autoscaled_run_is_deterministic_across_worker_counts():
         )
 
     serial, pooled = run(1), run(3)
+    assert spawned_pools, "the pooled run never left this process"
     assert [e.to_dict() for e in serial.autoscale_events] == \
         [e.to_dict() for e in pooled.autoscale_events]
     assert serial.host_count_timeline == pooled.host_count_timeline

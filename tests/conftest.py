@@ -11,6 +11,30 @@ from repro.sim.engine import Simulator, Tenant
 
 
 @pytest.fixture
+def spawned_pools(monkeypatch):
+    """One fan-out item per task, and a log of the process pools spawned.
+
+    The default chunk packs up to 64 items into one task, so a small
+    test fan-out is a single task and runs in-process.  With a chunk of
+    one, a pooled map over two or more items really spans processes;
+    tests assert the returned list is non-empty to prove it.
+    """
+    import repro.exec.base
+    import repro.exec.pool
+
+    monkeypatch.setattr(repro.exec.base, "CHUNK", 1)
+    spawned = []
+    real = repro.exec.pool.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        spawned.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(repro.exec.pool, "ProcessPoolExecutor", counting_pool)
+    return spawned
+
+
+@pytest.fixture
 def core() -> NpuCoreConfig:
     """The paper's Table II core (4 MEs, 4 VEs)."""
     return NpuCoreConfig()

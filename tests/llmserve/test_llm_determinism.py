@@ -2,13 +2,13 @@
 
 The preemption event log is the most fragile artifact of a serving run
 (one mis-ordered tie-break changes every downstream metric), so these
-tests compare runs event-by-event: in-process repeats, across
-``parallel_map`` workers, and across victim policies sharing one seed.
+tests compare runs event-by-event: in-process repeats, across pool
+workers, and across victim policies sharing one seed.
 """
 
 from repro.api import Scenario, run_scenario
+from repro.exec import ExecSpec, map_chunks
 from repro.llmserve import LlmServeConfig, LlmTenantSpec, run_llm_serving
-from repro.parallel import parallel_map
 
 SPECS = (
     LlmTenantSpec(name="chat", prompt_tokens=64, decode_tokens=64),
@@ -59,6 +59,10 @@ def _run_payload(payload):
     return run_scenario(Scenario.from_dict(payload)).metrics
 
 
+def _run_payloads(chunk):
+    return [_run_payload(payload) for payload in chunk]
+
+
 def test_same_seed_same_event_log():
     a = run_llm_serving(SPECS, _cfg())
     b = run_llm_serving(SPECS, _cfg())
@@ -73,13 +77,14 @@ def test_different_seeds_differ():
     assert a.metrics() != b.metrics()
 
 
-def test_parallel_map_matches_in_process():
+def test_pool_workers_match_in_process():
     """Worker processes replay the exact in-process history, including
     the preemption event log -- the property sweeps rely on."""
     reference = _run_payload(SCENARIO_PAYLOAD)
     assert reference["preemption"]["count"] > 0
-    fanned = parallel_map(
-        _run_payload, [SCENARIO_PAYLOAD, SCENARIO_PAYLOAD], max_workers=2
+    fanned = map_chunks(
+        _run_payloads, [SCENARIO_PAYLOAD, SCENARIO_PAYLOAD],
+        ExecSpec(max_workers=2), size=1,
     )
     assert fanned[0] == reference
     assert fanned[1] == reference

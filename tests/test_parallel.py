@@ -1,67 +1,22 @@
-"""Determinism and plumbing tests for repro.parallel.
+"""Fan-out width and worker-count determinism.
 
-The contract: for any worker count, :func:`parallel_map` returns the
-same results in the same (input) order as a serial map, and the
-simulation layers built on it (cluster churn) produce identical metrics
-whether hosts are simulated serially or in a pool.
+:func:`repro.parallel.default_workers` sizes every process pool, and
+the simulation layers built on :func:`repro.exec.map_chunks` (cluster
+churn here) produce identical metrics whether hosts are simulated
+serially or in a pool.
 """
 
 import pytest
 
-from repro.config import spawn_rng
 from repro.errors import ConfigError
-from repro.parallel import WORKERS_ENV, default_workers, parallel_map
+from repro.exec import ExecSpec
+from repro.parallel import WORKERS_ENV, default_workers
 from repro.traffic import (
     ChurnEvent,
     ClusterTrafficConfig,
     TrafficTenantSpec,
     run_cluster_traffic,
 )
-
-
-def _square(x):
-    return x * x
-
-
-def _seeded_draw(key):
-    # Exercises the seeded-substream pattern workers rely on.
-    return spawn_rng(99, key).random()
-
-
-def _boom(x):
-    raise ValueError(f"boom {x}")
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_parallel_map_matches_serial(workers):
-    items = list(range(13))
-    assert parallel_map(_square, items, max_workers=workers) == [
-        _square(x) for x in items
-    ]
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_parallel_map_preserves_order_with_seeded_streams(workers):
-    keys = [f"tenant-{i}" for i in range(9)]
-    expected = [_seeded_draw(k) for k in keys]
-    assert parallel_map(_seeded_draw, keys, max_workers=workers) == expected
-
-
-def test_parallel_map_empty_and_single():
-    assert parallel_map(_square, [], max_workers=4) == []
-    assert parallel_map(_square, [3], max_workers=4) == [9]
-
-
-def test_parallel_map_propagates_exceptions():
-    with pytest.raises(ValueError, match="boom"):
-        parallel_map(_boom, [1, 2], max_workers=2)
-    with pytest.raises(ValueError, match="boom"):
-        parallel_map(_boom, [1, 2], max_workers=1)
-
-
-def test_parallel_map_rejects_bad_worker_count():
-    with pytest.raises(ConfigError):
-        parallel_map(_square, [1, 2], max_workers=0)
 
 
 def test_default_workers_env_override(monkeypatch):
@@ -90,7 +45,7 @@ def _churn_metrics(max_workers):
     ]
     cfg = ClusterTrafficConfig(
         num_hosts=2, scheme="neu10", load=0.9, end_s=0.001, seed=17,
-        max_workers=max_workers,
+        executor=ExecSpec(max_workers=max_workers),
     )
     result = run_cluster_traffic(events, cfg)
     return (
@@ -106,7 +61,8 @@ def _churn_metrics(max_workers):
     )
 
 
-def test_cluster_traffic_identical_for_any_worker_count():
+def test_cluster_traffic_identical_for_any_worker_count(spawned_pools):
     serial = _churn_metrics(1)
     assert _churn_metrics(2) == serial
     assert _churn_metrics(4) == serial
+    assert spawned_pools, "the pooled runs never left this process"

@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import (
     ScenarioAutoscaler,
+    ScenarioExecutor,
     ScenarioVirtualization,
     load_scenario,
     run_scenario,
@@ -158,6 +159,23 @@ def test_restore_refuses_a_different_configuration():
     other = _adversarial("crash_mid_segment")
     with pytest.raises(CheckpointError, match="different scenario"):
         ClusterSimulation.restore(checkpoint, *cluster_inputs(other))
+
+
+def test_restore_ignores_the_executor():
+    """The executor decides where host segments run, never what they
+    compute, so a checkpoint restores under any backend or none."""
+    scenario = _adversarial("burst_storm")
+    reference = _result_digest(
+        run_cluster_traffic(*cluster_inputs(scenario))
+    )
+    checkpoint = _mid_run_checkpoint(
+        scenario.replaced(executor=ScenarioExecutor(backend="serial"))
+    )
+    for executor in (ScenarioExecutor(backend="pool"), None):
+        restored = ClusterSimulation.restore(
+            checkpoint, *cluster_inputs(scenario.replaced(executor=executor))
+        )
+        assert _result_digest(restored.run()) == reference
 
 
 def test_restore_refuses_tampered_payload():
