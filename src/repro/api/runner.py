@@ -4,8 +4,8 @@
 into a uniform :class:`repro.api.result.RunResult` by driving the same
 engines the bespoke entry points used to call directly:
 
-- ``serving``   -> :func:`repro.serving.server.run_collocation`
-- ``open_loop`` -> :func:`repro.traffic.openloop.run_open_loop`
+- ``serving``   -> :func:`repro.serving.server.prepare_collocation`
+- ``open_loop`` -> :func:`repro.traffic.openloop.prepare_open_loop`
 - ``cluster``   -> :func:`repro.traffic.cluster_sim.run_cluster_traffic`
 - ``llm``       -> :func:`repro.llmserve.engine.run_llm_serving`
 - ``figure``    -> the :data:`repro.api.figures.FIGURES` registry
@@ -86,19 +86,21 @@ def _slo_report_metrics(report) -> Dict[str, Any]:
 def _serving_config(scenario: Scenario):
     from repro.serving.server import ServingConfig
 
+    # No op records: _serving_run_result never reads op durations, and
+    # recording would keep these runs off the mega-batch chain path.
     return ServingConfig(
         core=scenario.core(),
         target_requests=scenario.target_requests,
+        record_ops=False,
     )
 
 
-def _run_serving(scenario: Scenario) -> RunResult:
-    from repro.serving.server import run_collocation
+def _run_batchable(scenario: Scenario) -> RunResult:
+    """A serving or open-loop scenario, stepped as a batch of one."""
+    from repro.megabatch import run_simulators
 
-    cfg = _serving_config(scenario)
-    specs = [_to_workload_spec(t) for t in scenario.tenants]
-    pair = run_collocation(specs, scenario.scheme, cfg)
-    return _serving_run_result(scenario, pair)
+    sim, finalize = _prepare_batchable(scenario)
+    return finalize(run_simulators([sim])[0])
 
 
 def _serving_run_result(scenario: Scenario, pair) -> RunResult:
@@ -140,15 +142,6 @@ def _open_loop_config(scenario: Scenario):
         seed=scenario.seed,
         drain=scenario.drain,
     )
-
-
-def _run_open_loop(scenario: Scenario) -> RunResult:
-    from repro.traffic.openloop import run_open_loop
-
-    cfg = _open_loop_config(scenario)
-    specs = [_to_traffic_spec(t) for t in scenario.tenants]
-    result = run_open_loop(specs, scenario.scheme, cfg)
-    return _open_loop_run_result(scenario, result)
 
 
 def _open_loop_run_result(scenario: Scenario, result) -> RunResult:
@@ -387,8 +380,8 @@ def _run_figure(scenario: Scenario) -> RunResult:
 
 
 _KIND_RUNNERS = {
-    "serving": _run_serving,
-    "open_loop": _run_open_loop,
+    "serving": _run_batchable,
+    "open_loop": _run_batchable,
     "cluster": _run_cluster,
     "llm": _run_llm,
     "figure": _run_figure,
@@ -496,8 +489,9 @@ def _prepare_batchable(scenario: Scenario):
 
     Covered kinds: ``open_loop`` and ``serving`` -- single-simulator
     runs whose construction is deterministic and independent of the
-    stepping driver.  Other kinds (cluster, llm, figure) orchestrate
-    their own multi-stage drivers and fall back to ``run_scenario``.
+    stepping driver; ``run_scenario`` steps them as a batch of one.
+    Other kinds (cluster, llm, figure) orchestrate their own
+    multi-stage drivers and fall back to ``run_scenario``.
     """
     if scenario.kind == "open_loop":
         from repro.traffic.openloop import finalize_open_loop, prepare_open_loop

@@ -24,6 +24,7 @@ from typing import Dict, List, Tuple
 
 from repro.config import DEFAULT_CORE, NpuCoreConfig
 from repro.experiments.common import specs_for_pair
+from repro.megabatch import run_simulators
 from repro.serving.server import SCHEME_ISA, SCHEME_NEU10
 from repro.sim.engine import SimResult, Simulator, Tenant
 from repro.sim.sched_neu10 import Neu10Scheduler
@@ -63,7 +64,7 @@ def _run(
         )
     sim = Simulator(core, scheduler, tenants, record_ops=False,
                     hbm_policy=hbm_policy)
-    return sim.run()
+    return run_simulators([sim])[0]
 
 
 def _point(label: str, result: SimResult) -> AblationPoint:

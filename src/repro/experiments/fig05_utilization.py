@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.config import DEFAULT_CORE, NpuCoreConfig
+from repro.megabatch import run_simulators
 from repro.serving.server import ServingConfig, WorkloadSpec, run_solo
 from repro.sim.engine import Simulator, Tenant
 from repro.sim.sched_static import StaticPartitionScheduler
@@ -52,7 +53,7 @@ def run(
         record_assignment=True,
         record_ops=False,
     )
-    result = sim.run()
+    result = run_simulators([sim])[0]
     samples = result.stats.assignment_trace
     if not samples:
         return UtilizationTrace(trace.abbrev, batch, [], 0.0, 0.0)

@@ -15,6 +15,7 @@ from typing import List, Tuple
 
 from repro.config import DEFAULT_CORE, NpuCoreConfig
 from repro.experiments.expected import FIG7_AVG_BANDWIDTH_GBPS
+from repro.megabatch import run_simulators
 from repro.sim.engine import Simulator, Tenant
 from repro.sim.sched_static import StaticPartitionScheduler
 from repro.workloads.traces import build_trace
@@ -49,7 +50,7 @@ def run(model: str, batch: int, core: NpuCoreConfig = DEFAULT_CORE) -> Bandwidth
         record_ops=False,
         record_bandwidth=True,
     )
-    result = sim.run()
+    result = run_simulators([sim])[0]
     to_gbps = core.frequency_hz / 1e9
     series = [
         (core.cycles_to_us(s), core.cycles_to_us(e), bw * to_gbps)

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import DEFAULT_CORE, NpuCoreConfig
 from repro.core.allocator import split_eu_budget
+from repro.megabatch import run_simulators
 from repro.sim.engine import Simulator, Tenant
 from repro.sim.sched_static import StaticPartitionScheduler
 from repro.workloads.traces import build_trace
@@ -68,7 +69,7 @@ def _solo_throughput(
         target_requests=requests,
     )
     sim = Simulator(core, StaticPartitionScheduler(), [tenant], record_ops=False)
-    result = sim.run()
+    result = run_simulators([sim])[0]
     return result.tenant(0).throughput_rps
 
 

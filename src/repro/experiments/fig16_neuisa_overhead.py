@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.config import DEFAULT_CORE, NpuCoreConfig
+from repro.megabatch import run_simulators
 from repro.sim.engine import Simulator, Tenant
 from repro.sim.sched_static import StaticPartitionScheduler
 from repro.baselines.pmt import PmtScheduler
@@ -47,7 +48,7 @@ def _solo_cycles(graph, core: NpuCoreConfig, scheduler) -> float:
         target_requests=1,
     )
     sim = Simulator(core, scheduler, [tenant], record_ops=False)
-    result = sim.run()
+    result = run_simulators([sim])[0]
     return result.tenant(0).mean_latency
 
 

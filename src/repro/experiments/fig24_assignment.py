@@ -15,6 +15,7 @@ from typing import Dict, List, Tuple
 from repro.config import DEFAULT_CORE
 from repro.experiments import expected
 from repro.experiments.common import DEFAULT_TARGET_REQUESTS, specs_for_pair
+from repro.megabatch import run_simulators
 from repro.serving.server import SCHEME_NEU10, ServingConfig, make_scheduler
 from repro.sim.engine import Simulator, Tenant
 from repro.workloads.traces import build_trace
@@ -68,7 +69,7 @@ def run(
         core, make_scheduler(SCHEME_NEU10), tenants,
         record_assignment=True, record_ops=False,
     )
-    result = sim.run()
+    result = run_simulators([sim])[0]
     series: Dict[str, List[Tuple[float, float, float, float]]] = {}
     for tenant in tenants:
         raw = result.stats.assignment_series(tenant.tenant_id)

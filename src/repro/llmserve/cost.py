@@ -70,6 +70,7 @@ def _decode_step_cycles(
 ) -> float:
     from repro.api.registries import make_scheduler, scheme_isa
     from repro.compiler.lowering import lower_graph_neuisa, lower_graph_vliw
+    from repro.megabatch import run_simulators
     from repro.sim.engine import Simulator, Tenant
     from repro.workloads.llm import build_llama
 
@@ -88,9 +89,8 @@ def _decode_step_cycles(
         alloc_ves=core.num_ves,
         target_requests=1,
     )
-    result = Simulator(
-        core, make_scheduler(scheme), [tenant], record_ops=False
-    ).run()
+    sim = Simulator(core, make_scheduler(scheme), [tenant], record_ops=False)
+    result = run_simulators([sim])[0]
     cycles = result.tenant(0).mean_latency
     if cycles <= 0:
         raise ConfigError(

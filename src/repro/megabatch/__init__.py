@@ -7,11 +7,15 @@ structural states) and advance through per-unit remaining-work arrays
 instead of re-fingerprinting and re-planning per epoch.  Results are
 bit-identical to running each simulator alone.
 
-Every :func:`repro.exec.map_chunks` task of ``api.runner.sweep_scenario``
-and of the cluster host-segment fan-out runs its simulators through
-:func:`run_simulators`.
-``REPRO_SIM_MEGABATCH=0`` makes it step the lanes one by one with
-``Simulator.run()`` -- the differential reference for the engine.
+:func:`run_simulators` is the one driver for every simulation the
+library runs: a single run is a batch of one, and every
+:func:`repro.exec.map_chunks` task of ``api.runner.sweep_scenario`` and
+of the cluster host-segment fan-out is a batch of up to 64 lanes.
+Simulators that can never bind to a chain node (fast path off, a
+scheduler without a memo context, op/assignment/bandwidth recording)
+run alone through ``Simulator.run()``.  ``REPRO_SIM_MEGABATCH=0`` makes
+it step every simulator that way -- the differential reference for the
+engine.
 """
 
 from repro.megabatch.engine import (

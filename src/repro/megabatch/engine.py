@@ -20,9 +20,11 @@ that sit on a node through plain remaining-work arrays:
   unit object.
 
 Anything the chain representation does not model -- preemptions,
-reclaim timers, arrivals landing on an idle tenant, a cold memo, op
-recording -- *materialises* the lane back into ordinary unit objects
-and falls back to the scalar engine's own step functions.  Every float
+reclaim timers, arrivals landing on an idle tenant, a cold memo --
+*materialises* the lane back into ordinary unit objects and falls back
+to the scalar engine's own step functions; a simulator that can never
+bind to a node (op recording, the reference path, a scheduler without
+a memo context) runs through ``Simulator.run()`` instead.  Every float
 operation on the array path replicates the scalar expression grouping
 (``rate * delta``, ``remaining - progress``,
 ``(progress * ve_rate) * granted``) and the scalar accumulation order,
@@ -482,26 +484,16 @@ class _Lane:
     loop touches no attribute chains."""
 
     __slots__ = (
-        "sim", "scope", "chain_ok", "node", "rem_me", "rem_ve", "epochs",
+        "sim", "scope", "node", "rem_me", "rem_ve", "epochs",
         "check_finish", "done", "result", "array_epochs", "object_epochs",
         "stats", "tenants", "blocked_map", "me_map", "ve_map", "harv_map",
         "arrival_watch", "horizon",
     )
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, sim: Simulator, scope: _ChainScope) -> None:
         self.sim = sim
         stats = sim.stats
-        self.scope = (
-            _scope_for(sim)
-            if (
-                sim.fast_path
-                and not stats.record_ops
-                and not stats.record_assignment
-                and not stats.record_bandwidth
-            )
-            else None
-        )
-        self.chain_ok = self.scope is not None
+        self.scope = scope
         self.node: Optional[_ChainNode] = None
         self.rem_me: List[float] = []
         self.rem_ve: List[float] = []
@@ -536,6 +528,22 @@ class _Lane:
         return self.node is not None
 
 
+def _chain_scope(sim: Simulator) -> Optional[_ChainScope]:
+    """The chain scope ``sim`` binds its nodes in, or None when it can
+    never bind to a chain node: the fast path is off, the scheduler has
+    no memo context (pmt, v10, neu10-temporal), or the run records ops,
+    assignments or bandwidth, which the chain path does not track."""
+    stats = sim.stats
+    if (
+        sim.fast_path
+        and not stats.record_ops
+        and not stats.record_assignment
+        and not stats.record_bandwidth
+    ):
+        return _scope_for(sim)
+    return None
+
+
 def _cursors_of(sim: Simulator) -> Tuple:
     return tuple(
         (t.op_cursor, t.group_cursor) if t.active_units else None
@@ -551,10 +559,13 @@ class MegaBatchEngine:
 
     ``run()`` returns one :class:`SimResult` per input simulator, in
     input order, each bit-identical to what ``sim.run()`` would have
-    produced.  Lanes leave the batch as they finish; lanes whose state
-    the chain representation cannot express simply step through the
-    scalar engine's own ``_next_plan``/``_finish_step`` -- correctness
-    never depends on a lane being accelerated.
+    produced.  A simulator that can never bind to a chain node (see
+    :func:`_chain_scope`) runs alone through ``sim.run()`` before the
+    loop starts, because stepping it one epoch per round is slower.
+    The rest co-step and leave the batch as they finish; a lane whose
+    current state the chain representation cannot express steps
+    through the scalar engine's own ``_next_plan``/``_finish_step`` --
+    correctness never depends on a lane being accelerated.
     """
 
     def __init__(self, sims: Sequence[Simulator]) -> None:
@@ -562,10 +573,18 @@ class MegaBatchEngine:
         self.group_stats: Dict[str, int] = {}
 
     def run(self) -> List[SimResult]:
-        lanes = [_Lane(sim) for sim in self.sims]
-        for lane in lanes:
-            lane.sim.start()
-        active = [lane for lane in lanes]
+        results: List[Optional[SimResult]] = []
+        lanes: List[_Lane] = []
+        for sim in self.sims:
+            scope = _chain_scope(sim)
+            if scope is None:
+                results.append(sim.run())
+            else:
+                lane = _Lane(sim, scope)
+                lanes.append(lane)
+                results.append(None)
+                sim.start()
+        active = list(lanes)
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -576,11 +595,12 @@ class MegaBatchEngine:
             if gc_was_enabled:
                 gc.enable()
         self.group_stats = {
-            "lanes": len(lanes),
+            "lanes": len(self.sims),
             "array_epochs": sum(l.array_epochs for l in lanes),
             "object_epochs": sum(l.object_epochs for l in lanes),
         }
-        return [lane.result for lane in lanes]
+        chained = iter(lanes)
+        return [r if r is not None else next(chained).result for r in results]
 
     # ------------------------------------------------------------------
     def _check(self, lane: _Lane) -> bool:
@@ -662,8 +682,7 @@ class MegaBatchEngine:
         lane.check_finish = True
         plan, had_preempt = sim._next_plan()
         if (
-            lane.chain_ok
-            and not had_preempt
+            not had_preempt
             and not sim.reclaims
             and sim._plan_key is not None
         ):
@@ -963,15 +982,16 @@ def _materialize(lane: _Lane) -> List[ExecUnit]:
 
 
 # ----------------------------------------------------------------------
-# Entry point for the fan-out chunk workers
+# The one driver for every fast-path simulation
 # ----------------------------------------------------------------------
 def run_simulators(sims: Sequence[Simulator]) -> List[SimResult]:
     """Run a batch of freshly constructed simulators to completion.
 
-    Two or more lanes co-step through one :class:`MegaBatchEngine`; a
-    single lane, or any batch under ``REPRO_SIM_MEGABATCH=0``, steps
-    each simulator alone through ``Simulator.run()``.  Results come
+    Every library call site steps its simulators here; a single run is
+    a batch of one.  The batch goes through one
+    :class:`MegaBatchEngine`, or, under ``REPRO_SIM_MEGABATCH=0``, each
+    simulator steps alone through ``Simulator.run()``.  Results come
     back in input order and are bit-identical either way."""
-    if len(sims) > 1 and megabatch_default():
+    if megabatch_default():
         return MegaBatchEngine(sims).run()
     return [sim.run() for sim in sims]

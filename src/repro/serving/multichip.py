@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.config import NpuCoreConfig
 from repro.errors import ConfigError
+from repro.megabatch import run_simulators
 from repro.serving.server import SCHEME_ISA, SCHEME_NEU10, make_scheduler
 from repro.sim.engine import Simulator, Tenant
 from repro.workloads.catalog import model_info
@@ -124,7 +125,9 @@ class DataParallelVnpu:
             ),
         )
         isa = SCHEME_ISA[self.scheme]
-        for core_index, shard_batch in enumerate(self.shard_batches()):
+        shard_batches = self.shard_batches()
+        sims = []
+        for core_index, shard_batch in enumerate(shard_batches):
             trace = build_trace(self.model, shard_batch, core=self.core)
             tenant = Tenant(
                 tenant_id=0,
@@ -134,15 +137,16 @@ class DataParallelVnpu:
                 alloc_ves=self.alloc_ves,
                 target_requests=target_requests,
             )
-            sim = Simulator(
+            sims.append(Simulator(
                 self.core, make_scheduler(self.scheme), [tenant],
                 record_ops=False,
-            )
-            sim_result = sim.run()
+            ))
+        # Shards run on independent cores: co-step them as one batch.
+        for core_index, sim_result in enumerate(run_simulators(sims)):
             result.shards.append(
                 ShardResult(
                     core_index=core_index,
-                    shard_batch=shard_batch,
+                    shard_batch=shard_batches[core_index],
                     latencies_cycles=sim_result.tenant(0).latencies_cycles,
                 )
             )

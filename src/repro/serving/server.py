@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import registries
 from repro.config import DEFAULT_CORE, NpuCoreConfig
+from repro.megabatch import run_simulators
 from repro.serving.metrics import PairMetrics, TenantMetrics
 from repro.sim.engine import SimResult, Simulator, Tenant
 from repro.sim.scheduler_base import SchedulerBase
@@ -123,9 +124,10 @@ def _to_metrics(result: SimResult, scheme: str, pair_label: str) -> PairMetrics:
 
 @dataclass
 class PreparedCollocation:
-    """A built-but-unrun collocation measurement: step ``sim`` with any
-    driver (``sim.run()`` or a mega-batch engine) and summarise the
-    result with :func:`finalize_collocation`."""
+    """A built-but-unrun collocation measurement: step ``sim`` through
+    :func:`repro.megabatch.run_simulators`, alone or with other
+    simulators, and summarise the result with
+    :func:`finalize_collocation`."""
 
     sim: Simulator
     scheme: str
@@ -167,7 +169,7 @@ def run_collocation(
 ) -> PairMetrics:
     """Run collocated workloads under ``scheme`` and summarise."""
     prep = prepare_collocation(specs, scheme, cfg)
-    return finalize_collocation(prep, prep.sim.run())
+    return finalize_collocation(prep, run_simulators([prep.sim])[0])
 
 
 def run_solo(
@@ -199,5 +201,5 @@ def run_solo(
         record_ops=cfg.record_ops,
         record_bandwidth=cfg.record_bandwidth,
     )
-    result = sim.run()
+    result = run_simulators([sim])[0]
     return _to_metrics(result, scheme, trace.abbrev)

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.config import DEFAULT_CORE, DEFAULT_SEED, NpuCoreConfig, spawn_rng
 from repro.errors import ConfigError
 from repro.api.registries import scheme_isa
+from repro.megabatch import run_simulators
 from repro.serving.server import make_scheduler
 from repro.sim.engine import Simulator, Tenant
 from repro.traffic.arrivals import ArrivalProcess, make_arrival_process
@@ -123,7 +124,8 @@ def _calibrate_cached(
         alloc_ves=alloc_ves,
         target_requests=3,
     )
-    result = Simulator(core, make_scheduler(scheme), [tenant], record_ops=False).run()
+    sim = Simulator(core, make_scheduler(scheme), [tenant], record_ops=False)
+    result = run_simulators([sim])[0]
     svc = result.tenant(0).mean_latency
     if svc <= 0:
         raise ConfigError(f"calibration produced zero service time for {model}")
@@ -167,11 +169,10 @@ class PreparedOpenLoop:
 
     ``prepare_open_loop`` front-loads everything stochastic or
     structural (calibration, arrival streams, tenant construction) so
-    the simulator can be stepped by any driver -- ``sim.run()`` alone
-    or co-stepped with other windows in a
-    :class:`repro.megabatch.MegaBatchEngine` batch -- and scored
-    afterwards with :func:`finalize_open_loop`.  Results are identical
-    either way.
+    the simulator can be stepped through
+    :func:`repro.megabatch.run_simulators` -- as a batch of one, or
+    co-stepped with other windows -- and scored afterwards with
+    :func:`finalize_open_loop`.  Results are identical either way.
     """
 
     sim: Simulator
@@ -276,7 +277,7 @@ def run_open_loop(
 ) -> OpenLoopResult:
     """Simulate one open-loop window and score every tenant's SLO."""
     prep = prepare_open_loop(specs, scheme, cfg)
-    return finalize_open_loop(prep, prep.sim.run())
+    return finalize_open_loop(prep, run_simulators([prep.sim])[0])
 
 
 def sweep_load(

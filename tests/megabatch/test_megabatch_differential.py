@@ -14,6 +14,11 @@ fingerprint, not position), size-insensitive (a batch of one, a batch
 that is mostly one scheme plus a straggler, a 64-lane batch), and
 mix-insensitive (open-loop and closed-loop lanes co-stepped in one
 batch).
+
+``run_simulators`` is the driver of every library simulation, so the
+routing tests below pin who steps what: a lone chainable simulation
+enters the chain path, and lanes that can never bind to a chain node
+run through ``Simulator.run()``, never through the engine's loop.
 """
 
 import json
@@ -28,7 +33,7 @@ from repro.serving.server import (
     SCHEME_TEMPORAL,
     make_scheduler,
 )
-from repro.sim.engine import Simulator, Tenant
+from repro.sim.engine import FAST_PATH_ENV, Simulator, Tenant
 from repro.traffic.arrivals import PoissonProcess
 from repro.workloads.traces import build_trace
 
@@ -198,8 +203,8 @@ def test_lane_order_does_not_change_any_lane():
 
 
 def test_record_ops_lanes_bit_identical():
-    """Serving-style lanes (record_ops=True) never enter the chain path
-    but must still co-step correctly through the object engine."""
+    """Serving-style lanes (record_ops=True) never enter the chain path:
+    the engine hands each to ``Simulator.run()``, in input order."""
     specs = [("neu10", "closed", 33, True) for _ in range(3)]
     specs += [("neu10", "open", 5, True)]
     _assert_batch_matches_scalar(specs)
@@ -214,6 +219,141 @@ def test_empty_and_single_batches():
 
 
 # ----------------------------------------------------------------------
+# Scenarios for the end-to-end tests
+# ----------------------------------------------------------------------
+def _open_loop_scenario():
+    from repro.api import Scenario, ScenarioTenant
+
+    return Scenario(
+        name="mb-open-loop",
+        kind="open_loop",
+        scheme="neu10",
+        tenants=(
+            ScenarioTenant(model="MNIST", batch=8),
+            ScenarioTenant(model="DLRM", batch=8),
+        ),
+        arrival="poisson",
+        load=0.8,
+        duration_s=0.0015,
+        seed=11,
+    )
+
+
+def _serving_scenario():
+    from repro.api import Scenario, ScenarioTenant
+
+    return Scenario(
+        name="mb-serving",
+        kind="serving",
+        scheme="neu10",
+        tenants=(
+            ScenarioTenant(model="MNIST", batch=8),
+            ScenarioTenant(model="DLRM", batch=8),
+        ),
+        target_requests=4,
+    )
+
+
+# ----------------------------------------------------------------------
+# Routing: who steps a simulation
+# ----------------------------------------------------------------------
+@pytest.fixture
+def engine_spy(monkeypatch):
+    """Record every engine run, every ``Simulator.run()`` call and the
+    simulator of every object-mode epoch, with both toggles unset."""
+    monkeypatch.delenv(MEGABATCH_ENV, raising=False)
+    monkeypatch.delenv(FAST_PATH_ENV, raising=False)
+    seen = {"engines": [], "scalar": [], "object_epoch_sims": set()}
+    engine_run = MegaBatchEngine.run
+    object_epoch = MegaBatchEngine._object_epoch
+    sim_run = Simulator.run
+
+    def spy_engine_run(self):
+        seen["engines"].append(self)
+        return engine_run(self)
+
+    def spy_object_epoch(self, lane):
+        seen["object_epoch_sims"].add(id(lane.sim))
+        return object_epoch(self, lane)
+
+    def spy_sim_run(self):
+        seen["scalar"].append(id(self))
+        return sim_run(self)
+
+    monkeypatch.setattr(MegaBatchEngine, "run", spy_engine_run)
+    monkeypatch.setattr(MegaBatchEngine, "_object_epoch", spy_object_epoch)
+    monkeypatch.setattr(Simulator, "run", spy_sim_run)
+    return seen
+
+
+def _run_one_via_run_simulators():
+    from repro.megabatch import run_simulators
+
+    run_simulators([_make_sim("neu10", "open", 9, False)])
+
+
+def _run_one_via_run_open_loop():
+    from repro.traffic.openloop import (
+        OpenLoopConfig,
+        TrafficTenantSpec,
+        run_open_loop,
+    )
+
+    run_open_loop(
+        [TrafficTenantSpec("MNIST", 8), TrafficTenantSpec("DLRM", 8)],
+        "neu10",
+        OpenLoopConfig(duration_s=0.0015, seed=11),
+    )
+
+
+def _run_one_via_run_scenario():
+    from repro.api import run_scenario
+
+    run_scenario(_open_loop_scenario())
+
+
+@pytest.mark.parametrize("entry", [
+    _run_one_via_run_simulators,
+    _run_one_via_run_open_loop,
+    _run_one_via_run_scenario,
+])
+def test_single_chainable_run_enters_the_chain_path(engine_spy, entry):
+    """A lone fast-path neu10 simulation is a batch of one: the engine
+    steps it, and its steady-state epochs replay through chain nodes."""
+    entry()
+    assert engine_spy["scalar"] == []
+    assert engine_spy["engines"]
+    assert max(e.group_stats["array_epochs"] for e in engine_spy["engines"]) > 0
+
+
+def test_unbindable_lanes_run_through_simulator_run(engine_spy):
+    """Lanes that can never bind to a chain node -- op recording, the
+    reference path, a scheduler without a memo context -- run alone
+    through ``Simulator.run()`` and never take an object-mode epoch;
+    a chainable lane in the same batch still co-steps, and results
+    keep input order."""
+    from repro.megabatch import run_simulators
+
+    builders = [
+        lambda: _make_sim("neu10", "closed", record_ops=True),
+        lambda: Simulator(
+            CORE, make_scheduler("neu10"), _closed_loop_tenants("neu10"),
+            record_ops=False, fast_path=False,
+        ),
+        lambda: _make_sim("pmt", "open", 5, False),
+        lambda: _make_sim("neu10", "open", 6, False),
+    ]
+    sims = [build() for build in builders]
+    results = run_simulators(sims)
+    unbindable = [id(sim) for sim in sims[:3]]
+    assert engine_spy["scalar"] == unbindable
+    assert not engine_spy["object_epoch_sims"] & set(unbindable)
+    assert engine_spy["engines"][0].group_stats["array_epochs"] > 0
+    reference = [_snapshot(build().run()) for build in builders]
+    assert [_snapshot(r) for r in results] == reference
+
+
+# ----------------------------------------------------------------------
 # End-to-end: the fan-out call sites with the toggle flipped
 # ----------------------------------------------------------------------
 def _run_result_dicts(results):
@@ -222,8 +362,9 @@ def _run_result_dicts(results):
 
 
 def _assert_sweep_on_off_identical(monkeypatch, base, param, values):
-    """Engine on, engine off (lanes stepped by ``Simulator.run()``) and
-    a plain ``run_scenario`` per point all agree exactly."""
+    """The sweep and a plain ``run_scenario`` per point, each with the
+    engine on and off (lanes stepped by ``Simulator.run()``), all agree
+    exactly."""
     from repro.api import run_scenario, sweep_scenario, sweep_variants
 
     sides = []
@@ -232,10 +373,10 @@ def _assert_sweep_on_off_identical(monkeypatch, base, param, values):
         sides.append(_run_result_dicts(sweep_scenario(
             base, param=param, values=values, max_workers=1
         )))
-    sides.append(_run_result_dicts(
-        run_scenario(v) for v in sweep_variants(base, param, values)
-    ))
-    assert sides[0] == sides[1] == sides[2]
+        sides.append(_run_result_dicts(
+            run_scenario(v) for v in sweep_variants(base, param, values)
+        ))
+    assert sides[0] == sides[1] == sides[2] == sides[3]
 
 
 def test_megabatch_default_env_gate(monkeypatch):
@@ -249,39 +390,14 @@ def test_megabatch_default_env_gate(monkeypatch):
 
 
 def test_sweep_scenario_on_off_identical(monkeypatch):
-    from repro.api import Scenario, ScenarioTenant
-
-    base = Scenario(
-        name="mb-sweep",
-        kind="open_loop",
-        scheme="neu10",
-        tenants=(
-            ScenarioTenant(model="MNIST", batch=8),
-            ScenarioTenant(model="DLRM", batch=8),
-        ),
-        arrival="poisson",
-        load=0.8,
-        duration_s=0.0015,
-        seed=11,
+    _assert_sweep_on_off_identical(
+        monkeypatch, _open_loop_scenario(), "seed", list(range(9))
     )
-    _assert_sweep_on_off_identical(monkeypatch, base, "seed", list(range(9)))
 
 
 def test_sweep_scenario_serving_kind_on_off_identical(monkeypatch):
-    from repro.api import Scenario, ScenarioTenant
-
-    base = Scenario(
-        name="mb-serving-sweep",
-        kind="serving",
-        scheme="neu10",
-        tenants=(
-            ScenarioTenant(model="MNIST", batch=8),
-            ScenarioTenant(model="DLRM", batch=8),
-        ),
-        target_requests=4,
-    )
     _assert_sweep_on_off_identical(
-        monkeypatch, base, "target_requests", [3, 4, 5]
+        monkeypatch, _serving_scenario(), "target_requests", [3, 4, 5]
     )
 
 
@@ -310,3 +426,46 @@ def test_cluster_scenario_on_off_identical(monkeypatch):
     monkeypatch.setenv(MEGABATCH_ENV, "0")
     off = run_scenario(scenario)
     assert _run_result_dicts([on]) == _run_result_dicts([off])
+
+
+def _single_host_cluster_scenario():
+    from repro.api import Scenario, ScenarioChurn
+
+    end_s = 0.002
+    return Scenario(
+        name="mb-cluster-1host",
+        kind="cluster",
+        scheme="neu10",
+        arrival="poisson",
+        load=0.8,
+        duration_s=end_s,
+        seed=11,
+        hosts=1,
+        churn=(
+            ScenarioChurn(0.0, "arrive", "a", model="MNIST", batch=8),
+            ScenarioChurn(end_s / 2, "arrive", "b", model="DLRM", batch=8),
+            ScenarioChurn(end_s * 0.75, "depart", "a"),
+        ),
+    )
+
+
+@pytest.mark.parametrize("make_scenario", [
+    _open_loop_scenario, _serving_scenario, _single_host_cluster_scenario,
+])
+def test_run_scenario_identical_across_toggles(monkeypatch, make_scenario):
+    """A single run gives the same RunResult through the chain engine,
+    under ``REPRO_SIM_MEGABATCH=0`` and on the unmemoised reference
+    path.  Provenance records ``fast_path``, so that one field differs
+    on the reference side and is compared on its own."""
+    from repro.api import run_scenario
+
+    sides = []
+    for toggles in ({}, {MEGABATCH_ENV: "0"}, {FAST_PATH_ENV: "0"}):
+        monkeypatch.delenv(MEGABATCH_ENV, raising=False)
+        monkeypatch.delenv(FAST_PATH_ENV, raising=False)
+        for name, value in toggles.items():
+            monkeypatch.setenv(name, value)
+        sides.append(_run_result_dicts([run_scenario(make_scenario())])[0])
+    fast_path = [side["provenance"].pop("fast_path") for side in sides]
+    assert fast_path == [True, True, False]
+    assert sides[0] == sides[1] == sides[2]
