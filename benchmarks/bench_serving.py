@@ -25,7 +25,9 @@ each, how fast the simulator chews through simulated time:
   ample, constrained and tight ``m_total``, reporting preemptions,
   tokens/s goodput and TTFT attainment at each point (the constrained
   points must preempt, and goodput/attainment must degrade
-  monotonically as headroom shrinks);
+  monotonically as headroom shrinks).  This engine steps per batch,
+  not per cycle, so its rates are scheduler steps and generated tokens
+  per wall-second;
 - ``mega_batch``      -- a 256-point open-loop seed sweep co-stepped by
   the ``repro.megabatch`` struct-of-arrays engine, timed against the
   same sweep with ``REPRO_SIM_MEGABATCH=0`` (each point stepped alone
@@ -41,15 +43,17 @@ Every mode is a declarative :class:`repro.api.Scenario` executed through
 :func:`repro.api.run_scenario` -- the same path ``repro run`` takes --
 so the benchmark measures exactly what users run.  Each record reports
 wall time (best of ``repeats`` runs, warm caches), the *simulated*
-duration in both cycles and seconds, and the headline
-``simulated_cycles_per_wall_s`` rate.  Results land in
-``BENCH_serving.json`` next to this file so successive PRs leave a
-benchmark trajectory.
+duration, and headline ``*_per_wall_s`` rates in the mode's own unit:
+``simulated_cycles_per_wall_s`` for the cycle-level modes,
+``steps_per_wall_s`` and ``tokens_per_wall_s`` for ``llm_kv``.  Results
+land in ``BENCH_serving.json`` next to this file so successive PRs
+leave a benchmark trajectory.
 
 Run:          python benchmarks/bench_serving.py
 CI smoke:     python benchmarks/bench_serving.py --quick --check-floor
-              (fails if any scenario rate drops below the checked-in
-              floor in BENCH_floor.json, i.e. a >30%-class regression)
+              (fails if any scenario drops below a checked-in floor in
+              BENCH_floor.json, i.e. a >30%-class regression; each floor
+              names the rate it bounds)
 """
 
 from __future__ import annotations
@@ -418,7 +422,10 @@ def bench_llm_kv(quick: bool, repeats: int) -> Dict:
     result, wall = _timed(
         lambda: run_scenario(_llm_scenario(tightest, duration_s)), repeats
     )
-    cycles = result.metrics["simulated_cycles"]
+    steps = result.metrics["steps"]
+    tokens = sum(
+        t["generated_tokens"] for t in result.metrics["tenants"].values()
+    )
     # The same traffic at every headroom point (ample first).
     points = {tightest: result}
     for m_total in LLM_KV_BUDGETS:
@@ -438,7 +445,8 @@ def bench_llm_kv(quick: bool, repeats: int) -> Dict:
         "m_total_points": list(LLM_KV_BUDGETS),
         "horizon_simulated_s": duration_s,
         "wall_s": wall,
-        "steps": result.metrics["steps"],
+        "steps": steps,
+        "generated_tokens": tokens,
         "preemptions_by_m_total": {
             str(m): points[m].metrics["preemption"]["count"]
             for m in LLM_KV_BUDGETS
@@ -453,9 +461,11 @@ def bench_llm_kv(quick: bool, repeats: int) -> Dict:
         "constrained_preemptions": sum(
             points[m].metrics["preemption"]["count"] for m in constrained
         ),
-        "simulated_cycles": cycles,
-        "simulated_s": DEFAULT_CORE.cycles_to_seconds(cycles),
-        "simulated_cycles_per_wall_s": cycles / wall,
+        "simulated_s": DEFAULT_CORE.cycles_to_seconds(
+            result.metrics["simulated_cycles"]
+        ),
+        "steps_per_wall_s": steps / wall,
+        "tokens_per_wall_s": tokens / wall,
     }
 
 
@@ -632,14 +642,26 @@ SCENARIOS = {
 }
 
 
+#: Suffix of every headline rate key in a mode's record.
+RATE_SUFFIX = "_per_wall_s"
+
+
+def _rates(scenario: Dict) -> str:
+    """A record's headline rates, each in its own unit."""
+    return ", ".join(
+        f"{value:,.0f} {key[: -len(RATE_SUFFIX)].replace('_', ' ')}/wall-s"
+        for key, value in scenario.items()
+        if key.endswith(RATE_SUFFIX)
+    )
+
+
 def run_suite(quick: bool = False, repeats: int = 3) -> Dict:
     from repro.sim.engine import _fast_path_default
 
     scenarios = {}
     for name, bench in SCENARIOS.items():
         scenarios[name] = bench(quick, repeats)
-        rate = scenarios[name]["simulated_cycles_per_wall_s"]
-        print(f"{name:>14}: {rate / 1e6:8.1f}M simulated cycles / wall-second")
+        print(f"{name:>14}: {_rates(scenarios[name])}")
     return {
         "suite_version": 2,
         "quick": quick,
@@ -650,22 +672,27 @@ def run_suite(quick: bool = False, repeats: int = 3) -> Dict:
 
 
 def check_floor(record: Dict, floor_path: Path = FLOOR_PATH) -> List[str]:
-    """Compare scenario rates against the checked-in floor values."""
+    """Compare scenario rates against the checked-in floor values.
+
+    Each floor entry maps a mode to ``{rate key: minimum}``, so a mode
+    is gated on the rate its floor names, in that rate's unit."""
     if not floor_path.exists():
         return [f"floor file missing: {floor_path}"]
     floors = json.loads(floor_path.read_text(encoding="utf-8"))
     failures = []
-    for name, floor in floors.get("floors", {}).items():
+    for name, minimums in floors.get("floors", {}).items():
         scenario = record["scenarios"].get(name)
         if scenario is None:
             failures.append(f"scenario {name!r} missing from results")
             continue
-        rate = scenario["simulated_cycles_per_wall_s"]
-        if rate < floor:
-            failures.append(
-                f"{name}: {rate / 1e6:.1f}M cycles/s below floor "
-                f"{floor / 1e6:.1f}M"
-            )
+        for key, floor in minimums.items():
+            rate = scenario.get(key)
+            if rate is None:
+                failures.append(f"{name}: no {key!r} in results")
+            elif rate < floor:
+                failures.append(
+                    f"{name}: {key} {rate:,.0f} below floor {floor:,.0f}"
+                )
     return failures
 
 

@@ -8,7 +8,7 @@ structural states once -- as :class:`_ChainNode` -- and advances lanes
 that sit on a node through plain remaining-work arrays:
 
 - one node = one decision-memo entry (the plan: per-slot rates, busy
-  dicts, blocked/serving sets) plus the tenants' op/group cursors, so
+  dicts, blocked tenant ids) plus the tenants' op/group cursors, so
   every lane on a node shares the epoch plan verbatim;
 - per-lane state shrinks to two float lists (remaining ME/VE work per
   slot), the clock, and the real ``Tenant`` request queues;
@@ -163,8 +163,7 @@ class _ChainNode:
         "scope", "plan_key", "cursors", "n_slots", "tenant_slots",
         "slot_tenant", "slot_templates", "slot_tpl_ids", "dense",
         "dense_codes", "creation_order", "me_adv", "ve_adv", "delta_me",
-        "delta_ve", "blocked_tids", "serving_pos", "me_busy", "ve_busy",
-        "harvested", "me_busy_items", "ve_busy_items", "harv_items",
+        "delta_ve", "blocked_tids", "me_busy_items", "ve_busy_items",
         "trans", "start_trans", "completers_cache",
     )
 
@@ -177,8 +176,8 @@ class _ChainNode:
         entry = scope.memo.get(plan_key)
         if entry is None or entry[0]:
             return None  # evicted, or a preempting plan
-        (_pre, dense, enc_rates, enc_ve_exec, _hbm, enc_blocked,
-         enc_serving, me_busy, ve_busy, harvested, _ma, _va) = entry
+        (_pre, dense, enc_rates, enc_ve_exec, _hbm, blocked,
+         me_busy, ve_busy, _ma, _va) = entry
 
         node = cls()
         node.scope = scope
@@ -226,24 +225,19 @@ class _ChainNode:
         # Advance vectors: every rates entry updates remaining ME work
         # (and its embedded VE stream); VE-exec entries update VE work.
         me_adv = []
-        for i, rate, _harv in enc_rates:
+        for i, rate in enc_rates:
             tpl = slot_templates[i]
             me_adv.append((i, rate, tpl[5], dense[i][0]))
         node.me_adv = tuple(me_adv)
         node.ve_adv = tuple(enc_ve_exec)
         node.delta_me = tuple((i, r) for i, r, _v, _g in me_adv if r > EPS)
         node.delta_ve = tuple((i, r) for i, r in enc_ve_exec if r > EPS)
-        node.blocked_tids = tuple(tid for tid, _i in enc_blocked)
-        node.serving_pos = enc_serving
-        node.me_busy = me_busy
-        node.ve_busy = ve_busy
-        node.harvested = harvested
+        node.blocked_tids = blocked
         # Tuple snapshots of the shared entry dicts: same pairs in the
         # same iteration order (so accumulation order matches the scalar
         # engine bitwise), minus the dict-view overhead per epoch.
         node.me_busy_items = tuple(me_busy.items())
         node.ve_busy_items = tuple(ve_busy.items())
-        node.harv_items = tuple(harvested.items())
         node.trans = {}
         node.start_trans = {}
         node.completers_cache = {}
@@ -486,7 +480,7 @@ class _Lane:
     __slots__ = (
         "sim", "scope", "node", "rem_me", "rem_ve", "epochs",
         "check_finish", "done", "result", "array_epochs", "object_epochs",
-        "stats", "tenants", "blocked_map", "me_map", "ve_map", "harv_map",
+        "stats", "tenants", "blocked_map", "me_map", "ve_map",
         "arrival_watch", "horizon",
     )
 
@@ -508,7 +502,6 @@ class _Lane:
         self.blocked_map = stats.blocked_cycles_per_tenant
         self.me_map = stats.me_busy_per_tenant
         self.ve_map = stats.ve_busy_per_tenant
-        self.harv_map = stats.harvested_me_integral
         self.arrival_watch: List = []
         self.horizon = sim.horizon if sim.horizon != math.inf else None
 
@@ -781,12 +774,9 @@ def _array_epoch(lane: _Lane) -> None:
 
     # -- accounting: the scalar _advance's record-flags-off branch ------
     stats = lane.stats
-    tenants = lane.tenants
     blocked = lane.blocked_map
     for tid in node.blocked_tids:
         blocked[tid] += delta
-    for tpos in node.serving_pos:
-        tenants[tpos].active_service_cycles += delta
     stats.total_cycles += delta
     integral = stats.me_busy_integral
     per_tenant = lane.me_map
@@ -802,17 +792,13 @@ def _array_epoch(lane: _Lane) -> None:
         integral += v
         per_tenant[owner] += v
     stats.ve_busy_integral = integral
-    harv = node.harv_items
-    if harv:
-        per_tenant = lane.harv_map
-        for owner, mes in harv:
-            per_tenant[owner] += mes * delta
 
     now = sim.now = now + delta
     lane.array_epochs += 1
 
     # -- completions: structural transition along the chain -------------
     if winners is not None:
+        tenants = lane.tenants
         wkey = tuple(winners)
         completers = node.completers_cache.get(wkey)
         if completers is None:

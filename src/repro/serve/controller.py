@@ -232,18 +232,12 @@ class ServeController:
             )
         checkpoint = ClusterCheckpoint.from_dict(payload)
         with self._lock:
-            # Rebuild the inputs from the scenario rather than reusing
-            # the live ones: the running simulation mutates its
-            # autoscaler (which the config carries), and the restore
-            # digest check needs the pristine configuration.  The
-            # checkpoint itself carries any events injected before it
-            # was taken.
-            events, cfg = cluster_inputs(self.scenario)
-            sim = ClusterSimulation.restore(checkpoint, events, cfg)
-            # Adopt the rebuilt inputs only after restore succeeds: a
-            # refused checkpoint (digest mismatch -> 409) must leave
-            # the controller on the live simulation and its config.
-            self._events, self._cfg, self.sim = events, cfg, sim
+            # The checkpoint itself carries any events injected before
+            # it was taken.  A refused checkpoint (digest mismatch ->
+            # 409) leaves the controller on the live simulation.
+            self.sim = ClusterSimulation.restore(
+                checkpoint, self._events, self._cfg
+            )
             return self.status()
 
     # ------------------------------------------------------------------

@@ -133,7 +133,6 @@ class Tenant:
         self.op_cursor = 0
         self.group_cursor = 0
         self.completed: List[Request] = []
-        self.active_service_cycles = 0.0
         self._next_request_id = 0
         # Per-(op, group) unit templates: every request replays the same
         # compiled graph, so the unit specs are derived once (and shared
@@ -418,28 +417,26 @@ class _EpochPlan:
 
     Everything here is a pure function of the scheduler state
     fingerprint: the per-unit progress rates, the aggregated per-tenant
-    busy/harvest/assignment rate dicts (delta-independent, so they are
-    computed once per plan -- and shared by every replay of a memoised
-    plan -- instead of once per epoch), the blocked and serving
-    accounting sets, and the scheduler's forced re-decision time.
+    busy/assignment rate dicts (delta-independent, so they are computed
+    once per plan -- and shared by every replay of a memoised plan --
+    instead of once per epoch), the ids of the blocked tenants, and the
+    scheduler's forced re-decision time.
     """
 
     __slots__ = (
-        "rates", "ve_exec", "hbm_rate", "next_at", "blocked", "serving",
-        "me_busy", "ve_busy", "harvested", "me_assigned", "ve_assigned",
+        "rates", "ve_exec", "hbm_rate", "next_at", "blocked",
+        "me_busy", "ve_busy", "me_assigned", "ve_assigned",
     )
 
     def __init__(
         self,
-        rates: List[Tuple[ExecUnit, float, int]],
+        rates: List[Tuple[ExecUnit, float]],
         ve_exec: List[Tuple[ExecUnit, float]],
         hbm_rate: float,
         next_at: Optional[float],
-        blocked: List[Tuple[int, ExecUnit]],
-        serving: List["Tenant"],
+        blocked: Tuple[int, ...],
         me_busy: Dict[int, float],
         ve_busy: Dict[int, float],
-        harvested: Dict[int, float],
         me_assigned: Optional[Dict[int, float]],
         ve_assigned: Optional[Dict[int, float]],
     ) -> None:
@@ -448,32 +445,29 @@ class _EpochPlan:
         self.hbm_rate = hbm_rate
         self.next_at = next_at
         self.blocked = blocked
-        self.serving = serving
         self.me_busy = me_busy
         self.ve_busy = ve_busy
-        self.harvested = harvested
         self.me_assigned = me_assigned
         self.ve_assigned = ve_assigned
 
 
 def _aggregate_rate_dicts(
-    rates: List[Tuple[ExecUnit, float, int]],
+    rates: List[Tuple[ExecUnit, float]],
     ve_exec: List[Tuple[ExecUnit, float]],
     record_assignment: bool,
 ):
-    """Per-tenant busy/harvest/assignment rate dicts for one plan.
+    """Per-tenant busy/assignment rate dicts for one plan.
 
     Keyed by owner id (stable for the lifetime of a Simulator), so the
     dicts can live inside a memo entry and be shared across replays."""
     me_busy: Dict[int, float] = {}
     ve_busy: Dict[int, float] = {}
-    harvested: Dict[int, float] = {}
     me_assigned: Optional[Dict[int, float]] = None
     ve_assigned: Optional[Dict[int, float]] = None
     if record_assignment:
         me_assigned = {}
         ve_assigned = {}
-    for unit, rate, harv in rates:
+    for unit, rate in rates:
         owner = unit.owner
         granted_me = unit.granted_me
         ve_rate = unit.ve_rate
@@ -488,8 +482,6 @@ def _aggregate_rate_dicts(
         me_busy[owner] = me_busy.get(owner, 0.0) + rate * granted_me
         if record_assignment:
             me_assigned[owner] = me_assigned.get(owner, 0.0) + granted_me
-        if harv:
-            harvested[owner] = harvested.get(owner, 0.0) + harv
     for unit, rate in ve_exec:
         owner = unit.owner
         ve_busy[owner] = ve_busy.get(owner, 0.0) + rate
@@ -497,41 +489,39 @@ def _aggregate_rate_dicts(
             ve_assigned[owner] = (
                 ve_assigned.get(owner, 0.0) + unit.granted_ve
             )
-    return me_busy, ve_busy, harvested, me_assigned, ve_assigned
+    return me_busy, ve_busy, me_assigned, ve_assigned
 
 
 def _encode_plan(
     units: List[ExecUnit],
     preempt_effects: List[Tuple[ExecUnit, int]],
     plan: _EpochPlan,
-    tenants: List["Tenant"],
 ) -> Tuple:
     """Encode an epoch plan for replay onto future unit objects.
 
-    Unit-dependent pieces are stored positionally against the
-    fingerprint-ordered ``units`` list; the post-decision unit state
-    (grant, VE share, harvesting flag, state) is snapshot densely so a
-    replay applies it in one fused pass.  The serving set is stored as
-    tenant positions and the rate dicts are keyed by tenant id, so an
-    entry holds no per-simulation object references and memos can be
-    shared across simulators.
+    Unit-dependent pieces (preempt effects, rate pairs) are stored
+    positionally against the fingerprint-ordered ``units`` list; the
+    post-decision unit state (grant, VE share, harvesting flag, state)
+    is snapshot densely so a replay applies it in one fused pass.  The
+    blocked set and the rate dicts are keyed by tenant id, so an entry
+    holds no per-simulation object references and memos can be shared
+    across simulators.  The entry is the 10-tuple ``(preempt effects,
+    dense state, ME rates, VE rates, HBM rate, blocked tenant ids,
+    me_busy, ve_busy, me_assigned, ve_assigned)``.
     """
     index = {u: i for i, u in enumerate(units)}
-    tenant_index = {t.tenant_id: j for j, t in enumerate(tenants)}
     return (
         tuple((index[u], owner) for u, owner in preempt_effects),
         tuple(
             (u.granted_me, u.granted_ve, u.harvesting, u.state)
             for u in units
         ),
-        tuple((index[u], r, h) for u, r, h in plan.rates),
+        tuple((index[u], r) for u, r in plan.rates),
         tuple((index[u], r) for u, r in plan.ve_exec),
         plan.hbm_rate,
-        tuple((tid, index[u]) for tid, u in plan.blocked),
-        tuple(tenant_index[t.tenant_id] for t in plan.serving),
+        plan.blocked,
         plan.me_busy,
         plan.ve_busy,
-        plan.harvested,
         plan.me_assigned,
         plan.ve_assigned,
     )
@@ -681,9 +671,6 @@ class Simulator:
         #: Fingerprint-ordered unit list matching ``_plan_key``.
         self._fp_units: Optional[List[ExecUnit]] = None
         self._finished_units: List[ExecUnit] = []
-        self._prev_rates: List[Tuple[ExecUnit, float, int]] = []
-        self._prev_ve_exec: List[Tuple[ExecUnit, float]] = []
-        self._prev_hbm_rate = 0.0
 
     # ------------------------------------------------------------------
     # Capacity helpers used by schedulers
@@ -797,14 +784,12 @@ class Simulator:
     def _plan_epoch(self):
         """Produce this epoch's plan and whether anything was preempted.
 
-        A plan is ``(rates, ve_exec, hbm_rate, next_decision_at,
-        blocked, serving)``: progress-rate triples ``(unit, rate,
-        harvested_engines)`` for ME units, ``(unit, rate)`` pairs for VE
-        units, the consumed HBM rate, the scheduler's forced re-decision
-        time, the blocked-tenant accounting set, and the tenants whose
-        requests accrue service time.  Everything in a plan is a pure
-        function of the scheduler state fingerprint, which is what makes
-        it replayable.
+        A plan holds ``(unit, rate)`` progress pairs for ME units and
+        for VE units, the consumed HBM rate, the scheduler's forced
+        re-decision time, the ids of the blocked tenants, and the
+        per-tenant busy/assignment rate dicts.  Everything in a plan is
+        a pure function of the scheduler state fingerprint, which is
+        what makes it replayable.
 
         Three tiers: (1) memo hit -- a structurally identical state was
         seen before, replay the stored plan without re-running the
@@ -852,24 +837,20 @@ class Simulator:
                     "without preempting it"
                 )
 
-        rates, ve_exec_rates, hbm_rate = self._compute_rates(decision)
-        blocked = self._compute_blocked()
-        serving = [t for t in self.tenants if t.current_request is not None]
+        rates, ve_exec_rates, hbm_rate = self._compute_rates()
         next_at = decision.next_decision_at
-        me_busy, ve_busy, harvested, me_assigned, ve_assigned = (
-            _aggregate_rate_dicts(
-                rates, ve_exec_rates, self.stats.record_assignment
-            )
+        me_busy, ve_busy, me_assigned, ve_assigned = _aggregate_rate_dicts(
+            rates, ve_exec_rates, self.stats.record_assignment
         )
         plan = _EpochPlan(
-            rates, ve_exec_rates, hbm_rate, next_at, blocked, serving,
-            me_busy, ve_busy, harvested, me_assigned, ve_assigned,
+            rates, ve_exec_rates, hbm_rate, next_at, self._compute_blocked(),
+            me_busy, ve_busy, me_assigned, ve_assigned,
         )
         if fp is not None and next_at is None:
             if len(self._decision_memo) >= _MEMO_LIMIT:
                 self._decision_memo.clear()
             self._decision_memo[fp[0]] = _encode_plan(
-                fp[1], preempt_effects, plan, self.tenants
+                fp[1], preempt_effects, plan
             )
             self._plan_key = fp[0]
             self._fp_units = fp[1]
@@ -881,9 +862,8 @@ class Simulator:
         The plan was validated when first computed and the fingerprint
         guarantees the state is structurally identical, so validation and
         the continuity check are skipped."""
-        (enc_pre, dense, enc_rates, enc_ve_exec, hbm_rate,
-         enc_blocked, enc_serving, me_busy, ve_busy, harvested,
-         me_assigned, ve_assigned) = entry
+        (enc_pre, dense, enc_rates, enc_ve_exec, hbm_rate, blocked,
+         me_busy, ve_busy, me_assigned, ve_assigned) = entry
         if enc_pre:
             stats = self.stats
             penalty = self.core.me_preemption_cycles
@@ -908,14 +888,11 @@ class Simulator:
             unit.granted_ve = d[1]
             unit.harvesting = d[2]
             unit.state = d[3]
-        rates = [(units[i], r, h) for i, r, h in enc_rates]
+        rates = [(units[i], r) for i, r in enc_rates]
         ve_exec_rates = [(units[i], r) for i, r in enc_ve_exec]
-        blocked = [(tid, units[i]) for tid, i in enc_blocked]
-        tenants = self.tenants
-        serving = [tenants[j] for j in enc_serving]
         plan = _EpochPlan(
-            rates, ve_exec_rates, hbm_rate, None, blocked, serving,
-            me_busy, ve_busy, harvested, me_assigned, ve_assigned,
+            rates, ve_exec_rates, hbm_rate, None, blocked,
+            me_busy, ve_busy, me_assigned, ve_assigned,
         )
         return plan, bool(enc_pre)
 
@@ -1012,16 +989,15 @@ class Simulator:
                     out.append(unit)
         return out
 
-    def _compute_rates(self, decision: Decision):
+    def _compute_rates(self):
         """Per-unit progress rates for the currently granted units.
 
-        Returns ``(unit, rate, harvested_engines)`` triples for ME units
-        and ``(unit, rate)`` pairs for VE units -- pair lists, not dicts,
-        because the hot loops only iterate and pair lists avoid hashing
-        ExecUnits every epoch.  The HBM waterfill dominates this path;
-        under the fast path its factors come from the exact-key
-        :class:`FairFactorCache`, which returns bit-identical values to a
-        fresh computation."""
+        Returns ``(unit, rate)`` pairs for ME units and for VE units --
+        pair lists, not dicts, because the hot loops only iterate and
+        pair lists avoid hashing ExecUnits every epoch.  The HBM
+        waterfill dominates this path; under the fast path its factors
+        come from the exact-key :class:`FairFactorCache`, which returns
+        bit-identical values to a fresh computation."""
         running = self._running_units()
         demands: List[float] = []
         owners: List[int] = []
@@ -1044,8 +1020,7 @@ class Simulator:
             factors = [by_key[i] for i in range(len(demands))]
         hbm_rate = min(self.core.hbm_bytes_per_cycle, sum(demands))
 
-        harvested_me = decision.harvested_me
-        rates: List[Tuple[ExecUnit, float, int]] = []
+        rates: List[Tuple[ExecUnit, float]] = []
         ve_exec: List[Tuple[ExecUnit, float]] = []
         for i, unit in enumerate(running):
             f = factors[i]
@@ -1056,8 +1031,7 @@ class Simulator:
                     g = min(1.0, unit.granted_ve / needed) if needed > 0 else 1.0
                 else:
                     g = 1.0
-                harv = harvested_me.get(unit, 0) if unit.harvesting else 0
-                rates.append((unit, f if f < g else g, harv))
+                rates.append((unit, f if f < g else g))
             else:
                 ve_exec.append((unit, unit.granted_ve * f))
         return rates, ve_exec, hbm_rate
@@ -1065,13 +1039,13 @@ class Simulator:
     def _pick_delta(
         self,
         next_decision_at: Optional[float],
-        rates: List[Tuple[ExecUnit, float, int]],
+        rates: List[Tuple[ExecUnit, float]],
         ve_exec: List[Tuple[ExecUnit, float]],
     ) -> float:
         """Advance to the next event: a unit completion, reclaim expiry,
         scheduler quantum, request arrival, or the horizon."""
         best = math.inf
-        for unit, rate, _harv in rates:
+        for unit, rate in rates:
             if rate > EPS:
                 c = unit.remaining_me / rate
                 if EPS < c < best:
@@ -1125,11 +1099,9 @@ class Simulator:
     # ------------------------------------------------------------------
     def _advance(self, delta: float, plan: _EpochPlan) -> None:
         stats = self.stats
-        record_ops = stats.record_ops
-
         finished: List[ExecUnit] = self._finished_units
         finished.clear()
-        for unit, rate, harv in plan.rates:
+        for unit, rate in plan.rates:
             progress = rate * delta
             remaining = unit.remaining_me - progress
             unit.remaining_me = remaining if remaining > 0.0 else 0.0
@@ -1139,11 +1111,6 @@ class Simulator:
             if ve_rate > 0:
                 remaining = unit.remaining_ve - progress * ve_rate * unit.granted_me
                 unit.remaining_ve = remaining if remaining > 0.0 else 0.0
-            if harv and record_ops:
-                stats.op_harvest_cycles(
-                    unit.owner, unit.op_index, unit.request_id,
-                    harv * rate * delta,
-                )
 
         for unit, rate in plan.ve_exec:
             remaining = unit.remaining_ve - rate * delta
@@ -1156,10 +1123,9 @@ class Simulator:
         # them or the reclaim penalty is being paid).  The blocked set is
         # part of the plan -- it is a pure function of unit states,
         # grants, and allocations.
-        for tid, unit in plan.blocked:
-            stats.op_blocked(tid, unit.op_index, unit.request_id, delta)
-        for tenant in plan.serving:
-            tenant.active_service_cycles += delta
+        blocked = stats.blocked_cycles_per_tenant
+        for tid in plan.blocked:
+            blocked[tid] += delta
 
         if stats.record_assignment or stats.record_bandwidth:
             stats.record_epoch(
@@ -1169,7 +1135,6 @@ class Simulator:
                 plan.ve_busy,
                 me_assigned=plan.me_assigned,
                 ve_assigned=plan.ve_assigned,
-                harvested_mes_per_tenant=plan.harvested,
                 hbm_bytes_per_cycle=plan.hbm_rate,
             )
         else:
@@ -1191,30 +1156,21 @@ class Simulator:
                 integral += v
                 per_tenant[owner] += v
             stats.ve_busy_integral = integral
-            harvested = plan.harvested
-            if harvested:
-                per_tenant = stats.harvested_me_integral
-                for owner, mes in harvested.items():
-                    per_tenant[owner] += mes * delta
 
-    def _compute_blocked(self) -> List[Tuple[int, ExecUnit]]:
-        """Blocked-tenant accounting set for the current grant state:
-        ``(tenant_id, first pending ME unit)`` per blocked tenant."""
+    def _compute_blocked(self) -> Tuple[int, ...]:
+        """Ids of the tenants blocked under the current grant state."""
         done = UnitState.DONE
         running_state = UnitState.RUNNING
-        out: List[Tuple[int, ExecUnit]] = []
+        out: List[int] = []
         for tenant in self.tenants:
             wanted = 0
             running = 0
-            first = None
             for u in tenant.active_units:
                 if not u.is_me_unit:
                     continue
                 state = u.state
                 if state is not done:
                     wanted += u.me_engines_needed
-                    if first is None:
-                        first = u
                 if state is running_state and not u.harvesting:
                     running += u.granted_me
             if wanted == 0:
@@ -1222,9 +1178,9 @@ class Simulator:
             entitled = tenant.alloc_mes
             if wanted < entitled:
                 entitled = wanted
-            if running + EPS < entitled and first is not None:
-                out.append((tenant.tenant_id, first))
-        return out
+            if running + EPS < entitled:
+                out.append(tenant.tenant_id)
+        return tuple(out)
 
     # ------------------------------------------------------------------
     # Completion handling

@@ -3,16 +3,17 @@
 Tracks everything the paper's evaluation section reports:
 
 - per-engine-class busy integrals -> ME/VE utilization (Figs. 5, 22, 27);
+- per-tenant blocked cycles -> blocked-time overhead (Table III);
 - per-tenant assigned-engine traces over time (Fig. 24);
-- per-operator execution records -> harvesting speedup breakdown
-  (Fig. 23) and blocked-time overhead (Table III);
+- per-operator execution records -> operator durations for the
+  harvesting speedup breakdown (Fig. 23);
 - HBM bandwidth consumption over time (Fig. 7).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 
@@ -26,11 +27,6 @@ class OpRecord:
     request_id: int
     start_cycle: float
     end_cycle: float = 0.0
-    #: Cycles this operator's uTOps spent preempted or waiting for a
-    #: reclaimed engine because a harvester held it (Table III metric).
-    blocked_cycles: float = 0.0
-    #: Engine-cycles executed on harvested (non-home) engines.
-    harvested_engine_cycles: float = 0.0
 
     @property
     def duration(self) -> float:
@@ -62,7 +58,6 @@ class SimStats:
         self.ve_busy_integral = 0.0
         self.me_busy_per_tenant: Dict[int, float] = defaultdict(float)
         self.ve_busy_per_tenant: Dict[int, float] = defaultdict(float)
-        self.harvested_me_integral: Dict[int, float] = defaultdict(float)
         self.blocked_cycles_per_tenant: Dict[int, float] = defaultdict(float)
         self.preemption_count = 0
         self.reclaim_penalty_cycles = 0.0
@@ -82,7 +77,6 @@ class SimStats:
         ve_busy: Dict[int, float],
         me_assigned: Optional[Dict[int, float]] = None,
         ve_assigned: Optional[Dict[int, float]] = None,
-        harvested_mes_per_tenant: Optional[Dict[int, float]] = None,
         hbm_bytes_per_cycle: float = 0.0,
     ) -> None:
         """Accumulate one epoch.
@@ -101,9 +95,6 @@ class SimStats:
         for tenant, ves in ve_busy.items():
             self.ve_busy_integral += ves * delta
             self.ve_busy_per_tenant[tenant] += ves * delta
-        if harvested_mes_per_tenant:
-            for tenant, mes in harvested_mes_per_tenant.items():
-                self.harvested_me_integral[tenant] += mes * delta
         if self.record_assignment:
             self._append_assignment(
                 start,
@@ -166,25 +157,6 @@ class SimStats:
             return
         record.end_cycle = now
         self.op_records.append(record)
-
-    def op_blocked(
-        self, tenant_id: int, op_index: int, request_id: int, cycles: float
-    ) -> None:
-        self.blocked_cycles_per_tenant[tenant_id] += cycles
-        if not self.record_ops:
-            return
-        record = self._open_ops.get((tenant_id, request_id, op_index))
-        if record is not None:
-            record.blocked_cycles += cycles
-
-    def op_harvest_cycles(
-        self, tenant_id: int, op_index: int, request_id: int, engine_cycles: float
-    ) -> None:
-        if not self.record_ops:
-            return
-        record = self._open_ops.get((tenant_id, request_id, op_index))
-        if record is not None:
-            record.harvested_engine_cycles += engine_cycles
 
     # ------------------------------------------------------------------
     # Summaries

@@ -41,6 +41,7 @@ offered load.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import pickle
 from dataclasses import dataclass, field, replace
@@ -156,7 +157,9 @@ class ClusterTrafficConfig:
     #: fleet).
     pools: Tuple[HostPoolSpec, ...] = ()
     #: Closed-loop scaling policy (None = static cluster, the exact
-    #: pre-autoscaling code path).
+    #: pre-autoscaling code path).  Each run drives its own deep copy
+    #: (:attr:`ClusterSimulation.autoscaler`), so this instance never
+    #: changes.
     autoscaler: Optional[Autoscaler] = None
     #: Extra observation boundaries every ``interval`` seconds, so the
     #: controller acts even between churn events (None = churn cuts
@@ -692,7 +695,6 @@ _STATE_ATTRS = (
     "last_hypercalls",
     # Controller state between segments.
     "autoscaler",
-    "seg_stats",
     "rejected_before_segment",
     # Streaming per-segment observations (serve replay).
     "segment_log",
@@ -768,7 +770,10 @@ class ClusterSimulation:
         }
         SCHEDULERS.get(cfg.scheme)  # helpful unknown-scheme error up front
 
-        self.autoscaler = cfg.autoscaler
+        #: The policy this run drives: a private copy, because policies
+        #: keep state between observations and the caller's config must
+        #: not carry it into another run (or into a restore's digest).
+        self.autoscaler = copy.deepcopy(cfg.autoscaler)
         self.interval = (
             cfg.autoscale_interval_s if cfg.autoscaler is not None else None
         )
@@ -794,8 +799,6 @@ class ClusterSimulation:
         self.autoscale_events: List[AutoscaleEvent] = []
         self.host_count_timeline: List[Tuple[float, int]] = []
         self.host_seconds = 0.0
-        #: Stats of the segment just simulated, consumed by the controller.
-        self.seg_stats: Optional[Dict[str, object]] = None
         self.rejected_before_segment = 0
         self.first_pool = next(iter(self.fleet.pools))
         #: Control-plane telemetry is only consumed by the virtualization
@@ -807,17 +810,18 @@ class ClusterSimulation:
         #: it opens).
         self.last_hypercalls = 0
         self.vf_timeline: List[Tuple[float, int, int]] = []
+        #: One observation per simulated segment; the autoscaler reads
+        #: the latest at the next boundary.
         self.segment_log: List[SegmentObservation] = []
         self._next = 0
         #: Identity of this (events, config) pair, stamped into every
         #: checkpoint.  The executor is left out: it decides where host
         #: segments run, never what they compute, so a checkpoint
-        #: restores under any backend.  Computed before any stepping:
-        #: the configured autoscaler's *internal* state mutates as the
-        #: run advances, so the digest is only stable at construction
-        #: time.  ``None`` when the configuration is not picklable (e.g.
-        #: an ad-hoc local autoscaler class): such runs simulate fine,
-        #: they just cannot be checkpointed.
+        #: restores under any backend.  The run steps its own copy of
+        #: the autoscaler, so ``cfg`` -- and with it the digest -- stays
+        #: as configured.  ``None`` when the configuration is not
+        #: picklable (e.g. an ad-hoc local autoscaler class): such runs
+        #: simulate fine, they just cannot be checkpointed.
         try:
             identity = replace(cfg, executor=None)
             self.config_digest: Optional[str] = hashlib.sha256(
@@ -858,10 +862,6 @@ class ClusterSimulation:
         self.storms = [f for f in self.faults if f.kind == FAULT_BURST_STORM]
         self.spikes = [
             f for f in self.faults if f.kind == FAULT_HYPERCALL_SPIKE
-        ]
-        self.point_faults = [
-            f for f in self.faults
-            if f.kind in (FAULT_HOST_CRASH, FAULT_VF_LOSS)
         ]
         self.timeline: Timeline = build_timeline(
             self.churn, self.faults, self.cfg.end_s, self.interval
@@ -1181,27 +1181,14 @@ class ClusterSimulation:
         # before the autoscaler or any of its events touch state, so a
         # caller observing the error holds an intact, retryable run.
         self._check_boundary_churn(t0)
-        if self.autoscaler is not None and self.seg_stats is not None:
-            seg_stats = self.seg_stats
-            obs = SegmentObservation(
-                segment_index=seg_index - 1,
-                time_s=t0,
-                duration_s=seg_stats["seg_s"],
-                active_hosts=int(seg_stats["active_hosts"]),
-                pool_hosts=seg_stats["pool_hosts"],
-                resident_tenants=len(self.residents),
-                rejections=len(self.rejected) - self.rejected_before_segment,
-                me_utilization=seg_stats["me_utilization"],
-                ve_utilization=seg_stats["ve_utilization"],
-                offered=int(seg_stats["offered"]),
-                attained=int(seg_stats["attained"]),
-                hypercalls=int(seg_stats["hypercalls"]),
-                vf_in_use=int(seg_stats["vf_in_use"]),
-                vf_capacity=int(seg_stats["vf_capacity"]),
-                iommu_mappings=int(seg_stats["iommu_mappings"]),
-            )
+        if self.autoscaler is not None and self.segment_log:
+            # The previous segment's logged observation: residents and
+            # rejections change only inside this method, so it still
+            # describes the fleet at this boundary.
             events_before = len(self.autoscale_events)
-            self._apply_actions(self.autoscaler.observe(obs), t0)
+            self._apply_actions(
+                self.autoscaler.observe(self.segment_log[-1]), t0
+            )
             if self.virt_cost > 0:
                 # A migration is one destroy plus one create hypercall;
                 # the moved tenant is off the air for both.
@@ -1326,29 +1313,16 @@ class ClusterSimulation:
                     else report
                 )
         denom = max(1, len(active)) * seg_s
-        self.seg_stats = {
-            "seg_s": seg_s,
-            "active_hosts": len(active),
-            "pool_hosts": fleet.pool_counts(),
-            "me_utilization": seg_me / denom,
-            "ve_utilization": seg_ve / denom,
-            "offered": seg_offered,
-            "attained": seg_attained,
-            "hypercalls": seg_hypercalls,
-            "vf_in_use": seg_vf_in_use,
-            "vf_capacity": seg_vf_capacity,
-            "iommu_mappings": seg_iommu,
-        }
         observation = SegmentObservation(
             segment_index=seg_index,
             time_s=t1,
             duration_s=seg_s,
             active_hosts=len(active),
-            pool_hosts=self.seg_stats["pool_hosts"],
+            pool_hosts=fleet.pool_counts(),
             resident_tenants=len(self.residents),
             rejections=len(self.rejected) - self.rejected_before_segment,
-            me_utilization=self.seg_stats["me_utilization"],
-            ve_utilization=self.seg_stats["ve_utilization"],
+            me_utilization=seg_me / denom,
+            ve_utilization=seg_ve / denom,
             offered=seg_offered,
             attained=seg_attained,
             hypercalls=seg_hypercalls,

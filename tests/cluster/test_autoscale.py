@@ -341,12 +341,12 @@ def test_autoscaled_run_is_deterministic_across_worker_counts(spawned_pools):
 
 
 def test_same_seed_reproduces_autoscaled_run():
+    # One config object for both runs: each run drives its own copy of
+    # the slo-burn-rate policy, so its burn average cannot carry over.
     events = _arrivals(4)
-    cfg = lambda: _cfg(  # noqa: E731 - fresh policy state per run
-        autoscaler=make_autoscaler("slo-burn-rate", slo_target=0.75)
-    )
-    a = run_cluster_traffic(events, cfg())
-    b = run_cluster_traffic(events, cfg())
+    cfg = _cfg(autoscaler=make_autoscaler("slo-burn-rate", slo_target=0.75))
+    a = run_cluster_traffic(events, cfg)
+    b = run_cluster_traffic(events, cfg)
     assert [e.to_dict() for e in a.autoscale_events] == \
         [e.to_dict() for e in b.autoscale_events]
     for name in a.reports:

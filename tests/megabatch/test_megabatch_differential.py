@@ -110,13 +110,12 @@ def _snapshot(result):
         "ve_busy_integral": stats.ve_busy_integral,
         "me_busy_per_tenant": dict(stats.me_busy_per_tenant),
         "ve_busy_per_tenant": dict(stats.ve_busy_per_tenant),
-        "harvested_me_integral": dict(stats.harvested_me_integral),
         "blocked_cycles_per_tenant": dict(stats.blocked_cycles_per_tenant),
         "preemption_count": stats.preemption_count,
         "reclaim_penalty_cycles": stats.reclaim_penalty_cycles,
         "op_records": [
             (r.tenant_id, r.op_index, r.request_id, r.start_cycle,
-             r.end_cycle, r.blocked_cycles, r.harvested_engine_cycles)
+             r.end_cycle)
             for r in stats.op_records
         ],
         "tenants": {

@@ -94,12 +94,9 @@ def test_stats_assignment_trace_coalesces():
 def test_stats_op_lifecycle():
     stats = SimStats(num_mes=4, num_ves=4)
     stats.op_started(0, "mm", 3, 0, 100.0)
-    stats.op_blocked(0, 3, 0, 25.0)
     stats.op_finished(0, 3, 0, 300.0)
     [record] = stats.op_records
     assert record.duration == 200.0
-    assert record.blocked_cycles == 25.0
-    assert stats.blocked_cycles_per_tenant[0] == 25.0
 
 
 def test_stats_op_durations_grouping():

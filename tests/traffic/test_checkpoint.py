@@ -33,6 +33,7 @@ from repro.traffic.stepper import ClusterCheckpoint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 ADVERSARIAL = REPO_ROOT / "examples" / "scenarios" / "adversarial"
+SHOWCASE = REPO_ROOT / "examples" / "scenarios" / "showcase.yaml"
 
 
 def _adversarial(name: str):
@@ -159,6 +160,21 @@ def test_restore_refuses_a_different_configuration():
     other = _adversarial("crash_mid_segment")
     with pytest.raises(CheckpointError, match="different scenario"):
         ClusterSimulation.restore(checkpoint, *cluster_inputs(other))
+
+
+def test_restore_under_the_config_that_ran():
+    """The run steps its own copy of the stateful autoscaler, so the
+    very ``cfg`` object it ran under still matches its checkpoints."""
+    scenario = load_scenario(SHOWCASE, "cluster-autoscale-demo")
+    events, cfg = cluster_inputs(scenario)
+    sim = ClusterSimulation(events, cfg)
+    while sim.segments_completed < sim.total_segments // 2:
+        sim.step_segment()
+    checkpoint = sim.snapshot()
+    reference = _result_digest(sim.run())
+    assert sim.autoscale_events
+    restored = ClusterSimulation.restore(checkpoint, events, cfg)
+    assert _result_digest(restored.run()) == reference
 
 
 def test_restore_ignores_the_executor():

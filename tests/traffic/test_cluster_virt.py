@@ -13,6 +13,7 @@ from repro.traffic import (
     TrafficTenantSpec,
     run_cluster_traffic,
 )
+from repro.traffic.cluster_sim import ClusterSimulation
 
 MNIST = TrafficTenantSpec(model="MNIST", batch=8)
 
@@ -225,19 +226,27 @@ class _Recorder(Autoscaler):
 
 
 def test_segment_observations_carry_vf_and_hypercall_fields():
-    recorder = _Recorder()
     cfg = ClusterTrafficConfig(
         num_hosts=2, load=0.5, end_s=0.001, seed=1,
-        autoscaler=recorder,
+        autoscaler=_Recorder(),
         autoscale_interval_s=0.00025,
         virtualization=VirtualizationSpec(num_vfs=2),
     )
-    run_cluster_traffic(_wave(6, cfg.end_s), cfg)
-    assert recorder.observations
-    first = recorder.observations[0]
+    sim = ClusterSimulation(_wave(6, cfg.end_s), cfg)
+    result = sim.run()
+    # The run drives its own copy of the configured policy.
+    assert not cfg.autoscaler.observations
+    observations = sim.autoscaler.observations
+    assert observations
+    first = observations[0]
     assert first.vf_in_use == 4 and first.vf_capacity == 4
     assert first.vf_occupancy == 1.0
     assert first.hypercalls == 4  # the admission wave's creates
     assert first.iommu_mappings == 4
     # After t0 departs mid-run, occupancy drops in a later observation.
-    assert any(obs.vf_in_use == 3 for obs in recorder.observations)
+    assert any(obs.vf_in_use == 3 for obs in observations)
+    # The autoscaler sees exactly what the run logged: each segment's
+    # observation at the next boundary, across VF rejections and a
+    # departure (the final segment has no next boundary).
+    assert result.virtualization.vf_exhaustion_rejections > 0
+    assert observations == sim.segment_log[:-1]
