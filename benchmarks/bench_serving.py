@@ -28,16 +28,18 @@ each, how fast the simulator chews through simulated time:
   monotonically as headroom shrinks).  This engine steps per batch,
   not per cycle, so its rates are scheduler steps and generated tokens
   per wall-second;
-- ``mega_batch``      -- a 256-point open-loop seed sweep co-stepped by
-  the ``repro.megabatch`` struct-of-arrays engine, timed against the
-  same sweep with ``REPRO_SIM_MEGABATCH=0`` (each point stepped alone
-  by ``Simulator.run()``) at ``max_workers=1``; reports the speedup and
-  fails loudly if the two paths disagree on total simulated cycles;
+- ``mega_batch``      -- a 256-point open-loop seed sweep whose points
+  each step through the ``repro.megabatch`` chain engine as a batch of
+  one, timed against the same sweep with ``REPRO_SIM_MEGABATCH=0``
+  (each point stepped by ``Simulator.run()``) at ``max_workers=1``;
+  reports the speedup and fails loudly if the two paths disagree on
+  total simulated cycles;
 - ``sweep_resume``    -- a 64-point seed sweep through
   ``sweep_scenario_report`` with a ``--checkpoint`` journal, timed
-  against the plain ``sweep_scenario`` sweep (same per-point engine on
-  both sides); reports the checkpointing overhead (low single-digit
-  percent) and the wall time of a no-op ``--resume`` replay.
+  against the same sweep without one (``sweep_scenario``, same
+  per-point engine on both sides); reports the checkpointing overhead
+  (low single-digit percent) and the wall time of a no-op ``--resume``
+  replay.
 
 Every mode is a declarative :class:`repro.api.Scenario` executed through
 :func:`repro.api.run_scenario` -- the same path ``repro run`` takes --
@@ -470,14 +472,15 @@ def bench_llm_kv(quick: bool, repeats: int) -> Dict:
 
 
 def bench_mega_batch(quick: bool, repeats: int) -> Dict:
-    """Seed sweep through the mega-batch struct-of-arrays engine.
+    """Seed sweep through the mega-batch chain engine.
 
-    A many-point open-loop sweep is exactly the shape
-    ``repro.megabatch`` accelerates: hundreds of independent windows of
-    the same scenario, differing only in their arrival draws, co-stepped
-    in 64-lane chunks with memoized epoch skip-ahead.  The mode times
-    the same sweep twice -- engine on (default) and forced off via
-    ``REPRO_SIM_MEGABATCH=0``, which steps each point alone with
+    Hundreds of independent windows of the same scenario, differing
+    only in their arrival draws: each sweep point runs as its own
+    executor shard and steps through the chain engine as a batch of
+    one, whose chain nodes (memoized epoch skip-ahead) are shared
+    process-wide, so later points start warm.  The mode times the same
+    sweep twice -- engine on (default) and forced off via
+    ``REPRO_SIM_MEGABATCH=0``, which steps each point with
     ``Simulator.run()`` -- with ``max_workers=1`` on both sides so the
     ratio isolates the engine rather than pool scaling.  Totals
     must match bit-for-bit; the headline rate (and the CI floor) is
@@ -535,18 +538,17 @@ def bench_mega_batch(quick: bool, repeats: int) -> Dict:
 
 
 def bench_sweep_resume(quick: bool, repeats: int) -> Dict:
-    """Checkpointed executor sweep vs the plain ``sweep_scenario`` path.
+    """Checkpointed sweep vs the same sweep without a journal.
 
     A seed sweep run three ways: ``sweep_scenario`` at
     ``max_workers=1`` (the baseline), the same sweep through
     ``sweep_scenario_report`` with the ``serial`` backend and a
-    ``--checkpoint`` journal (digest sharding + fsynced JSONL appends
-    are the only extra work), and a no-op ``--resume`` of the finished
-    journal.  Both timed sides force ``REPRO_SIM_MEGABATCH=0`` -- the
-    executor path is per-point by design, so the ratio must measure
-    journal overhead, not megabatch vs scalar stepping.  The headline
-    ``overhead_vs_bare`` stays in the low single-digit percent; cycle
-    totals must match bit-for-bit.
+    ``--checkpoint`` journal (fsynced JSONL appends are the only extra
+    work), and a no-op ``--resume`` of the finished journal.  Both
+    timed sides run one point per shard and force
+    ``REPRO_SIM_MEGABATCH=0``, so the ratio measures journal overhead
+    alone.  The headline ``overhead_vs_bare`` stays in the low
+    single-digit percent; cycle totals must match bit-for-bit.
     """
     import os
     import shutil

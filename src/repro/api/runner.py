@@ -4,16 +4,16 @@
 into a uniform :class:`repro.api.result.RunResult` by driving the same
 engines the bespoke entry points used to call directly:
 
-- ``serving``   -> :func:`repro.serving.server.prepare_collocation`
-- ``open_loop`` -> :func:`repro.traffic.openloop.prepare_open_loop`
-- ``cluster``   -> :func:`repro.traffic.cluster_sim.run_cluster_traffic`
+- ``serving``   -> :func:`repro.serving.server.run_collocation`
+- ``open_loop`` -> :func:`repro.traffic.openloop.run_open_loop`
+- ``cluster``   -> :func:`repro.traffic.cluster_sim.run_cluster_checkpointed`
 - ``llm``       -> :func:`repro.llmserve.engine.run_llm_serving`
 - ``figure``    -> the :data:`repro.api.figures.FIGURES` registry
 
-``sweep_scenario`` fans scenario variants out in mega-batch chunks
-through :func:`repro.exec.map_chunks`; results are identical for any
-worker count because each variant is an independent simulation rebuilt
-from its serialised spec.
+A sweep runs each scenario variant as its own executor shard through
+:func:`sweep_scenario_report` (``sweep_scenario`` is its simple form);
+results are identical for any backend or worker count because each
+variant is an independent simulation rebuilt from its serialised spec.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.result import RunResult, base_provenance, canonical_digest
 from repro.api.scenario import Scenario, ScenarioChurn, ScenarioTenant
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ExecError
 
 
 # ----------------------------------------------------------------------
@@ -83,27 +83,20 @@ def _slo_report_metrics(report) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Kind runners
 # ----------------------------------------------------------------------
-def _serving_config(scenario: Scenario):
-    from repro.serving.server import ServingConfig
+def _run_serving(scenario: Scenario) -> RunResult:
+    from repro.serving.server import ServingConfig, run_collocation
 
-    # No op records: _serving_run_result never reads op durations, and
-    # recording would keep these runs off the mega-batch chain path.
-    return ServingConfig(
-        core=scenario.core(),
-        target_requests=scenario.target_requests,
-        record_ops=False,
+    pair = run_collocation(
+        [_to_workload_spec(t) for t in scenario.tenants],
+        scenario.scheme,
+        # No op records: nothing below reads op durations, and
+        # recording would keep these runs off the mega-batch chain path.
+        ServingConfig(
+            core=scenario.core(),
+            target_requests=scenario.target_requests,
+            record_ops=False,
+        ),
     )
-
-
-def _run_batchable(scenario: Scenario) -> RunResult:
-    """A serving or open-loop scenario, stepped as a batch of one."""
-    from repro.megabatch import run_simulators
-
-    sim, finalize = _prepare_batchable(scenario)
-    return finalize(run_simulators([sim])[0])
-
-
-def _serving_run_result(scenario: Scenario, pair) -> RunResult:
     metrics: Dict[str, Any] = {
         "pair": pair.pair,
         "tenants": [
@@ -131,20 +124,21 @@ def _serving_run_result(scenario: Scenario, pair) -> RunResult:
     return _wrap(scenario, metrics, metadata)
 
 
-def _open_loop_config(scenario: Scenario):
-    from repro.traffic.openloop import OpenLoopConfig
+def _run_open_loop(scenario: Scenario) -> RunResult:
+    from repro.traffic.openloop import OpenLoopConfig, run_open_loop
 
-    return OpenLoopConfig(
-        core=scenario.core(),
-        duration_s=scenario.duration_s,
-        load=scenario.load,
-        arrival=scenario.arrival,
-        seed=scenario.seed,
-        drain=scenario.drain,
+    result = run_open_loop(
+        [_to_traffic_spec(t) for t in scenario.tenants],
+        scenario.scheme,
+        OpenLoopConfig(
+            core=scenario.core(),
+            duration_s=scenario.duration_s,
+            load=scenario.load,
+            arrival=scenario.arrival,
+            seed=scenario.seed,
+            drain=scenario.drain,
+        ),
     )
-
-
-def _open_loop_run_result(scenario: Scenario, result) -> RunResult:
     metrics: Dict[str, Any] = {
         "tenants": [_slo_report_metrics(r) for r in result.reports],
         "min_attainment": result.min_attainment,
@@ -162,6 +156,31 @@ def _open_loop_run_result(scenario: Scenario, result) -> RunResult:
     return _wrap(scenario, metrics, metadata)
 
 
+def _host_pools(scenario: Scenario):
+    """The scenario's host pools: its ``pools:``, or one ``host`` pool
+    spelled by ``hosts:``/``cores_per_host:``.
+
+    A ``hosts:`` fleet is pinned at ``hosts`` without an autoscaler;
+    with one it starts at ``hosts`` and may shrink to one host or grow
+    to twice the configured size.
+    """
+    from repro.cluster.autoscale import HostPoolSpec
+
+    if scenario.pools:
+        return tuple(p.to_spec() for p in scenario.pools)
+    hosts = scenario.hosts
+    elastic = scenario.autoscaler is not None
+    return (
+        HostPoolSpec(
+            name="host",
+            cores_per_host=scenario.cores_per_host,
+            min_hosts=1 if elastic else hosts,
+            max_hosts=2 * hosts if elastic else hosts,
+            initial_hosts=hosts,
+        ),
+    )
+
+
 def cluster_inputs(scenario: Scenario):
     """The ``(events, cfg)`` pair a cluster scenario simulates.
 
@@ -169,7 +188,9 @@ def cluster_inputs(scenario: Scenario):
     run`` (plain, checkpointed and resumed), ``repro serve`` and the
     fuzz harness's deep checks all build their
     :class:`~repro.traffic.cluster_sim.ClusterSimulation` from this, so
-    a checkpoint taken by one is restorable by the others.
+    a checkpoint taken by one is restorable by the others.  It is also
+    the one place the scenario's ``hosts:`` spelling becomes a host
+    pool; the cluster engine itself only reads ``pools``.
     """
     from repro.traffic.cluster_sim import ClusterTrafficConfig
 
@@ -180,7 +201,6 @@ def cluster_inputs(scenario: Scenario):
         )
     events = [_to_churn_event(e) for e in scenario.churn]
     cfg = ClusterTrafficConfig(
-        num_hosts=scenario.hosts,
         cores_per_host=scenario.cores_per_host,
         core=scenario.core(),
         scheme=scenario.scheme,
@@ -188,7 +208,7 @@ def cluster_inputs(scenario: Scenario):
         load=scenario.load,
         end_s=scenario.duration_s,
         seed=scenario.seed,
-        pools=tuple(p.to_spec() for p in scenario.pools),
+        pools=_host_pools(scenario),
         autoscaler=(
             scenario.autoscaler.make()
             if scenario.autoscaler is not None
@@ -212,14 +232,6 @@ def cluster_inputs(scenario: Scenario):
         faults=tuple(f.to_spec() for f in scenario.faults),
     )
     return events, cfg
-
-
-def _run_cluster(scenario: Scenario) -> RunResult:
-    from repro.traffic.cluster_sim import run_cluster_traffic
-
-    events, cfg = cluster_inputs(scenario)
-    result = run_cluster_traffic(events, cfg)
-    return _cluster_run_result(scenario, cfg, result)
 
 
 def _cluster_run_result(scenario: Scenario, cfg, result) -> RunResult:
@@ -380,9 +392,8 @@ def _run_figure(scenario: Scenario) -> RunResult:
 
 
 _KIND_RUNNERS = {
-    "serving": _run_batchable,
-    "open_loop": _run_batchable,
-    "cluster": _run_cluster,
+    "serving": _run_serving,
+    "open_loop": _run_open_loop,
     "llm": _run_llm,
     "figure": _run_figure,
 }
@@ -452,20 +463,21 @@ def run_scenario(
     scenario.validate()
     block = checkpoint if checkpoint is not None else scenario.checkpoint
     if scenario.kind == "cluster":
-        if block is not None or resume or on_segment is not None:
-            from repro.traffic.cluster_sim import run_cluster_checkpointed
+        from repro.traffic.cluster_sim import run_cluster_checkpointed
 
-            events, cfg = cluster_inputs(scenario)
-            result = run_cluster_checkpointed(
-                events,
-                cfg,
-                directory=block.directory if block is not None else None,
-                resume=resume,
-                every=block.every if block is not None else 1,
-                on_segment=on_segment,
-            )
-            return _cluster_run_result(scenario, cfg, result)
-    elif block is not None or resume or on_segment is not None:
+        # Without a directory, resume or hook this steps exactly what
+        # ClusterSimulation.run() steps.
+        events, cfg = cluster_inputs(scenario)
+        result = run_cluster_checkpointed(
+            events,
+            cfg,
+            directory=block.directory if block is not None else None,
+            resume=resume,
+            every=block.every if block is not None else 1,
+            on_segment=on_segment,
+        )
+        return _cluster_run_result(scenario, cfg, result)
+    if block is not None or resume or on_segment is not None:
         raise ConfigError(
             f"scenario {scenario.name!r} is kind {scenario.kind!r}; "
             "checkpoint/resume/per-segment progress only apply to "
@@ -483,75 +495,12 @@ def _run_scenario_payload(payload: str) -> Dict[str, Any]:
     return run_scenario(scenario).to_dict()
 
 
-def _prepare_batchable(scenario: Scenario):
-    """``(simulator, finalize)`` when the scenario's engine supports the
-    build/step/summarise split the mega-batch core needs, else None.
-
-    Covered kinds: ``open_loop`` and ``serving`` -- single-simulator
-    runs whose construction is deterministic and independent of the
-    stepping driver; ``run_scenario`` steps them as a batch of one.
-    Other kinds (cluster, llm, figure) orchestrate their own
-    multi-stage drivers and fall back to ``run_scenario``.
-    """
-    if scenario.kind == "open_loop":
-        from repro.traffic.openloop import finalize_open_loop, prepare_open_loop
-
-        prep = prepare_open_loop(
-            [_to_traffic_spec(t) for t in scenario.tenants],
-            scenario.scheme,
-            _open_loop_config(scenario),
-        )
-        return prep.sim, (
-            lambda result: _open_loop_run_result(
-                scenario, finalize_open_loop(prep, result)
-            )
-        )
-    if scenario.kind == "serving":
-        from repro.serving.server import (
-            finalize_collocation,
-            prepare_collocation,
-        )
-
-        prep = prepare_collocation(
-            [_to_workload_spec(t) for t in scenario.tenants],
-            scenario.scheme,
-            _serving_config(scenario),
-        )
-        return prep.sim, (
-            lambda result: _serving_run_result(
-                scenario, finalize_collocation(prep, result)
-            )
-        )
-    return None
-
-
-def _run_scenario_batch_payload(payloads: Sequence[str]) -> List[Dict[str, Any]]:
-    """Picklable sweep worker: run one chunk of sweep points.
-
-    Batchable scenarios become the lanes of one
-    :func:`repro.megabatch.run_simulators` call; the rest run through
-    ``run_scenario`` unchanged.  Output order matches input order, and
-    every metric is bit-identical to ``run_scenario``'s."""
-    from repro.megabatch import run_simulators
-
-    scenarios = [Scenario.from_dict(json.loads(p)) for p in payloads]
-    prepared = [_prepare_batchable(sc) for sc in scenarios]
-    lane_results = iter(
-        run_simulators([pf[0] for pf in prepared if pf is not None])
-    )
-    return [
-        run_scenario(scenario).to_dict() if pf is None
-        else pf[1](next(lane_results)).to_dict()
-        for scenario, pf in zip(scenarios, prepared)
-    ]
-
-
-def sweep_variants(
+def _resolve_sweep(
     scenario: Scenario,
-    param: Optional[str] = None,
-    values: Optional[Sequence[Any]] = None,
-) -> List[Scenario]:
-    """The scenario variants a sweep will run.
+    param: Optional[str],
+    values: Optional[Sequence[Any]],
+) -> Tuple[str, Sequence[Any]]:
+    """The ``(param, values)`` a sweep varies.
 
     ``param``/``values`` override the scenario's embedded ``sweep:``
     block piecewise: a supplied ``values`` always wins (with the block's
@@ -578,6 +527,19 @@ def sweep_variants(
             )
     if not values:
         raise ConfigError("sweep needs at least one value")
+    return param, values
+
+
+def sweep_variants(
+    scenario: Scenario,
+    param: Optional[str] = None,
+    values: Optional[Sequence[Any]] = None,
+) -> List[Scenario]:
+    """The scenario variants a sweep will run, one per value, each
+    renamed ``<name>@<param>=<value>`` (``param``/``values`` resolve
+    against the embedded ``sweep:`` block as :func:`sweep_scenario`
+    describes)."""
+    param, values = _resolve_sweep(scenario, param, values)
     # Variants must not share one checkpoint journal (each has its own
     # config digest; the journal would refuse all but the first).
     base = scenario.replaced(sweep=None, checkpoint=None)
@@ -595,49 +557,39 @@ def sweep_scenario(
     values: Optional[Sequence[Any]] = None,
     max_workers: Optional[int] = None,
 ) -> List[RunResult]:
-    """Run one variant per value, fanned out over a process pool.
+    """Run one variant per value, each as its own executor shard.
 
     ``param`` is any scenario field name, including dotted hardware
     overrides (``hardware.num_mes``); ``values`` replace it one at a
     time, each variant renamed ``<name>@<param>=<value>``.  With both
-    omitted the scenario's embedded ``sweep:`` block is used.  Variants
-    are validated *before* any worker starts, rebuilt from their
-    serialised spec inside the pool, and returned in value order --
-    results are identical for any ``max_workers`` (``None`` = CPU
-    count / ``REPRO_PARALLEL_WORKERS``; ``1`` = in-process).  Without
-    an ``executor:`` block the points run in mega-batch chunks on the
-    default ``pool`` backend; with one, through
-    :func:`sweep_scenario_report`.
+    omitted the scenario's embedded ``sweep:`` block is used; a supplied
+    ``values`` always wins, and a supplied ``param`` reuses the block's
+    values only when it names the same field.  Variants are validated
+    *before* any worker starts, rebuilt from their serialised spec on
+    the scenario's ``executor:`` backend (default ``pool``), and
+    returned in value order -- results are identical for any
+    ``max_workers`` (``1`` = in-process; ``None`` = the block's width,
+    else one worker per 64 points up to the CPU count /
+    ``REPRO_PARALLEL_WORKERS``, so a short sweep runs in-process).
+
+    The simple form of :func:`sweep_scenario_report`: no checkpoint, and
+    a point that fails permanently raises
+    :class:`repro.errors.ExecError` even under ``keep_going: true``,
+    because this return value has no place to report it.
 
     Example::
 
         results = sweep_scenario(sc, param="load", values=[0.5, 0.8, 1.1])
         [r.metrics["min_attainment"] for r in results]
     """
-    if scenario.executor is not None:
-        # The declarative executor block routes the sweep through the
-        # repro.exec subsystem (results are bit-identical; see
-        # sweep_scenario_report).
-        return sweep_scenario_report(
-            scenario, param=param, values=values, max_workers=max_workers
-        ).results
-    from repro.exec import ExecSpec, map_chunks
-
-    variants = sweep_variants(scenario, param, values)
-    for variant in variants:
-        variant.validate()  # fail fast, before spawning workers
-    # Each task co-steps one chunk of points through the batch engine;
-    # results are identical for any chunking or worker count.
-    results = map_chunks(
-        _run_scenario_batch_payload,
-        [json.dumps(v.to_dict()) for v in variants],
-        ExecSpec(max_workers=max_workers),
-    )
-    return [RunResult.from_dict(r) for r in results]
+    return sweep_scenario_report(
+        scenario, param=param, values=values, max_workers=max_workers,
+        keep_going=False,
+    ).results
 
 
 # ----------------------------------------------------------------------
-# Executor-backed sweeps: pluggable fan-out, checkpoints, resume
+# Sweeps: one executor shard per point, checkpoints, resume
 # ----------------------------------------------------------------------
 #: Progress callback: ``on_progress(done, total, outcome)`` fires once
 #: per shard in completion order (``outcome`` is a
@@ -649,7 +601,7 @@ ProgressHook = Callable[[int, int, Any], None]
 
 @dataclass
 class SweepReport:
-    """Everything an executor-backed sweep settled.
+    """Everything a sweep settled.
 
     ``results`` hold the successful points in value order (all of them,
     unless ``keep_going`` let some fail permanently -- those appear in
@@ -676,17 +628,27 @@ def _resolve_exec_spec(
     max_workers: Optional[int],
     task_timeout_s: Optional[float],
     keep_going: Optional[bool],
+    points: int,
 ):
     """Merge the scenario's ``executor:`` block with call overrides.
 
     Overrides never touch the scenario itself: the variant digests (and
     so the checkpoint identity) stay equal across backends, which is
     what lets one journal serve any of them.
+
+    A sweep of ``points`` points that names neither a backend nor a
+    width gets one ``pool`` worker per :data:`repro.exec.base.CHUNK`
+    points, at most :func:`repro.parallel.default_workers`: a worker
+    process starts with cold calibration and chain-node caches, which
+    only a long sweep repays, so up to 64 points run in-process.
     """
-    from repro.exec import ExecSpec
+    from repro.exec import ExecSpec, base as exec_base
+    from repro.parallel import default_workers
 
     block = scenario.executor
     spec = block.to_spec() if block is not None else ExecSpec()
+    if block is None and executor is None and max_workers is None:
+        max_workers = min(default_workers(), -(-points // exec_base.CHUNK))
     changes: Dict[str, Any] = {}
     if executor is not None:
         changes["backend"] = executor
@@ -729,11 +691,13 @@ def sweep_scenario_report(
 ) -> SweepReport:
     """Run a sweep through a pluggable, fault-tolerant executor.
 
-    The robust superset of :func:`sweep_scenario`: each sweep point
-    becomes one shard, keyed by its variant scenario's content digest,
-    dispatched through the :data:`repro.api.registries.EXECUTORS`
-    backend chosen by ``executor`` (or the scenario's ``executor:``
-    block; default ``pool``).  With ``checkpoint`` set, every settled
+    The one sweep path (:func:`sweep_scenario` is its simple form): each
+    sweep point becomes one shard, keyed by its variant scenario's
+    content digest, dispatched through the
+    :data:`repro.api.registries.EXECUTORS` backend chosen by
+    ``executor`` (or the scenario's ``executor:`` block; default
+    ``pool``, one worker per 64 points unless ``max_workers`` or the
+    block sets a width).  With ``checkpoint`` set, every settled
     shard is journalled to disk as it completes, and ``resume=True``
     skips shards the journal already holds -- a killed sweep continues
     where it stopped, and the merged results are bit-identical to an
@@ -749,33 +713,26 @@ def sweep_scenario_report(
 
     Each result's provenance gains an ``executor`` block
     (``{"backend": name}``) recording how it was dispatched; everything
-    else is byte-identical to :func:`sweep_scenario` output.
+    else is byte-identical to :func:`run_scenario` of the variant.
     """
-    from repro.exec import ExecTask, SweepJournal, summarize_failures
     from repro.api.registries import make_executor
+    from repro.exec import ExecTask, SweepJournal, summarize_failures
 
+    param, values = _resolve_sweep(scenario, param, values)
     spec = _resolve_exec_spec(
-        scenario, executor, max_workers, task_timeout_s, keep_going
+        scenario, executor, max_workers, task_timeout_s, keep_going,
+        points=len(values),
     )
     variants = sweep_variants(scenario, param, values)
     for variant in variants:
         variant.validate()  # fail fast, before spawning workers
-    # Recover the effective (param, values) pair for the manifest.
-    block = scenario.sweep
-    eff_param = param if param is not None else block.param  # type: ignore[union-attr]
-    if values is None and block is not None and (
-        param is None or block.param == eff_param
-    ):
-        eff_values: Sequence[Any] = block.values
-    else:
-        eff_values = list(values)  # type: ignore[arg-type]
 
     shard_keys = [v.digest() for v in variants]
     journal = None
     if checkpoint is not None:
         journal = SweepJournal(
             checkpoint,
-            _sweep_identity_digest(scenario, eff_param, eff_values),
+            _sweep_identity_digest(scenario, param, values),
             shard_keys,
             resume=resume,
         )
@@ -849,8 +806,8 @@ def sweep_scenario_report(
     finally:
         if journal is not None:
             journal.close()
-    if report.failures and keep_going is not True and not spec.keep_going:
+    if report.failures and not spec.keep_going:
         # Unreachable via the built-in backends (they raise ExecError
         # themselves when keep_going is off); guard third-party ones.
-        raise ConfigError(summarize_failures(report.failures))
+        raise ExecError(summarize_failures(report.failures))
     return report

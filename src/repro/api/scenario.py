@@ -433,9 +433,8 @@ class ScenarioExecutor:
     configures *dispatch only* -- simulations are deterministic
     functions of their spec, so results are bit-identical across
     backends, worker counts and resumes.  Without the block a sweep
-    runs its points in mega-batch chunks on the default ``pool``
-    backend, and a cluster run fans its hosts out as under
-    ``executor: {}``.
+    runs each point as its own shard on the default ``pool`` backend,
+    and a cluster run fans its hosts out, as under ``executor: {}``.
     """
 
     backend: str = "pool"
@@ -467,11 +466,6 @@ class ScenarioExecutor:
             ),
             keep_going=self.keep_going,
         )
-
-    def make(self):
-        from repro.api.registries import make_executor
-
-        return make_executor(self.to_spec())
 
 
 #: One-line docs per ``checkpoint:`` field, rendered by ``repro list``
@@ -588,7 +582,8 @@ class Scenario:
     hosts: int = 2
     cores_per_host: int = 1
     churn: Tuple[ScenarioChurn, ...] = ()
-    #: Elastic host pools (cluster kind; empty = fixed ``hosts`` fleet).
+    #: Elastic host pools (cluster kind; empty = one ``host`` pool of
+    #: ``hosts`` hosts with ``cores_per_host`` cores each).
     pools: Tuple[ScenarioPool, ...] = ()
     #: Closed-loop scaling policy (cluster kind; None = static cluster,
     #: bit-identical to pre-autoscaling runs).
@@ -602,8 +597,8 @@ class Scenario:
     faults: Tuple[ScenarioFault, ...] = ()
     #: Continuous-batching LLM serving block (llm kind only).
     llm: Optional[ScenarioLlm] = None
-    #: Fan-out backend (None = mega-batch sweep chunks on the default
-    #: ``pool`` backend; results never depend on it).
+    #: Fan-out backend (None = the default ``pool`` backend; results
+    #: never depend on it).
     executor: Optional[ScenarioExecutor] = None
     #: Journaled segment checkpoints (cluster kind; None = no snapshots
     #: are written.  Persistence only: metrics never depend on it).

@@ -178,17 +178,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         checkpoint = ScenarioCheckpoint(
             directory=args.checkpoint, every=args.checkpoint_every
         )
-    results = []
-    for scenario in scenarios:
-        hook = on_segment if progress and scenario.kind == "cluster" else None
-        if checkpoint is not None or args.resume or hook is not None:
-            results.append(run_scenario(
-                scenario, resume=args.resume, checkpoint=checkpoint,
-                on_segment=hook,
-            ))
-        else:
-            # The exact historical call, bit-identical results included.
-            results.append(run_scenario(scenario))
+    results = [
+        run_scenario(
+            scenario, resume=args.resume, checkpoint=checkpoint,
+            on_segment=(
+                on_segment if progress and scenario.kind == "cluster"
+                else None
+            ),
+        )
+        for scenario in scenarios
+    ]
     _emit(results, args.json, args.output)
     return 0
 
@@ -237,11 +236,7 @@ def _parse_value(raw: str) -> Any:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.api import (
-        load_scenario,
-        sweep_scenario,
-        sweep_scenario_report,
-    )
+    from repro.api import load_scenario, sweep_scenario_report
 
     scenario = load_scenario(args.scenario_file, name=args.scenario)
     values = (
@@ -249,24 +244,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.values is not None
         else None
     )
-    executor_requested = (
-        args.executor is not None
-        or args.checkpoint is not None
-        or args.resume
-        or args.keep_going
-        or args.task_timeout is not None
-        or scenario.executor is not None
-    )
-    if not executor_requested:
-        # No executor asked for anywhere: mega-batch chunks on the
-        # default pool, with no per-point shards or provenance stamp.
-        results = sweep_scenario(
-            scenario, param=args.param, values=values,
-            max_workers=args.workers,
-        )
-        _emit(results, args.json, args.output)
-        return 0
-
     progress = args.progress if args.progress is not None else not args.json
 
     def on_progress(done: int, total: int, outcome) -> None:
@@ -670,12 +647,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", default=None,
                          help="comma-separated values (JSON literals)")
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="process-pool width (default: auto)")
+                         help="process-pool width (default: the "
+                              "`executor:` block's, else one worker per "
+                              "64 points up to the CPU count)")
     p_sweep.add_argument("--executor", default=None,
                          help="fan-out backend from the EXECUTORS registry "
-                              "(serial, pool, local-queue); default: the "
-                              "scenario's `executor:` block, else "
-                              "mega-batch chunks on the default pool")
+                              "(serial, pool, local-queue) running one "
+                              "shard per point; default: the scenario's "
+                              "`executor:` block, else pool")
     p_sweep.add_argument("--checkpoint", default=None, metavar="DIR",
                          help="journal completed sweep points to DIR as "
                               "they finish (crash-safe, append-only)")
@@ -693,8 +672,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "local-queue backend (kill + retry)")
     p_sweep.add_argument("--progress", action="store_true", default=None,
                          help="per-shard completion ticks on stderr "
-                              "(default: on for executor sweeps unless "
-                              "--json)")
+                              "(default: on unless --json)")
     p_sweep.add_argument("--no-progress", dest="progress",
                          action="store_false",
                          help="suppress the progress ticks")

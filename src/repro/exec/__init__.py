@@ -11,12 +11,13 @@ backends plug in by name, and :class:`SweepJournal` adds append-only
 checkpointing so a killed sweep resumes bit-identically instead of
 restarting.
 
-Every process fan-out goes through an executor: :func:`map_chunks`
-serves :func:`repro.api.runner.sweep_scenario`,
-:mod:`repro.traffic.cluster_sim` and
-:func:`repro.experiments.common.run_all_pairs`, and
-:func:`~repro.api.runner.sweep_scenario_report` maps one journalled
-task per sweep point.  See ``docs/sweeps.md`` for the how-to.
+Every process fan-out goes through an executor: every sweep
+(:func:`~repro.api.runner.sweep_scenario_report`, and
+:func:`~repro.api.runner.sweep_scenario` over it) maps one journalled
+task per sweep point, and :func:`map_chunks` serves the cluster
+host-segment fan-out of :mod:`repro.traffic.cluster_sim` and
+:func:`repro.experiments.common.run_all_pairs`.  See
+``docs/sweeps.md`` for the how-to.
 """
 
 from repro.errors import ExecError

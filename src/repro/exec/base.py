@@ -29,9 +29,9 @@ the ``--keep-going`` per-item fault isolation mode.
 
 Third-party backends plug in by name through
 :data:`repro.api.registries.EXECUTORS`, exactly like schedulers and
-preemption policies.  :func:`map_chunks` is the one fan-out every
-simulation layer uses: it cuts a job list into chunks and maps them
-through the registry.
+preemption policies.  :func:`map_chunks` is the fan-out for jobs that
+are parts of one answer (cluster host segments, figure pairs): it cuts
+a job list into chunks and maps them through the registry.
 """
 
 from __future__ import annotations
@@ -236,9 +236,11 @@ def summarize_failures(failures: Sequence[TaskFailure]) -> str:
     return "\n".join(lines)
 
 
-#: Items per task when the caller does not choose: enough mega-batch
-#: lanes to amortise the batch engine's round overhead, few enough that
-#: a big fan-out still spreads across the pool.
+#: Items per task when the caller does not choose (the cluster host
+#: segments): enough mega-batch lanes to amortise the batch engine's
+#: round overhead, few enough that a big fan-out still spreads across
+#: the pool.  A sweep that names no backend or width runs one pool
+#: worker per ``CHUNK`` points for the same reason.
 CHUNK = 64
 
 

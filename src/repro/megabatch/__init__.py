@@ -8,9 +8,10 @@ instead of re-fingerprinting and re-planning per epoch.  Results are
 bit-identical to running each simulator alone.
 
 :func:`run_simulators` is the one driver for every simulation the
-library runs: a single run is a batch of one, and every
-:func:`repro.exec.map_chunks` task of ``api.runner.sweep_scenario`` and
-of the cluster host-segment fan-out is a batch of up to 64 lanes.
+library runs: a single run -- and so every sweep point, which runs as
+its own executor shard -- is a batch of one, and every
+:func:`repro.exec.map_chunks` task of the cluster host-segment fan-out
+is a batch of up to 64 lanes.
 Simulators that can never bind to a chain node (fast path off, a
 scheduler without a memo context, op/assignment/bandwidth recording)
 run alone through ``Simulator.run()``.  ``REPRO_SIM_MEGABATCH=0`` makes

@@ -30,10 +30,11 @@ before the next segment's arrivals are drawn.  With the autoscaler
 unset (the default) the driver takes exactly the pre-autoscaling code
 path, so results are bit-identical to earlier releases.
 
-Hosts with several cores are simulated as one core with the host's
-aggregate engine count -- a fluid approximation consistent with the
-engine's execution model.  Tenant demand (arrival rates, SLO targets)
-is always calibrated against the *nominal* host defined by
+The fleet is always :attr:`ClusterTrafficConfig.pools`.  Hosts with
+several cores are simulated as one core with the host's aggregate
+engine count -- a fluid approximation consistent with the engine's
+execution model.  Tenant demand (arrival rates, SLO targets) is always
+calibrated against the *nominal* host defined by
 ``core``/``cores_per_host``, so migrating a tenant between
 heterogeneous pool hosts changes its service capacity, never its
 offered load.
@@ -138,13 +139,22 @@ class ChurnEvent:
 class ClusterTrafficConfig:
     """Cluster geometry + the shared open-loop knobs.
 
-    Two geometry spellings: the legacy ``num_hosts``/``cores_per_host``
-    pair (a fixed homogeneous fleet), or explicit ``pools`` of
-    :class:`~repro.cluster.autoscale.HostPoolSpec` for elastic and
-    heterogeneous clusters.  ``pools`` wins when both are given.
+    The fleet is ``pools`` of
+    :class:`~repro.cluster.autoscale.HostPoolSpec`; the default is two
+    fixed single-core hosts.  ``cores_per_host`` sizes no pool: it
+    defines the *nominal* host (``core`` times ``cores_per_host``) that
+    tenant demand -- arrival rates and SLO targets -- is calibrated
+    against.  A scenario's ``hosts:`` spelling becomes one pool in
+    :func:`repro.api.runner.cluster_inputs`.
+
+    Two consequences for direct callers: setting ``cores_per_host``
+    without ``pools`` keeps the default single-core hosts (so each is
+    loaded as if it had ``cores_per_host`` cores' worth of demand), and
+    an ``autoscaler`` has no headroom on the default pinned fleet --
+    give it ``pools`` whose ``min_hosts``/``max_hosts`` leave room to
+    scale.
     """
 
-    num_hosts: int = 2
     cores_per_host: int = 1
     core: NpuCoreConfig = field(default_factory=lambda: DEFAULT_CORE)
     scheme: str = "neu10"
@@ -153,9 +163,10 @@ class ClusterTrafficConfig:
     end_s: float = 0.002
     seed: int = DEFAULT_SEED
     policy: Optional[PlacementPolicy] = None
-    #: Elastic host pools (empty = the fixed num_hosts x cores_per_host
-    #: fleet).
-    pools: Tuple[HostPoolSpec, ...] = ()
+    #: Host pools, elastic and possibly heterogeneous.
+    pools: Tuple[HostPoolSpec, ...] = (
+        HostPoolSpec("host", min_hosts=2, max_hosts=2),
+    )
     #: Closed-loop scaling policy (None = static cluster, the exact
     #: pre-autoscaling code path).  Each run drives its own deep copy
     #: (:attr:`ClusterSimulation.autoscaler`), so this instance never
@@ -183,11 +194,6 @@ class ClusterTrafficConfig:
     faults: Tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.num_hosts < 1:
-            raise ValidationError(
-                "num_hosts", self.num_hosts,
-                "a cluster needs at least one host",
-            )
         if self.cores_per_host < 1:
             raise ValidationError(
                 "cores_per_host", self.cores_per_host,
@@ -199,6 +205,10 @@ class ClusterTrafficConfig:
             )
         self.pools = tuple(self.pools)
         self.faults = tuple(self.faults)
+        if not self.pools:
+            raise ValidationError(
+                "pools", self.pools, "a cluster needs at least one host pool"
+            )
         names = [p.name for p in self.pools]
         if len(set(names)) != len(names):
             raise ValidationError(
@@ -623,28 +633,6 @@ class _Fleet:
         return bool(moved)
 
 
-def _default_pools(cfg: ClusterTrafficConfig) -> Tuple[HostPoolSpec, ...]:
-    """The pool set: explicit, or synthesized from the legacy fields.
-
-    Without an autoscaler the synthesized pool is pinned at
-    ``num_hosts``; with one, the fleet may grow to twice the configured
-    size (a sensible headroom default -- set ``pools`` explicitly for
-    tighter control).
-    """
-    if cfg.pools:
-        return cfg.pools
-    max_hosts = cfg.num_hosts if cfg.autoscaler is None else 2 * cfg.num_hosts
-    return (
-        HostPoolSpec(
-            name="host",
-            cores_per_host=cfg.cores_per_host,
-            min_hosts=1 if cfg.autoscaler is not None else cfg.num_hosts,
-            max_hosts=max_hosts,
-            initial_hosts=cfg.num_hosts,
-        ),
-    )
-
-
 def run_cluster_traffic(
     events: Sequence[ChurnEvent],
     cfg: Optional[ClusterTrafficConfig] = None,
@@ -741,19 +729,18 @@ class ClusterSimulation:
             cfg.core.num_mes * cfg.cores_per_host,
             cfg.core.num_ves * cfg.cores_per_host,
         )
-        pools = _default_pools(cfg)
         virt = cfg.virtualization
         if virt is not None:
-            unknown = set(virt.pool_num_vfs) - {p.name for p in pools}
+            unknown = set(virt.pool_num_vfs) - {p.name for p in cfg.pools}
             if unknown:
-                known = ", ".join(sorted(p.name for p in pools))
+                known = ", ".join(sorted(p.name for p in cfg.pools))
                 raise ConfigError(
                     f"virtualization names unknown pool(s) {sorted(unknown)}; "
                     f"known: {known}"
                 )
         self.virt = virt
         self.virt_cost = virt.hypercall_cost_s if virt is not None else 0.0
-        self.fleet = _Fleet(pools, cfg.core, cfg.policy, virt)
+        self.fleet = _Fleet(cfg.pools, cfg.core, cfg.policy, virt)
         self.orch = self.fleet.orch
 
         self.fault_events: List[Dict[str, object]] = []

@@ -1,5 +1,7 @@
 """run_scenario / sweep_scenario: equivalence with the direct engines."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.api import (
@@ -7,11 +9,16 @@ from repro.api import (
     Scenario,
     ScenarioChurn,
     ScenarioTenant,
+    load_scenario,
     run_scenario,
     sweep_scenario,
     validate_run_result,
 )
+from repro.api.runner import cluster_inputs
+from repro.cluster.autoscale import HostPoolSpec
 from repro.errors import ConfigError
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 TENANTS = (
     ScenarioTenant(model="MNIST", batch=8),
@@ -161,6 +168,31 @@ def test_sweep_rejects_unknown_values_before_spawning():
     )
     with pytest.raises(ConfigError, match="unknown scheduler scheme"):
         sweep_scenario(scenario, param="scheme", values=["neu11"])
+
+
+# ----------------------------------------------------------------------
+# cluster_inputs: the one place the ``hosts:`` spelling becomes a pool
+# ----------------------------------------------------------------------
+def test_cluster_inputs_pins_a_hosts_fleet():
+    arrive = ScenarioChurn(time_s=0.0, action="arrive", name="a",
+                           model="MNIST")
+    _, cfg = cluster_inputs(
+        Scenario(name="fixed", kind="cluster", hosts=3, churn=(arrive,))
+    )
+    assert cfg.pools == (
+        HostPoolSpec("host", min_hosts=3, max_hosts=3, initial_hosts=3),
+    )
+
+
+def test_cluster_inputs_gives_an_autoscaled_hosts_fleet_headroom():
+    scenario = load_scenario(
+        REPO_ROOT / "examples/scenarios/adversarial/crash_mid_segment.yaml"
+    )
+    assert scenario.hosts == 3 and scenario.autoscaler is not None
+    _, cfg = cluster_inputs(scenario)
+    assert cfg.pools == (
+        HostPoolSpec("host", min_hosts=1, max_hosts=6, initial_hosts=3),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -259,12 +259,14 @@ def test_static_policy_matches_disabled_autoscaler_without_interval():
     events = _arrivals(2)
     plain = run_cluster_traffic(
         events,
-        ClusterTrafficConfig(num_hosts=2, load=0.5, end_s=0.001, seed=13),
+        ClusterTrafficConfig(load=0.5, end_s=0.001, seed=13),
     )
     elastic = run_cluster_traffic(
         events,
         ClusterTrafficConfig(
-            num_hosts=2, load=0.5, end_s=0.001, seed=13,
+            load=0.5, end_s=0.001, seed=13,
+            pools=(HostPoolSpec("host", min_hosts=1, max_hosts=4,
+                                initial_hosts=2),),
             autoscaler=make_autoscaler("static"),
         ),
     )

@@ -1,125 +1,30 @@
 """Kill a checkpointed sweep mid-flight (SIGKILL), resume, compare.
 
-The acceptance test for the checkpoint/resume design: a ``repro sweep
---executor local-queue --checkpoint DIR`` process is SIGKILLed as soon
-as the journal shows progress, then the sweep is resumed -- and the
-merged results must be bit-identical to an uninterrupted serial run.
+The acceptance test for the checkpoint/resume design, run through
+``tools/exec_smoke.py`` so the test and the CI smoke share one kill
+script: a ``repro sweep --executor local-queue --checkpoint DIR``
+process is SIGKILLed on its second progress tick, then the sweep is
+resumed -- and the merged results must be bit-identical to an
+uninterrupted serial run of all 12 points.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-VALUES = ",".join(str(round(0.4 + 0.05 * i, 2)) for i in range(12))
-
-SCENARIO = {
-    "name": "killer",
-    "kind": "open_loop",
-    "scheme": "neu10",
-    "duration_s": 0.0012,
-    "load": 0.8,
-    "seed": 11,
-    "tenants": [{"model": "MNIST", "batch": 8}],
-}
-
-
-def _sweep_cmd(scenario_file, extra):
-    return [
-        sys.executable, "-m", "repro.cli", "sweep", str(scenario_file),
-        "--param", "load", "--values", VALUES, *extra,
-    ]
-
-
-def _env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    return env
-
-
-def _wait_for_journal(journal: Path, min_lines: int, timeout_s: float,
-                      proc) -> int:
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            return -1  # finished before we could interrupt it
-        if journal.exists():
-            lines = [
-                line for line in
-                journal.read_text(encoding="utf-8").splitlines()
-                if '"result"' in line
-            ]
-            if len(lines) >= min_lines:
-                return len(lines)
-        time.sleep(0.05)
-    return 0
 
 
 def test_sigkill_mid_sweep_then_resume_matches_serial(tmp_path):
-    scenario_file = tmp_path / "killer.json"
-    scenario_file.write_text(json.dumps(SCENARIO), encoding="utf-8")
-    ck = tmp_path / "ck"
-
-    # Uninterrupted serial reference, no checkpoint involved.
-    ref_out = tmp_path / "ref.json"
-    subprocess.run(
-        _sweep_cmd(scenario_file,
-                   ["--executor", "serial", "--json",
-                    "--output", str(ref_out)]),
-        check=True, env=_env(), cwd=REPO_ROOT, timeout=300,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    reference = json.loads(ref_out.read_text(encoding="utf-8"))
-    assert len(reference) == 12
-
-    # Checkpointed local-queue run, SIGKILLed once >= 2 shards landed.
-    proc = subprocess.Popen(
-        _sweep_cmd(scenario_file,
-                   ["--executor", "local-queue", "--workers", "2",
-                    "--checkpoint", str(ck), "--json"]),
-        env=_env(), cwd=REPO_ROOT, start_new_session=True,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    try:
-        landed = _wait_for_journal(ck / "journal.jsonl", 2, 120.0, proc)
-        if landed > 0:
-            # Kill the whole process group: the parent AND its spawned
-            # workers die instantly, mid-whatever-they-were-doing.
-            os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=30)
-    finally:
-        if proc.poll() is None:  # pragma: no cover - cleanup only
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=30)
-    assert landed != 0, "no shard completed within the polling window"
-
-    if landed > 0:
-        done = [
-            line for line in
-            (ck / "journal.jsonl").read_text(encoding="utf-8").splitlines()
-            if '"result"' in line
-        ]
-        assert len(done) < 12, "sweep finished before the kill landed"
-
-    # Resume on a different backend; merged output must be identical.
-    resumed_out = tmp_path / "resumed.json"
-    resumed = subprocess.run(
-        _sweep_cmd(scenario_file,
-                   ["--executor", "serial", "--checkpoint", str(ck),
-                    "--resume", "--json", "--output", str(resumed_out)]),
-        env=_env(), cwd=REPO_ROOT, timeout=300,
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    smoke = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "exec_smoke.py"),
+         "--points", "12", "--keep", str(tmp_path)],
+        env=env, cwd=REPO_ROOT, timeout=900,
         capture_output=True, text=True,
     )
-    assert resumed.returncode == 0, resumed.stderr
-    merged = json.loads(resumed_out.read_text(encoding="utf-8"))
-
-    # Bit-identical to the uninterrupted serial run, byte for byte:
-    # same metrics, same metadata, same provenance (both ran with
-    # --executor serial, so even the executor stamp matches).
-    assert merged == reference
+    assert smoke.returncode == 0, smoke.stdout + smoke.stderr

@@ -17,8 +17,11 @@ from repro.api import (
     run_scenario,
     sweep_scenario,
     sweep_scenario_report,
+    sweep_variants,
 )
-from repro.errors import ConfigError
+from repro.api.registries import ExecutorInfo
+from repro.errors import ConfigError, ExecError
+from repro.exec import SerialExecutor
 
 BACKENDS = ("serial", "pool", "local-queue")
 
@@ -34,20 +37,21 @@ def tiny():
 
 @pytest.fixture(scope="module")
 def reference(tiny):
-    """The legacy sweep path's results (the bit-identity reference)."""
+    """Each variant run alone, in process (the bit-identity reference).
+
+    ``run_scenario`` shares no dispatch code with the executor
+    backends, so it can referee every one of them."""
     return [
-        r.to_dict()
-        for r in sweep_scenario(
-            tiny, param="load", values=[0.5, 0.9], max_workers=1
-        )
+        run_scenario(variant).to_dict()
+        for variant in sweep_variants(tiny, param="load", values=[0.5, 0.9])
     ]
 
 
 # ----------------------------------------------------------------------
-# Differential: every backend == the legacy sweep, modulo provenance
+# Differential: every backend == run_scenario, modulo provenance
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_matches_legacy_sweep(tiny, reference, backend):
+def test_backend_matches_run_scenario(tiny, reference, backend):
     report = sweep_scenario_report(
         tiny, param="load", values=[0.5, 0.9], executor=backend,
         max_workers=2,
@@ -60,6 +64,35 @@ def test_backend_matches_legacy_sweep(tiny, reference, backend):
     ):
         assert got["provenance"].pop("executor") == {"backend": backend}
         assert got == want
+
+
+def test_sweep_scenario_stamps_default_pool_backend(tiny, reference):
+    results = sweep_scenario(
+        tiny, param="load", values=[0.5, 0.9], max_workers=1
+    )
+    for got, want in zip([r.to_dict() for r in results], reference):
+        assert got["provenance"].pop("executor") == {"backend": "pool"}
+        assert got == want
+
+
+def test_default_sweep_runs_one_pool_worker_per_chunk(
+    tiny, spawned_pools, monkeypatch
+):
+    """A sweep naming no backend or width gets one worker per CHUNK
+    points, so a short sweep stays in-process; a named backend keeps
+    the full width."""
+    import repro.exec.base
+
+    monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "4")
+    values = [0.5, 0.7, 0.9]
+    monkeypatch.setattr(repro.exec.base, "CHUNK", 64)
+    sweep_scenario(tiny, param="load", values=values)
+    assert spawned_pools == []
+    monkeypatch.setattr(repro.exec.base, "CHUNK", 2)
+    sweep_scenario(tiny, param="load", values=values)
+    assert spawned_pools == [2]
+    sweep_scenario_report(tiny, param="load", values=values, executor="pool")
+    assert spawned_pools == [2, 3]
 
 
 def test_sweep_scenario_routes_executor_block(tiny, reference):
@@ -191,13 +224,52 @@ def test_keep_going_isolates_failed_points(tiny):
 
 
 def test_failed_point_aborts_without_keep_going(tiny):
-    from repro.errors import ExecError
-
     with pytest.raises(ExecError):
         sweep_scenario_report(
             tiny, param="arrival", values=["poisson", "trace"],
             executor="serial",
         )
+
+
+def test_sweep_scenario_raises_on_failed_point_under_keep_going():
+    # Departing a tenant that never arrived passes validation but fails
+    # inside the run.  The report keeps both failures; sweep_scenario
+    # has nowhere to put them, so it must raise instead of returning [].
+    ghost = Scenario(
+        name="ghost", kind="cluster", scheme="neu10", duration_s=0.0004,
+        churn=(ScenarioChurn(time_s=0.0, action="depart", name="ghost"),),
+        executor=ScenarioExecutor(
+            backend="serial", keep_going=True, retries=0
+        ),
+    )
+    report = sweep_scenario_report(ghost, param="seed", values=[1, 2])
+    assert [f.error_type for f in report.failures] == ["ConfigError"] * 2
+    with pytest.raises(ExecError):
+        sweep_scenario(ghost, param="seed", values=[1, 2])
+
+
+class _LenientExecutor(SerialExecutor):
+    """A third-party backend that reports failures but never raises."""
+
+    name = "lenient"
+
+    def map_tasks(self, fn, tasks, on_complete=None):
+        spec = dataclasses.replace(self.spec, keep_going=True)
+        return SerialExecutor(spec).map_tasks(fn, tasks, on_complete)
+
+
+def test_third_party_backend_failures_raise_exec_error(tiny):
+    EXECUTORS.add(
+        "lenient", ExecutorInfo("lenient", _LenientExecutor, "test only")
+    )
+    try:
+        with pytest.raises(ExecError, match="trace"):
+            sweep_scenario_report(
+                tiny, param="arrival", values=["poisson", "trace"],
+                executor="lenient",
+            )
+    finally:
+        EXECUTORS.remove("lenient")
 
 
 # ----------------------------------------------------------------------

@@ -363,15 +363,18 @@ def _run_result_dicts(results):
 def _assert_sweep_on_off_identical(monkeypatch, base, param, values):
     """The sweep and a plain ``run_scenario`` per point, each with the
     engine on and off (lanes stepped by ``Simulator.run()``), all agree
-    exactly."""
+    exactly once the sweep's executor stamp is checked and removed."""
     from repro.api import run_scenario, sweep_scenario, sweep_variants
 
     sides = []
     for flag in ("1", "0"):
         monkeypatch.setenv(MEGABATCH_ENV, flag)
-        sides.append(_run_result_dicts(sweep_scenario(
+        swept = _run_result_dicts(sweep_scenario(
             base, param=param, values=values, max_workers=1
-        )))
+        ))
+        for point in swept:
+            assert point["provenance"].pop("executor") == {"backend": "pool"}
+        sides.append(swept)
         sides.append(_run_result_dicts(
             run_scenario(v) for v in sweep_variants(base, param, values)
         ))

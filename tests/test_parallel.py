@@ -44,7 +44,7 @@ def _churn_metrics(max_workers):
         ChurnEvent(0.00075, "depart", "b"),
     ]
     cfg = ClusterTrafficConfig(
-        num_hosts=2, scheme="neu10", load=0.9, end_s=0.001, seed=17,
+        scheme="neu10", load=0.9, end_s=0.001, seed=17,
         executor=ExecSpec(max_workers=max_workers),
     )
     result = run_cluster_traffic(events, cfg)

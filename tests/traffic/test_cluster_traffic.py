@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.autoscale import HostPoolSpec
 from repro.errors import ConfigError
 from repro.traffic import (
     ChurnEvent,
@@ -15,6 +16,7 @@ from repro.traffic.cluster_sim import ClusterSimulation
 
 MNIST = TrafficTenantSpec(model="MNIST", batch=8)
 DLRM = TrafficTenantSpec(model="DLRM", batch=8)
+ONE_HOST = (HostPoolSpec("host", min_hosts=1, max_hosts=1),)
 
 
 def test_failed_boundary_leaves_the_simulation_intact():
@@ -31,7 +33,7 @@ def test_failed_boundary_leaves_the_simulation_intact():
         ChurnEvent(0.0005, "depart", "b"),
         ChurnEvent(0.0005, "arrive", "a", spec=MNIST),
     ]
-    cfg = ClusterTrafficConfig(num_hosts=2, load=0.5, end_s=0.001, seed=4)
+    cfg = ClusterTrafficConfig(load=0.5, end_s=0.001, seed=4)
     sim = ClusterSimulation(events, cfg)
     sim.step_segment()
     assert set(sim.residents) == {"a", "b"}
@@ -53,7 +55,7 @@ def _script(end_s: float):
 
 
 def test_churn_script_end_to_end():
-    cfg = ClusterTrafficConfig(num_hosts=2, load=0.5, end_s=0.001, seed=1)
+    cfg = ClusterTrafficConfig(load=0.5, end_s=0.001, seed=1)
     result = run_cluster_traffic(_script(cfg.end_s), cfg)
     assert result.segments == 2
     assert set(result.reports) <= {"mnist-a", "dlrm-a", "mnist-b"}
@@ -74,7 +76,7 @@ def test_departure_frees_capacity_for_later_arrival():
         ChurnEvent(0.0005, "depart", "a"),
         ChurnEvent(0.0005, "arrive", "b", spec=big, num_mes=4, num_ves=4),
     ]
-    cfg = ClusterTrafficConfig(num_hosts=1, load=0.5, end_s=0.001, seed=2)
+    cfg = ClusterTrafficConfig(pools=ONE_HOST, load=0.5, end_s=0.001, seed=2)
     result = run_cluster_traffic(events, cfg)
     assert result.admission_rate == 1.0
     assert "a" in result.reports and "b" in result.reports
@@ -85,7 +87,7 @@ def test_overcommit_is_rejected_and_recorded():
         ChurnEvent(0.0, "arrive", "a", spec=MNIST, num_mes=4, num_ves=4),
         ChurnEvent(0.0, "arrive", "b", spec=MNIST, num_mes=4, num_ves=4),
     ]
-    cfg = ClusterTrafficConfig(num_hosts=1, load=0.5, end_s=0.0005, seed=3)
+    cfg = ClusterTrafficConfig(pools=ONE_HOST, load=0.5, end_s=0.0005, seed=3)
     result = run_cluster_traffic(events, cfg)
     assert result.rejected == ["b"]
     assert result.admission_rate == pytest.approx(0.5)
@@ -102,7 +104,7 @@ def test_depart_of_rejected_tenant_is_a_noop():
         ChurnEvent(0.0004, "depart", "a"),
         ChurnEvent(0.0004, "arrive", "c", spec=MNIST, num_mes=4, num_ves=4),
     ]
-    cfg = ClusterTrafficConfig(num_hosts=1, load=0.5, end_s=0.0008, seed=6)
+    cfg = ClusterTrafficConfig(pools=ONE_HOST, load=0.5, end_s=0.0008, seed=6)
     result = run_cluster_traffic(events, cfg)
     assert result.rejected == ["b"]
     assert "a" in result.reports and "c" in result.reports
@@ -112,13 +114,13 @@ def test_host_utilization_capped_by_simulated_time():
     """One short burst early in a long otherwise-idle window must not be
     booked as busy for the whole window."""
     events = [ChurnEvent(0.0, "arrive", "a", spec=MNIST, num_mes=4, num_ves=4)]
-    cfg = ClusterTrafficConfig(num_hosts=1, load=0.01, end_s=0.002, seed=8)
+    cfg = ClusterTrafficConfig(pools=ONE_HOST, load=0.01, end_s=0.002, seed=8)
     result = run_cluster_traffic(events, cfg)
     assert 0.0 <= result.host_me_utilization["host0"] < 0.5
 
 
 def test_same_seed_reproduces_cluster_run():
-    cfg = ClusterTrafficConfig(num_hosts=2, load=0.5, end_s=0.001, seed=7)
+    cfg = ClusterTrafficConfig(load=0.5, end_s=0.001, seed=7)
     a = run_cluster_traffic(_script(cfg.end_s), cfg)
     b = run_cluster_traffic(_script(cfg.end_s), cfg)
     for name in a.reports:
@@ -139,9 +141,14 @@ def test_churn_script_validation():
         )
 
 
+def test_config_needs_a_host_pool():
+    with pytest.raises(ConfigError, match="at least one host pool"):
+        ClusterTrafficConfig(pools=())
+
+
 def test_slo_override_reaches_cluster_reports():
     strict = TrafficTenantSpec(model="MNIST", batch=8, slo=SloSpec(target_cycles=1.0))
     events = [ChurnEvent(0.0, "arrive", "strict", spec=strict)]
-    cfg = ClusterTrafficConfig(num_hosts=1, load=0.5, end_s=0.0005, seed=4)
+    cfg = ClusterTrafficConfig(pools=ONE_HOST, load=0.5, end_s=0.0005, seed=4)
     result = run_cluster_traffic(events, cfg)
     assert result.reports["strict"].attainment == 0.0

@@ -16,6 +16,7 @@ from repro.traffic import (
 from repro.traffic.cluster_sim import ClusterSimulation
 
 MNIST = TrafficTenantSpec(model="MNIST", batch=8)
+ONE_HOST = (HostPoolSpec("host", min_hosts=1, max_hosts=1),)
 
 
 def _wave(count: int, end_s: float, depart_first: bool = True):
@@ -49,7 +50,7 @@ def _result_key(result):
 # ----------------------------------------------------------------------
 def test_vf_exhaustion_rejects_and_reports():
     cfg = ClusterTrafficConfig(
-        num_hosts=2, load=0.5, end_s=0.001, seed=1,
+        load=0.5, end_s=0.001, seed=1,
         virtualization=VirtualizationSpec(num_vfs=2),
     )
     result = run_cluster_traffic(_wave(6, cfg.end_s), cfg)
@@ -75,7 +76,7 @@ def test_all_tenants_departing_returns_occupancy_to_zero():
         ChurnEvent(end_s / 2, "depart", f"t{i}") for i in range(4)
     ]
     cfg = ClusterTrafficConfig(
-        num_hosts=2, load=0.5, end_s=end_s, seed=1,
+        load=0.5, end_s=end_s, seed=1,
         virtualization=VirtualizationSpec(num_vfs=4),
     )
     result = run_cluster_traffic(events, cfg)
@@ -95,7 +96,7 @@ def test_retried_rejection_counts_every_attempt():
                    num_mes=1, num_ves=1),
     ]
     cfg = ClusterTrafficConfig(
-        num_hosts=1, load=0.5, end_s=end_s, seed=1,
+        pools=ONE_HOST, load=0.5, end_s=end_s, seed=1,
         virtualization=VirtualizationSpec(num_vfs=2),
     )
     result = run_cluster_traffic(events, cfg)
@@ -110,7 +111,7 @@ def test_retried_rejection_counts_every_attempt():
 
 def test_unknown_pool_override_rejected():
     cfg = ClusterTrafficConfig(
-        num_hosts=1, end_s=0.0005,
+        pools=ONE_HOST, end_s=0.0005,
         virtualization=VirtualizationSpec(pool_num_vfs={"nope": 2}),
     )
     with pytest.raises(ConfigError, match="unknown pool"):
@@ -139,7 +140,7 @@ def test_per_pool_vf_budgets():
 # Hypercall cost charging
 # ----------------------------------------------------------------------
 def test_hypercall_cost_charges_onboarding_delay():
-    base = dict(num_hosts=1, load=0.5, end_s=0.001, seed=1)
+    base = dict(pools=ONE_HOST, load=0.5, end_s=0.001, seed=1)
     events = _wave(2, 0.001, depart_first=False)
     free = run_cluster_traffic(
         events,
@@ -172,7 +173,7 @@ def test_hypercall_cost_charges_onboarding_delay():
 # ----------------------------------------------------------------------
 def _virt_cfg(**overrides):
     params = dict(
-        num_hosts=2, load=0.5, end_s=0.001, seed=1,
+        load=0.5, end_s=0.001, seed=1,
         virtualization=VirtualizationSpec(
             num_vfs=2, hypercall_cost_s=0.00005
         ),
@@ -204,7 +205,7 @@ def test_virtualized_run_identical_across_worker_counts(spawned_pools):
 
 def test_unvirtualized_run_is_deterministic_and_reports_nothing():
     events = _wave(4, 0.001)
-    cfg = ClusterTrafficConfig(num_hosts=2, load=0.5, end_s=0.001, seed=1)
+    cfg = ClusterTrafficConfig(load=0.5, end_s=0.001, seed=1)
     first = run_cluster_traffic(events, cfg)
     second = run_cluster_traffic(events, cfg)
     assert first.virtualization is None and second.virtualization is None
@@ -227,7 +228,9 @@ class _Recorder(Autoscaler):
 
 def test_segment_observations_carry_vf_and_hypercall_fields():
     cfg = ClusterTrafficConfig(
-        num_hosts=2, load=0.5, end_s=0.001, seed=1,
+        load=0.5, end_s=0.001, seed=1,
+        pools=(HostPoolSpec("host", min_hosts=1, max_hosts=4,
+                            initial_hosts=2),),
         autoscaler=_Recorder(),
         autoscale_interval_s=0.00025,
         virtualization=VirtualizationSpec(num_vfs=2),

@@ -8,6 +8,7 @@ import types
 
 import pytest
 
+from repro.cluster.autoscale import HostPoolSpec
 from repro.cluster.virt import (
     FAULT_KINDS,
     FaultSpec,
@@ -25,6 +26,7 @@ from repro.traffic import (
 
 MNIST = TrafficTenantSpec(model="MNIST", batch=4)
 NCF = TrafficTenantSpec(model="NCF", batch=4)
+ONE_HOST = (HostPoolSpec("host", min_hosts=1, max_hosts=1),)
 
 
 def _events(extra=()):
@@ -37,7 +39,7 @@ def _events(extra=()):
 
 def _cfg(faults=(), **overrides):
     params = dict(
-        num_hosts=2, load=0.6, end_s=0.002, seed=11,
+        load=0.6, end_s=0.002, seed=11,
         faults=tuple(faults),
     )
     params.update(overrides)
@@ -106,7 +108,7 @@ def test_host_crash_migrates_or_evicts_and_is_recorded():
 
 def test_host_crash_never_kills_last_host():
     result = run_cluster_traffic(_events(), _cfg(
-        num_hosts=1,
+        pools=ONE_HOST,
         faults=[FaultSpec(kind="host-crash", time_s=0.001)],
     ))
     events = [e for e in result.fault_events if e["kind"] == "host-crash"]
@@ -142,7 +144,7 @@ def test_hypercall_spike_stretches_onboarding():
 
 def test_vf_loss_shrinks_admission_capacity():
     cfg = _cfg(
-        num_hosts=1,
+        pools=ONE_HOST,
         virtualization=VirtualizationSpec(num_vfs=3),
         faults=[FaultSpec(kind="vf-loss", time_s=0.0005, count=2)],
     )

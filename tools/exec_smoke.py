@@ -5,10 +5,12 @@ The CI ``exec-smoke`` job's script.  It exercises the whole
 ``repro.exec`` story through the real CLI, as three subprocess runs:
 
 1. an uninterrupted ``repro sweep --executor serial`` (the reference);
-2. a ``--executor local-queue --checkpoint DIR`` run whose process
-   group is SIGKILLed as soon as the journal shows progress -- parent
-   and spawned workers die mid-flight, leaving a partial (possibly
-   torn) journal;
+2. a ``--executor local-queue --checkpoint DIR --progress`` run whose
+   process group is SIGKILLed the moment its second progress tick
+   reaches stderr -- parent and spawned workers die mid-flight, leaving
+   a partial (possibly torn) journal.  A tick is printed only after its
+   shard's journal line is written, so the kill always lands with at
+   least two shards journalled, however fast the shards finish;
 3. a ``--checkpoint DIR --resume`` run that replays the journal and
    finishes the sweep.
 
@@ -29,7 +31,7 @@ import signal
 import subprocess
 import sys
 import tempfile
-import time
+import threading
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -99,45 +101,60 @@ def main(argv=None) -> int:
         check=True, env=env, cwd=REPO, timeout=600,
     )
     reference = json.loads(ref_out.read_text(encoding="utf-8"))
+    if len(reference) != args.points:
+        print(f"FAIL: reference has {len(reference)} point(s), expected "
+              f"{args.points}", file=sys.stderr)
+        return 1
     print(f"reference: {len(reference)} point(s)")
 
-    # 2. Checkpointed local-queue run, killed mid-flight.
+    # 2. Checkpointed local-queue run, killed on its second tick.
     proc = subprocess.Popen(
         _sweep_cmd(scenario_file, values,
                    ["--executor", "local-queue", "--workers", "2",
-                    "--checkpoint", str(ck), "--json"]),
-        env=env, cwd=REPO, start_new_session=True,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                    "--checkpoint", str(ck), "--json", "--progress"]),
+        env=env, cwd=REPO, start_new_session=True, text=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
-    journal = ck / "journal.jsonl"
-    landed = 0
+
+    def _kill_group() -> None:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the sweep already exited
+
+    # A hung sweep would block the readline loop forever.
+    watchdog = threading.Timer(300.0, _kill_group)
+    watchdog.start()
+    killed = False
     try:
-        deadline = time.monotonic() + 300.0
-        while time.monotonic() < deadline:
-            if proc.poll() is not None:
+        for line in proc.stderr:
+            if "[2/" in line:
+                _kill_group()
+                killed = True
                 break
-            landed = _journal_results(journal)
-            if landed >= 2:
-                os.killpg(proc.pid, signal.SIGKILL)
-                print(f"SIGKILLed the sweep after {landed} shard(s)")
-                break
-            time.sleep(0.05)
         proc.wait(timeout=60)
     finally:
+        watchdog.cancel()
         if proc.poll() is None:
-            os.killpg(proc.pid, signal.SIGKILL)
+            _kill_group()
             proc.wait(timeout=60)
+        proc.stderr.close()
 
-    done = _journal_results(journal)
-    if done == 0:
-        print("FAIL: no shard reached the journal before the kill",
+    if not killed:
+        print(f"FAIL: the sweep exited {proc.returncode} without a second "
+              "progress tick", file=sys.stderr)
+        return 1
+    done = _journal_results(ck / "journal.jsonl")
+    print(f"SIGKILLed the sweep on its second tick; the journal holds "
+          f"{done}/{args.points} shard(s)")
+    if done < 2:
+        print("FAIL: the second tick came before its journal line",
               file=sys.stderr)
         return 1
-    if done >= args.points and proc.returncode == 0:
-        print("FAIL: sweep finished before the kill landed; "
-              "raise --points", file=sys.stderr)
+    if done >= args.points or proc.returncode != -signal.SIGKILL:
+        print(f"FAIL: sweep finished before the kill landed (exit "
+              f"{proc.returncode}); raise --points", file=sys.stderr)
         return 1
-    print(f"journal holds {done}/{args.points} shard(s) after the kill")
 
     # 3. Resume (different backend, same journal) and diff.
     resumed_out = work / "resumed.json"
