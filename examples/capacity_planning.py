@@ -59,9 +59,11 @@ def main() -> None:
     # -- 4. Pack vNPUs onto a 4-core board --------------------------------
     print("\nPacking allocator-sized vNPUs onto 4 physical cores:")
     mapper = VnpuMapper([core] * 4, mode=MappingMode.SPATIAL)
-    for model, profile in profiles.items():
+    for vnpu_id, (model, profile) in enumerate(profiles.items(), start=1):
         result = allocator.allocate(profile, 8)
-        vnpu = VnpuInstance(config=result.as_vnpu_config(), owner=model)
+        vnpu = VnpuInstance(
+            config=result.as_vnpu_config(), owner=model, vnpu_id=vnpu_id
+        )
         pnpu = mapper.map(vnpu)
         print(f"  {model:14s} ({result.num_mes},{result.num_ves}) "
               f"-> pNPU core {pnpu.core_index} "

@@ -62,16 +62,25 @@ def _require_yaml():
 
 
 def _from_mapping(cls, payload: Mapping[str, Any], what: str):
-    """Build dataclass ``cls`` from a mapping, rejecting unknown keys."""
+    """Build dataclass ``cls`` from a mapping, rejecting unknown keys and
+    naming missing required ones."""
     if not isinstance(payload, Mapping):
         raise ConfigError(f"{what} must be a mapping, got {type(payload).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
+    known = {f.name for f in fields}
     unknown = set(payload) - known
     if unknown:
         raise ConfigError(
             f"unknown {what} key(s) {sorted(unknown)}; "
             f"known: {sorted(known)}"
         )
+    missing = {
+        f.name for f in fields
+        if f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING  # type: ignore[misc]
+    } - set(payload)
+    if missing:
+        raise ConfigError(f"{what} missing required key(s) {sorted(missing)}")
     return cls(**payload)
 
 
@@ -826,7 +835,17 @@ class Scenario:
             raise ConfigError(
                 f"scenario must be a mapping, got {type(payload).__name__}"
             )
-        data = dict(payload)
+        try:
+            return cls._build(dict(payload))
+        except TypeError as exc:
+            # A value of the wrong type (``load: high``, ``tenants: 5``)
+            # fails deep inside construction; report it, not a traceback.
+            raise ConfigError(
+                f"scenario {payload.get('name')!r} is malformed: {exc}"
+            ) from exc
+
+    @classmethod
+    def _build(cls, data: Dict[str, Any]) -> "Scenario":
         tenants = tuple(
             _from_mapping(ScenarioTenant, t, "tenant")
             for t in data.pop("tenants", ())

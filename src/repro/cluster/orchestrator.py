@@ -8,7 +8,7 @@ host via the configured policy and drives that host's hypervisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.profiler import WorkloadProfile
@@ -21,12 +21,7 @@ from repro.cluster.virt import (
     REJECT_HYPERCALL,
     REJECT_VF_EXHAUSTED,
 )
-from repro.config import MonotonicIds
 from repro.errors import AllocationError, HypercallError
-
-#: Process-wide placement-request id source; checkpoint restore
-#: repositions it (see :class:`repro.config.MonotonicIds`).
-_request_ids = MonotonicIds(1)
 
 
 @dataclass
@@ -43,7 +38,9 @@ class PlacementRequest:
     #: placement and by the EU-budget path.
     m: Optional[float] = None
     v: Optional[float] = None
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    #: Stamped by :meth:`ClusterOrchestrator.submit`; ``None`` until the
+    #: request is submitted.
+    request_id: Optional[int] = None
 
     @staticmethod
     def from_profile(
@@ -84,7 +81,11 @@ class Placement:
 
 
 class ClusterOrchestrator:
-    """Places vNPU requests onto hosts."""
+    """Places vNPU requests onto hosts.
+
+    Request ids are the orchestrator's own, counting from 1: they key
+    its placement and rejection tables.
+    """
 
     def __init__(
         self,
@@ -103,6 +104,7 @@ class ClusterOrchestrator:
         #: request_id -> why admission turned it away (``REJECT_*`` in
         #: :mod:`repro.cluster.virt`).
         self.rejection_causes: Dict[int, str] = {}
+        self._next_request_id = 1
 
     # ------------------------------------------------------------------
     def _diagnose_rejection(self, request: PlacementRequest) -> str:
@@ -125,7 +127,13 @@ class ClusterOrchestrator:
         self.rejection_causes[request.request_id] = cause
 
     def submit(self, request: PlacementRequest) -> Optional[Placement]:
-        """Admit and place; returns None (and records) when rejected."""
+        """Admit and place; returns None (and records) when rejected.
+
+        Stamps the next request id on ``request`` first, so a placement
+        and a rejection cause are both keyed by it.
+        """
+        request.request_id = self._next_request_id
+        self._next_request_id += 1
         host = self.policy.choose(self.hosts, request)
         if host is None:
             self._record_rejection(request, self._diagnose_rejection(request))

@@ -51,39 +51,6 @@ def spawn_rng(seed: Union[int, None], *keys: object) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-class MonotonicIds:
-    """A repositionable ``itertools.count``: the process-wide id source
-    for placement requests, vNPUs and ring commands.
-
-    Checkpoint restore needs to continue an id stream exactly where a
-    snapshot left off (restored state holds ids issued before the
-    snapshot; a fresh process would otherwise re-issue them and collide
-    in dict-keyed bookkeeping), so unlike ``itertools.count`` the
-    position can be read (:meth:`peek`) and set (:meth:`jump_to`).
-    Repositioning assumes the restoring process owns the stream -- do
-    not jump a counter backward while other live simulations in the
-    same process still issue from it.
-    """
-
-    def __init__(self, start: int = 1) -> None:
-        self._next = start
-
-    def __iter__(self) -> "MonotonicIds":
-        return self
-
-    def __next__(self) -> int:
-        value = self._next
-        self._next += 1
-        return value
-
-    def peek(self) -> int:
-        """The id the next ``next()`` call will return."""
-        return self._next
-
-    def jump_to(self, value: int) -> None:
-        """Reposition so the next ``next()`` call returns ``value``."""
-        self._next = int(value)
-
 #: Bytes in one gigabyte (decimal, as used for HBM marketing capacities).
 GB = 10**9
 #: Bytes in one mebibyte / gibibyte (binary, used for SRAM and footprints).

@@ -21,7 +21,14 @@ from repro.errors import AllocationError
 
 
 class VnpuManager:
-    """Registry + policy engine for all vNPUs on one host."""
+    """Registry + policy engine for all vNPUs on one host.
+
+    The manager issues vNPU ids, counting from 1 per host: every table
+    keyed by a vNPU id (this registry, the mapper, the SR-IOV pool, the
+    IOMMU, :attr:`repro.cluster.host.Host.resident`) belongs to the same
+    host, and the counter is plain state that a checkpoint pickles with
+    the host.
+    """
 
     def __init__(
         self,
@@ -34,6 +41,7 @@ class VnpuManager:
         self.allocator = VnpuAllocator(cores[0])
         self.mapper = VnpuMapper(cores, mode=mode)
         self._instances: Dict[int, VnpuInstance] = {}
+        self._next_id = 1
 
     # ------------------------------------------------------------------
     # Lifecycle operations (the three hypercalls)
@@ -45,7 +53,11 @@ class VnpuManager:
         priority: float = 1.0,
     ) -> VnpuInstance:
         """Hypercall 1: create and map a new vNPU."""
-        vnpu = VnpuInstance(config=config, owner=owner, priority=priority)
+        vnpu = VnpuInstance(
+            config=config, owner=owner, priority=priority,
+            vnpu_id=self._next_id,
+        )
+        self._next_id += 1
         self.mapper.map(vnpu)
         self._instances[vnpu.vnpu_id] = vnpu
         return vnpu

@@ -20,12 +20,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.config import MonotonicIds, NpuCoreConfig
+from repro.config import NpuCoreConfig
 from repro.errors import ConfigError, LifecycleError
-
-#: Process-wide vNPU id source; checkpoint restore repositions it
-#: (see :class:`repro.config.MonotonicIds`).
-_vnpu_ids = MonotonicIds(1)
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,9 @@ class VnpuInstance:
     config: VnpuConfig
     owner: str = "tenant"
     priority: float = 1.0
-    vnpu_id: int = field(default_factory=lambda: next(_vnpu_ids))
+    #: Issued by the host's :class:`~repro.core.manager.VnpuManager`;
+    #: unique within that host, whose tables it keys.
+    vnpu_id: int = field(kw_only=True)
     state: VnpuState = VnpuState.REQUESTED
     #: Physical core index assigned by the mapper (single-core vNPUs).
     pnpu_core: Optional[int] = None

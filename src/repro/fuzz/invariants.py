@@ -462,8 +462,8 @@ def _finish_from_checkpoint(
     """Restore a cluster checkpoint and finish the run (child process).
 
     Module-level so the ``spawn`` context can import it by name; the
-    fresh interpreter proves no hidden process state (module-global
-    counters, RNG, caches) leaks into the checkpoint contract.
+    fresh interpreter proves no hidden process state (RNG, caches)
+    leaks into the checkpoint contract.
     """
     from repro.api.runner import _cluster_run_result, cluster_inputs
     from repro.traffic.cluster_sim import ClusterSimulation

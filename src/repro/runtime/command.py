@@ -12,15 +12,10 @@ indices; overflow and malformed commands raise
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.config import MonotonicIds
 from repro.errors import CommandRingError
-
-#: Process-wide command sequence-number source; checkpoint restore
-#: repositions it (see :class:`repro.config.MonotonicIds`).
-_seq = MonotonicIds(1)
 
 
 class CommandOpcode(enum.Enum):
@@ -40,7 +35,6 @@ class Command:
     size: int = 0
     #: Program handle for LAUNCH.
     program_id: int = 0
-    seq: int = field(default_factory=lambda: next(_seq))
     completed: bool = False
 
 
@@ -88,7 +82,9 @@ class CommandRing:
 
     def complete(self, command: Command) -> None:
         if command.completed:
-            raise CommandRingError(f"command {command.seq} completed twice")
+            raise CommandRingError(
+                f"{command.opcode.value} command completed twice"
+            )
         command.completed = True
 
     # ------------------------------------------------------------------

@@ -48,7 +48,6 @@ import pickle
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster import orchestrator as _orchestrator_module
 from repro.cluster.autoscale import (
     ACTION_ADD,
     ACTION_DRAIN,
@@ -75,7 +74,6 @@ from repro.cluster.virt import (
     remove_free_vfs,
 )
 from repro.config import DEFAULT_CORE, DEFAULT_SEED, NpuCoreConfig, spawn_rng
-from repro.core import vnpu as _vnpu_module
 from repro.errors import (
     CheckpointError,
     ConfigError,
@@ -83,7 +81,6 @@ from repro.errors import (
     ValidationError,
 )
 from repro.megabatch import run_simulators
-from repro.runtime import command as _command_module
 from repro.api.registries import SCHEDULERS, scheme_isa
 from repro.serving.server import make_scheduler
 from repro.sim.engine import Simulator, Tenant
@@ -707,8 +704,11 @@ class ClusterSimulation:
     with :meth:`restore`, so interrupted runs resume bit-identically.
     Per-(tenant, segment) RNG streams are derived from the seed and
     never persist across segments, so the checkpoint carries no RNG
-    state; the three process-wide id streams (placement requests,
-    vNPUs, ring commands) are repositioned on restore instead.
+    state.  Every id the run issues comes from a counter on the object
+    that owns the table it keys (placement requests from the
+    orchestrator, vNPUs from each host's manager), so the fleet carries
+    its own id state: one process may hold several live simulations and
+    restore any checkpoint among them.
 
     A live run can also be steered: :meth:`inject_churn` /
     :meth:`inject_fault` splice new events into the not-yet-simulated
@@ -764,22 +764,8 @@ class ClusterSimulation:
         self.interval = (
             cfg.autoscale_interval_s if cfg.autoscaler is not None else None
         )
-        #: Deterministic application order: time, departs before arrives.
-        ordered = sorted(
-            events, key=lambda e: (e.time_s, e.action != ACTION_DEPART)
-        )
-        #: Deterministic fault order: fire time, then kind, then target.
-        faults = sorted(
-            cfg.faults, key=lambda f: (f.time_s, f.kind, f.host or "", f.count)
-        )
-        self._install_script(ordered, faults)
-        for fault in self.storms + self.spikes:
-            if fault.time_s < cfg.end_s:
-                self.fault_events.append({
-                    "time_s": fault.time_s, "kind": fault.kind,
-                    "applied": True,
-                    "duration_s": fault.duration_s, "factor": fault.factor,
-                })
+        self._install_script(events, cfg.faults)
+        self._log_window_faults(self.faults)
 
         self.segments = 0
         self.simulated_cycles = 0.0
@@ -812,7 +798,7 @@ class ClusterSimulation:
         try:
             identity = replace(cfg, executor=None)
             self.config_digest: Optional[str] = hashlib.sha256(
-                pickle.dumps((ordered, identity), protocol=4)
+                pickle.dumps((self.churn, identity), protocol=4)
             ).hexdigest()
         except (AttributeError, TypeError, pickle.PicklingError):
             self.config_digest = None
@@ -843,9 +829,18 @@ class ClusterSimulation:
     def _install_script(
         self, churn: Sequence[ChurnEvent], faults: Sequence[FaultSpec]
     ) -> None:
-        """(Re)build the unified timeline from churn + fault scripts."""
-        self.churn = list(churn)
-        self.faults = list(faults)
+        """(Re)build the unified timeline from churn + fault scripts.
+
+        Both scripts are kept in their deterministic application order:
+        churn by time, departs before arrives; faults by fire time,
+        then kind, then target.
+        """
+        self.churn = sorted(
+            churn, key=lambda e: (e.time_s, e.action != ACTION_DEPART)
+        )
+        self.faults = sorted(
+            faults, key=lambda f: (f.time_s, f.kind, f.host or "", f.count)
+        )
         self.storms = [f for f in self.faults if f.kind == FAULT_BURST_STORM]
         self.spikes = [
             f for f in self.faults if f.kind == FAULT_HYPERCALL_SPIKE
@@ -887,25 +882,28 @@ class ClusterSimulation:
                 )
         old_churn, old_faults = self.churn, self.faults
         old_prefix = self.boundaries[: self._next + 1]
-        new_churn = sorted(
-            list(self.churn) + list(churn),
-            key=lambda e: (e.time_s, e.action != ACTION_DEPART),
+        self._install_script(
+            old_churn + list(churn), old_faults + list(faults)
         )
-        new_faults = sorted(
-            list(self.faults) + list(faults),
-            key=lambda f: (f.time_s, f.kind, f.host or "", f.count),
-        )
-        for event in churn:
-            self._validate_injected_churn(event, new_churn)
-        self._install_script(new_churn, new_faults)
-        if self.boundaries[: self._next + 1] != old_prefix:
-            # A new cut within float-epsilon of an already-consumed
-            # autoscale tick would rewrite history; refuse it.
+        try:
+            if self.boundaries[: self._next + 1] != old_prefix:
+                # A new cut within float-epsilon of an already-consumed
+                # autoscale tick would rewrite history; refuse it.
+                raise ValidationError(
+                    "time_s",
+                    [item.time_s for item in list(churn) + list(faults)],
+                    "injection would perturb already-simulated boundaries",
+                )
+            for event in churn:
+                self._validate_injected_churn(event)
+        except ValidationError:
             self._install_script(old_churn, old_faults)
-            raise ValidationError(
-                "time_s", [item.time_s for item in list(churn) + list(faults)],
-                "injection would perturb already-simulated boundaries",
-            )
+            raise
+        self._log_window_faults(faults)
+
+    def _log_window_faults(self, faults: Sequence[FaultSpec]) -> None:
+        """Audit the storm and spike windows among ``faults`` that open
+        before the horizon (point faults are audited as they fire)."""
         for fault in faults:
             if (
                 fault.kind in (FAULT_BURST_STORM, FAULT_HYPERCALL_SPIKE)
@@ -917,13 +915,12 @@ class ClusterSimulation:
                     "duration_s": fault.duration_s, "factor": fault.factor,
                 })
 
-    def _validate_injected_churn(
-        self, event: ChurnEvent, new_churn: Sequence[ChurnEvent]
-    ) -> None:
+    def _validate_injected_churn(self, event: ChurnEvent) -> None:
         """Refuse a churn injection that could blow up at its boundary.
 
         Projects the tenant's residency through the pending (not yet
-        simulated) part of the new script.  An arrival's admit/reject
+        simulated) part of the installed script, which already holds
+        ``event``.  An arrival's admit/reject
         outcome depends on future capacity and cannot be known here, so
         anything that *might* make :meth:`_apply_churn` raise is
         refused up front -- a live injection must never corrupt the run
@@ -936,7 +933,7 @@ class ClusterSimulation:
             state = "rejected"
         else:
             state = "absent"
-        for ev in new_churn:
+        for ev in self.churn:
             if ev is event:
                 break
             if ev.time_s < now or ev.name != event.name:
@@ -1420,12 +1417,12 @@ class ClusterSimulation:
         """Capture the complete between-segments state.
 
         One pickle over every mutable piece -- fleet (hosts,
-        hypervisors, orchestrator), residents, accumulated metrics, the
-        autoscaler's internal state, the live churn/fault scripts, and
-        the positions of the three process-wide id streams -- so
-        :meth:`restore` continues bit-identically, in this process or a
-        fresh one.  Per-(tenant, segment) RNG streams are derived from
-        the seed and need no state here.
+        hypervisors, orchestrator, and with them their id counters),
+        residents, accumulated metrics, the autoscaler's internal state,
+        the live churn/fault scripts -- so :meth:`restore` continues
+        bit-identically, in this process or a fresh one.
+        Per-(tenant, segment) RNG streams are derived from the seed and
+        need no state here.
         """
         if self.config_digest is None:
             raise CheckpointError(
@@ -1434,11 +1431,6 @@ class ClusterSimulation:
             )
         state: Dict[str, object] = {
             name: getattr(self, name) for name in _STATE_ATTRS
-        }
-        state["ids"] = {
-            "request": _orchestrator_module._request_ids.peek(),
-            "vnpu": _vnpu_module._vnpu_ids.peek(),
-            "command": _command_module._seq.peek(),
         }
         return ClusterCheckpoint.create(
             state, self.config_digest, self._next, self.time_s
@@ -1455,9 +1447,9 @@ class ClusterSimulation:
 
         ``events`` and ``cfg`` must be the same script and
         configuration the snapshot was taken under (enforced via the
-        config digest).  Repositions the process-wide id streams to the
-        snapshot's positions -- the restoring process must not have
-        other live simulations issuing from them.
+        config digest).  The ids the run issues live in the restored
+        fleet, so a restore never disturbs another live simulation in
+        the process.
         """
         sim = cls(events, cfg)
         if sim.config_digest is None:
@@ -1473,12 +1465,8 @@ class ClusterSimulation:
             )
         state = checkpoint.state()
         try:
-            ids = state["ids"]
             for name in _STATE_ATTRS:
                 setattr(sim, name, state[name])
-            request_pos = ids["request"]
-            vnpu_pos = ids["vnpu"]
-            command_pos = ids["command"]
         except (KeyError, TypeError) as exc:
             raise CheckpointError(
                 f"checkpoint state is incomplete: {exc}"
@@ -1497,13 +1485,6 @@ class ClusterSimulation:
                 f"boundary {sim.boundaries[index]} at segment {index}"
             )
         sim._next = index
-        # Continue the process-wide id streams exactly where the
-        # snapshot left off: restored bookkeeping holds earlier ids, and
-        # exact continuation keeps a resumed run's ids identical to an
-        # uninterrupted run's.
-        _orchestrator_module._request_ids.jump_to(request_pos)
-        _vnpu_module._vnpu_ids.jump_to(vnpu_pos)
-        _command_module._seq.jump_to(command_pos)
         return sim
 
 

@@ -62,7 +62,7 @@ EVENT_TICK = "autoscale-tick"
 #: Schema version of :class:`ClusterCheckpoint`.  Bump on any change to
 #: the payload layout; :meth:`ClusterCheckpoint.verify` refuses other
 #: versions rather than unpickling a layout it does not understand.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Pickle protocol pinned for checkpoint payloads so snapshots written
 #: by one interpreter restore under another (protocol 4 is available

@@ -9,6 +9,7 @@ from repro.api import (
     SweepSpec,
     load_scenario,
     load_scenarios,
+    parse_scenarios,
     save_scenario,
     sweep_variants,
 )
@@ -123,6 +124,59 @@ def test_unknown_tenant_key_is_rejected():
             "name": "x", "kind": "open_loop",
             "tenants": [{"model": "MNIST", "batchsize": 8}],
         })
+
+
+#: Scenario files that used to escape as a ``TypeError`` traceback,
+#: each with the message that now names what is wrong.
+MALFORMED = {
+    "churn-without-name": (
+        "name: c\nkind: cluster\nchurn:\n"
+        "  - {time_s: 0.0, action: arrive, model: MNIST}\n",
+        r"churn event missing required key\(s\) \['name'\]",
+    ),
+    "tenant-without-model": (
+        "name: t\nkind: open_loop\ntenants:\n  - {batch: 8}\n",
+        r"tenant missing required key\(s\) \['model'\]",
+    ),
+    "fault-without-kind": (
+        "name: f\nkind: cluster\nchurn:\n"
+        "  - {time_s: 0.0, action: arrive, name: a, model: MNIST}\n"
+        "faults:\n  - {time_s: 0.0005}\n",
+        r"fault missing required key\(s\) \['kind'\]",
+    ),
+    "load-not-a-number": (
+        "name: l\nkind: open_loop\nload: high\n"
+        "tenants:\n  - {model: MNIST}\n",
+        "scenario 'l' is malformed",
+    ),
+    "tenants-not-a-list": (
+        "name: n\nkind: open_loop\ntenants: 5\n",
+        "scenario 'n' is malformed",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, message", MALFORMED.values(), ids=MALFORMED.keys()
+)
+def test_malformed_scenario_is_a_config_error(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_scenarios(text)
+
+
+@pytest.mark.parametrize(
+    "text, message", MALFORMED.values(), ids=MALFORMED.keys()
+)
+def test_run_reports_a_malformed_scenario_without_a_traceback(
+    text, message, tmp_path, capsys
+):
+    from repro.cli import main as cli_main
+
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["run", str(path), "--json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_unknown_kind_lists_choices():

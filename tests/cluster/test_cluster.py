@@ -11,6 +11,7 @@ from repro.cluster import (
     PlacementRequest,
 )
 from repro.cluster.orchestrator import complementarity_score
+from repro.cluster.virt import REJECT_CAPACITY
 from repro.compiler.profiler import profile_graph
 from repro.config import NpuCoreConfig
 from repro.errors import AllocationError
@@ -117,6 +118,33 @@ def test_release_then_reuse():
     assert orch.submit(_req("b", 4, 4)) is not None
     with pytest.raises(AllocationError):
         orch.release(placement.request.request_id)
+
+
+def test_each_orchestrator_numbers_its_own_requests_from_one():
+    first = ClusterOrchestrator(_hosts(1), FirstFitPolicy())
+    second = ClusterOrchestrator(_hosts(1), FirstFitPolicy())
+    request = _req("a", 4, 4)
+    assert request.request_id is None  # stamped on submit
+    a = first.submit(request)
+    b = second.submit(_req("b", 4, 4))
+    rejected = _req("c", 4, 4)
+    assert first.submit(rejected) is None
+    assert [a.request.request_id, b.request.request_id] == [1, 1]
+    assert first.rejection_causes == {2: REJECT_CAPACITY}
+    assert rejected.request_id == 2
+
+
+def test_each_host_numbers_its_own_vnpus_from_one():
+    first, second = _hosts(2)
+    config = _req(mes=1, ves=1).as_vnpu_config()
+    ids = [
+        first.place(config, owner="a").vnpu_id,
+        second.place(config, owner="b").vnpu_id,
+        first.place(config, owner="c").vnpu_id,
+    ]
+    assert ids == [1, 1, 2]
+    assert sorted(first.resident) == [1, 2]
+    assert sorted(second.resident) == [1]
 
 
 def test_from_profile_uses_allocator():

@@ -47,7 +47,7 @@ def test_config_capped_by_physical():
 
 
 def test_lifecycle_transitions():
-    vnpu = VnpuInstance(config=_cfg())
+    vnpu = VnpuInstance(config=_cfg(), vnpu_id=1)
     assert vnpu.state is VnpuState.REQUESTED
     vnpu.transition(VnpuState.MAPPED)
     vnpu.transition(VnpuState.ACTIVE)
@@ -58,7 +58,7 @@ def test_lifecycle_transitions():
 
 
 def test_lifecycle_rejects_skips():
-    vnpu = VnpuInstance(config=_cfg())
+    vnpu = VnpuInstance(config=_cfg(), vnpu_id=1)
     with pytest.raises(LifecycleError):
         vnpu.transition(VnpuState.ACTIVE)  # must map first
 
@@ -68,32 +68,34 @@ def test_lifecycle_rejects_skips():
 # ----------------------------------------------------------------------
 def test_spatial_mapping_respects_capacity():
     mapper = VnpuMapper([CORE], mode=MappingMode.SPATIAL)
-    mapper.map(VnpuInstance(config=_cfg(mes=2, ves=2)))
-    mapper.map(VnpuInstance(config=_cfg(mes=2, ves=2)))
+    mapper.map(VnpuInstance(config=_cfg(mes=2, ves=2), vnpu_id=1))
+    mapper.map(VnpuInstance(config=_cfg(mes=2, ves=2), vnpu_id=2))
     with pytest.raises(MappingError):
-        mapper.map(VnpuInstance(config=_cfg(mes=1, ves=1)))
+        mapper.map(VnpuInstance(config=_cfg(mes=1, ves=1), vnpu_id=3))
 
 
 def test_temporal_mapping_allows_eu_oversubscription():
     mapper = VnpuMapper([CORE], mode=MappingMode.TEMPORAL)
-    for _ in range(3):
-        mapper.map(VnpuInstance(config=_cfg(mes=4, ves=4, hbm=4 * GiB)))
+    for vnpu_id in (1, 2, 3):
+        mapper.map(VnpuInstance(
+            config=_cfg(mes=4, ves=4, hbm=4 * GiB), vnpu_id=vnpu_id
+        ))
     # Memory is still partitioned.
     with pytest.raises(MappingError):
-        mapper.map(VnpuInstance(config=_cfg(hbm=CORE.hbm_bytes)))
+        mapper.map(VnpuInstance(config=_cfg(hbm=CORE.hbm_bytes), vnpu_id=4))
 
 
 def test_mapper_balances_load():
     mapper = VnpuMapper([CORE, CORE], mode=MappingMode.SPATIAL)
-    first = mapper.map(VnpuInstance(config=_cfg(mes=3, ves=3)))
-    second = mapper.map(VnpuInstance(config=_cfg(mes=1, ves=1)))
+    first = mapper.map(VnpuInstance(config=_cfg(mes=3, ves=3), vnpu_id=1))
+    second = mapper.map(VnpuInstance(config=_cfg(mes=1, ves=1), vnpu_id=2))
     assert first.core_index != second.core_index
 
 
 def test_segment_bases_are_disjoint():
     mapper = VnpuMapper([CORE], mode=MappingMode.SPATIAL)
-    a = VnpuInstance(config=_cfg(mes=2, ves=2, hbm=8 * GiB))
-    b = VnpuInstance(config=_cfg(mes=2, ves=2, hbm=8 * GiB))
+    a = VnpuInstance(config=_cfg(mes=2, ves=2, hbm=8 * GiB), vnpu_id=1)
+    b = VnpuInstance(config=_cfg(mes=2, ves=2, hbm=8 * GiB), vnpu_id=2)
     mapper.map(a)
     mapper.map(b)
     assert a.hbm_segment_base == 0
@@ -102,18 +104,18 @@ def test_segment_bases_are_disjoint():
 
 def test_unmap_releases_resources():
     mapper = VnpuMapper([CORE], mode=MappingMode.SPATIAL)
-    a = VnpuInstance(config=_cfg(mes=4, ves=4))
+    a = VnpuInstance(config=_cfg(mes=4, ves=4), vnpu_id=1)
     mapper.map(a)
     mapper.unmap(a)
     assert a.state is VnpuState.DESTROYED
-    b = VnpuInstance(config=_cfg(mes=4, ves=4))
+    b = VnpuInstance(config=_cfg(mes=4, ves=4), vnpu_id=2)
     assert mapper.map(b) is not None
 
 
 def test_unmap_unknown_rejected():
     mapper = VnpuMapper([CORE])
     with pytest.raises(MappingError):
-        mapper.unmap(VnpuInstance(config=_cfg()))
+        mapper.unmap(VnpuInstance(config=_cfg(), vnpu_id=1))
 
 
 # ----------------------------------------------------------------------

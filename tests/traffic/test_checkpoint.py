@@ -147,6 +147,57 @@ def test_restore_in_fresh_process_is_bit_identical(name):
 
 
 # ----------------------------------------------------------------------
+# Several live simulations in one process
+# ----------------------------------------------------------------------
+# Every id a run issues belongs to its own fleet, so neither a second
+# live run nor a restore can disturb another simulation's ids.  The
+# checks compare results with solo runs, never error text: ids issued
+# by a shared process-wide stream would depend on what ran before.
+def test_interleaved_simulations_each_match_their_solo_run():
+    churn = load_scenario(SHOWCASE, "cluster-churn-demo")
+    autoscale = load_scenario(SHOWCASE, "cluster-autoscale-demo")
+    churn_ref = _result_digest(run_cluster_traffic(*cluster_inputs(churn)))
+    autoscale_ref = _result_digest(
+        run_cluster_traffic(*cluster_inputs(autoscale))
+    )
+    first = ClusterSimulation(*cluster_inputs(churn))
+    first.step_segment()
+    checkpoint = first.snapshot()
+    second = ClusterSimulation(*cluster_inputs(autoscale))
+    second.step_segment()
+    restored = ClusterSimulation.restore(checkpoint, *cluster_inputs(churn))
+    assert _result_digest(second.run()) == autoscale_ref
+    assert _result_digest(restored.run()) == churn_ref
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        lambda: load_scenario(SHOWCASE, "cluster-autoscale-demo"),
+        lambda: _adversarial("crash_mid_segment"),
+    ],
+    ids=["cluster-autoscale-demo", "crash_mid_segment"],
+)
+def test_fork_and_donor_both_match_the_uninterrupted_run(load):
+    scenario = load()
+    reference = _result_digest(
+        run_cluster_traffic(*cluster_inputs(scenario))
+    )
+    donor = ClusterSimulation(*cluster_inputs(scenario))
+    checkpoint = donor.snapshot()
+    donor.step_segment()
+    fork = ClusterSimulation.restore(checkpoint, *cluster_inputs(scenario))
+    assert fork.segments_completed == 0
+    assert _result_digest(donor.run()) == reference
+    assert _result_digest(fork.run()) == reference
+
+
+def test_checkpoint_state_holds_no_id_block():
+    checkpoint = _mid_run_checkpoint(_adversarial("burst_storm"))
+    assert "ids" not in checkpoint.state()
+
+
+# ----------------------------------------------------------------------
 # Restore rejects the wrong inputs
 # ----------------------------------------------------------------------
 def _mid_run_checkpoint(scenario):
@@ -284,6 +335,30 @@ def test_resume_from_truncated_journal(tmp_path):
     # The first tick reports the resume point (no observation yet).
     assert ticks[0][2] is None and ticks[0][0] > 0
     assert ticks[-1][0] == ticks[-1][1]
+
+
+def test_cli_resume_refuses_a_journal_of_an_older_version(tmp_path, capsys):
+    import json
+
+    from repro.cli import main as cli_main
+
+    argv = [
+        "run", str(SHOWCASE), "--scenario", "cluster-autoscale-demo",
+        "--json", "--checkpoint", str(tmp_path / "ck"),
+    ]
+    assert cli_main(argv) == 0
+    journal = tmp_path / "ck" / "journal.jsonl"
+    entries = [json.loads(line) for line in journal.read_text().splitlines()]
+    for entry in entries:
+        entry["result"]["version"] = 1
+    journal.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    capsys.readouterr()
+    assert cli_main(argv + ["--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: checkpoint version 1 is not supported "
+        "(this build reads version 2)\n"
+    )
 
 
 def test_checkpoint_every_n_segments(tmp_path):

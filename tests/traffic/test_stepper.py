@@ -205,10 +205,14 @@ def test_checkpoint_verify_rejects_corrupt_payload():
 
 
 def test_checkpoint_rejects_unknown_version():
-    raw = _checkpoint().to_dict()
-    raw["version"] = 99
-    with pytest.raises(CheckpointError):
-        ClusterCheckpoint.from_dict(raw)
+    # Version 1 checkpoints predate the fleet-owned id counters.
+    for version in (1, 99):
+        raw = _checkpoint().to_dict()
+        raw["version"] = version
+        with pytest.raises(
+            CheckpointError, match=f"version {version} is not supported"
+        ):
+            ClusterCheckpoint.from_dict(raw)
 
 
 def test_checkpoint_rejects_missing_fields():
