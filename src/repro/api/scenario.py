@@ -29,6 +29,7 @@ scenario, a ``scenarios:`` list, or (YAML) a multi-document stream.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -572,7 +573,9 @@ class Scenario:
     Construction validates shape (positive durations, kind-appropriate
     blocks); :meth:`validate` additionally resolves every registry name
     (scheme, arrival kinds, models, figure, autoscaler policy) with
-    did-you-mean errors, which is what ``run_scenario`` calls first.
+    did-you-mean errors and rejects figure ``params`` the figure's
+    ``run_result`` does not accept, which is what ``run_scenario``
+    calls first.
     """
 
     name: str
@@ -710,7 +713,18 @@ class Scenario:
         if self.kind == "figure":
             from repro.api.figures import FIGURES
 
-            FIGURES.get(self.figure)
+            accepted = inspect.signature(
+                FIGURES.get(self.figure).run_result
+            ).parameters
+            takes_any = any(
+                p.kind is p.VAR_KEYWORD for p in accepted.values()
+            )
+            unknown = set(self.params) - set(accepted)
+            if unknown and not takes_any:
+                raise ConfigError(
+                    f"figure {self.figure!r} does not accept param(s) "
+                    f"{sorted(unknown, key=str)}; accepted: {sorted(accepted)}"
+                )
             return
         registries.SCHEDULERS.get(self.scheme)
         if self.kind in ("open_loop", "cluster", "llm"):

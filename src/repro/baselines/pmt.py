@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.sim.scheduler_base import Decision, ExecUnit, SchedulerBase, UnitState
+from repro.sim.scheduler_base import (
+    Decision,
+    ExecUnit,
+    SchedulerBase,
+    UnitState,
+    unit_state_fingerprint,
+)
 from repro.sim.sched_static import allocate_tenant_ve, sort_me_candidates
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,9 +40,25 @@ class PmtScheduler(SchedulerBase):
 
     # ------------------------------------------------------------------
     def state_fingerprint(self, sim: "Simulator"):
-        """Not memoisable: ownership rotates on a wall-clock quantum and
-        the next pick depends on accumulated service cycles."""
-        return None
+        """Unit fingerprint plus the current owner, or None on a switch.
+
+        An epoch that switches owner (no current owner, an idle one, or
+        an expired quantum with someone else waiting) reads the service
+        counters and moves ``_current`` and ``_quantum_end``, so it
+        decides fresh.  Every other epoch is a pure function of the unit
+        state and ``_current``; the quantum end only times the forced
+        re-decision, which :meth:`forced_decision_at` supplies.
+        """
+        candidates = [t for t in sim.tenants if self._has_work(t)]
+        if not candidates or self._must_switch(
+            sim, candidates, self._tenant_by_id(sim, self._current)
+        ):
+            return None
+        key, units = unit_state_fingerprint(sim)
+        return (key, self._current), units
+
+    def forced_decision_at(self, sim: "Simulator") -> float:
+        return self._quantum_end
 
     # ------------------------------------------------------------------
     def decide(self, sim: "Simulator") -> Decision:
@@ -46,12 +68,7 @@ class PmtScheduler(SchedulerBase):
             return decision
 
         current = self._tenant_by_id(sim, self._current)
-        switch = (
-            current is None
-            or not self._has_work(current)
-            or (sim.now >= self._quantum_end - 1e-9 and len(candidates) > 1)
-        )
-        if switch:
+        if self._must_switch(sim, candidates, current):
             nxt = self._pick_next(sim, candidates, current)
             if current is not None and nxt is not current:
                 self._preempt_tenant(decision, current, nxt.tenant_id)
@@ -75,13 +92,34 @@ class PmtScheduler(SchedulerBase):
             allocate_tenant_ve(current, granted, float(sim.core.num_ves))
         )
         if len(candidates) > 1:
-            decision.next_decision_at = self._quantum_end
+            decision.next_decision_at = self.forced_decision_at(sim)
         return decision
+
+    # ------------------------------------------------------------------
+    def _must_switch(
+        self,
+        sim: "Simulator",
+        candidates: List["Tenant"],
+        current: Optional["Tenant"],
+    ) -> bool:
+        """Whether this epoch hands the core to a new owner; the one
+        test :meth:`decide` and :meth:`state_fingerprint` share."""
+        return (
+            current is None
+            or not self._has_work(current)
+            or (sim.now >= self._quantum_end - 1e-9 and len(candidates) > 1)
+        )
 
     # ------------------------------------------------------------------
     @staticmethod
     def _has_work(tenant: "Tenant") -> bool:
-        return any(not u.done for u in tenant.active_units)
+        # Runs per tenant in every fingerprint and fresh decision, so it
+        # is a plain loop rather than any() over a generator.
+        done = UnitState.DONE
+        for u in tenant.active_units:
+            if u.state is not done:
+                return True
+        return False
 
     @staticmethod
     def _tenant_by_id(sim: "Simulator", tenant_id: Optional[int]) -> Optional["Tenant"]:

@@ -16,9 +16,16 @@ engine).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.sim.scheduler_base import Decision, ExecUnit, SchedulerBase, UnitKind, UnitState
+from repro.sim.scheduler_base import (
+    Decision,
+    ExecUnit,
+    SchedulerBase,
+    UnitKind,
+    UnitState,
+    unit_state_fingerprint,
+)
 from repro.sim.sched_static import allocate_tenant_ve
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,37 +57,36 @@ class V10Scheduler(SchedulerBase):
 
     # ------------------------------------------------------------------
     def state_fingerprint(self, sim: "Simulator"):
-        """Not memoisable: the preemption trigger compares accumulated
-        per-tenant service deficits, which change continuously."""
-        return None
+        """Unit fingerprint plus the outcome of the service comparisons.
+
+        The deficit trigger and the least-served pick are the only
+        inputs of :meth:`decide` beyond the unit state; the key carries
+        their discrete outcome, ``(unit key, beneficiary id or None,
+        picked unit's owner or None)``, as computed by
+        :meth:`_service_choices`.  The policy keeps no other mutable
+        state, so every epoch is memoisable.
+        """
+        key, units = unit_state_fingerprint(sim)
+        _running, beneficiary, picked = self._service_choices(sim)
+        return (
+            key,
+            beneficiary.tenant_id if beneficiary is not None else None,
+            picked.owner if picked is not None else None,
+        ), units
+
+    def forced_decision_at(self, sim: "Simulator") -> float:
+        return sim.now + self.check_period
 
     # ------------------------------------------------------------------
     def decide(self, sim: "Simulator") -> Decision:
         decision = Decision()
-        running_me = self._running_me_unit(sim)
-        waiting = self._waiting_me_tenants(sim, running_me)
-
-        if running_me is not None and waiting:
-            owner_served = sim.stats.me_busy_per_tenant.get(running_me.owner, 0.0)
-            worst = min(
-                sim.stats.me_busy_per_tenant.get(t.tenant_id, 0.0)
-                / max(t.priority, 1e-9)
-                for t in waiting
-            )
-            if owner_served / max(self._priority_of(sim, running_me.owner), 1e-9) - worst > self.preempt_threshold:
-                decision.preempt.append(running_me)
-                beneficiary = min(
-                    waiting,
-                    key=lambda t: sim.stats.me_busy_per_tenant.get(t.tenant_id, 0.0),
-                )
-                decision.reclaim_owners[running_me] = beneficiary.tenant_id
-                running_me = None
-
-        penalty = sum(max(1, u.granted_me) for u in decision.preempt)
-        capacity = sim.available_mes - penalty
-
+        running_me, beneficiary, picked = self._service_choices(sim)
+        if beneficiary is not None:
+            decision.preempt.append(running_me)
+            decision.reclaim_owners[running_me] = beneficiary.tenant_id
+            running_me = None
         if running_me is None:
-            running_me = self._pick_me_unit(sim, capacity, decision.preempt)
+            running_me = picked
         if running_me is not None:
             # The VLIW ISA couples the whole ME array: the operator holds
             # its compiled engine block and nothing else may use MEs.
@@ -90,8 +96,40 @@ class V10Scheduler(SchedulerBase):
 
         contended = bool(self._waiting_me_tenants(sim, running_me))
         if contended:
-            decision.next_decision_at = sim.now + self.check_period
+            decision.next_decision_at = self.forced_decision_at(sim)
         return decision
+
+    def _service_choices(
+        self, sim: "Simulator"
+    ) -> Tuple[Optional[ExecUnit], Optional["Tenant"], Optional[ExecUnit]]:
+        """The choices :meth:`decide` takes from accumulated service.
+
+        Returns ``(running, beneficiary, picked)``: the ME operator
+        running before this decision; the waiting tenant a deficit
+        preemption of it benefits, or None when the trigger does not
+        fire; and the least-served tenant's operator picked when no ME
+        operator runs after the trigger, or None.
+        """
+        running_me = self._running_me_unit(sim)
+        waiting = self._waiting_me_tenants(sim, running_me)
+        served = sim.stats.me_busy_per_tenant
+        beneficiary = None
+        if running_me is not None and waiting:
+            owner_served = served.get(running_me.owner, 0.0)
+            worst = min(
+                served.get(t.tenant_id, 0.0) / max(t.priority, 1e-9)
+                for t in waiting
+            )
+            if owner_served / max(self._priority_of(sim, running_me.owner), 1e-9) - worst > self.preempt_threshold:
+                beneficiary = min(
+                    waiting, key=lambda t: served.get(t.tenant_id, 0.0)
+                )
+        if running_me is not None and beneficiary is None:
+            return running_me, None, None
+        preempt = [running_me] if beneficiary is not None else []
+        penalty = sum(max(1, u.granted_me) for u in preempt)
+        picked = self._pick_me_unit(sim, sim.available_mes - penalty, preempt)
+        return running_me, beneficiary, picked
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -112,15 +150,18 @@ class V10Scheduler(SchedulerBase):
     def _waiting_me_tenants(
         self, sim: "Simulator", running_me: Optional[ExecUnit]
     ) -> List["Tenant"]:
+        # Runs in every fingerprint and twice per fresh decision, so it
+        # is a plain loop rather than any() over a generator.  Not done
+        # and not running means READY.
+        ready = UnitState.READY
         out = []
         for tenant in sim.tenants:
             if running_me is not None and tenant.tenant_id == running_me.owner:
                 continue
-            if any(
-                u.is_me_unit and not u.done and u.state is not UnitState.RUNNING
-                for u in tenant.active_units
-            ):
-                out.append(tenant)
+            for u in tenant.active_units:
+                if u.is_me_unit and u.state is ready:
+                    out.append(tenant)
+                    break
         return out
 
     def _pick_me_unit(

@@ -120,9 +120,12 @@ def run_pair_cached(
     return run
 
 
-def _run_pair_jobs(jobs: Sequence[Tuple]) -> List[PairRun]:
-    """Picklable worker for a chunk of collocation pairs (all schemes)."""
-    return [run_pair(*job) for job in jobs]
+def _run_scheme_jobs(jobs: Sequence[Tuple]) -> List[PairMetrics]:
+    """Picklable worker for a chunk of (w1, w2, scheme, target) runs."""
+    return [
+        run_pair(w1, w2, (scheme,), target).results[scheme]
+        for w1, w2, scheme, target in jobs
+    ]
 
 
 def run_all_pairs(
@@ -132,11 +135,14 @@ def run_all_pairs(
 ) -> List[PairRun]:
     """All collocation pairs, fanned out over a process pool.
 
-    Each pair is an independent closed-loop simulation, so uncached
-    pairs are dispatched one per task through
-    :func:`repro.exec.map_chunks` (results identical for any worker
-    count) and fed back into the shared pair cache that Figs. 19-23 and
-    Table III draw from.
+    Every (pair, scheme) run is an independent closed-loop simulation,
+    so the uncached pairs go out as one task per (pair, scheme) through
+    :func:`repro.exec.map_chunks`, pair-major in the given pair order
+    (results identical for any worker count).  Per-scheme tasks keep the
+    slowest pair from holding one worker for all of its schemes.  The
+    parent assembles each :class:`PairRun`, with ``results`` in
+    ``schemes`` order, and feeds it into the shared pair cache that
+    Figs. 19-23 and Table III draw from.
     """
     from repro.exec import map_chunks
 
@@ -149,12 +155,19 @@ def run_all_pairs(
         not in _pair_cache
     ]
     if missing:
-        fresh = map_chunks(
-            _run_pair_jobs,
-            [(w1, w2, key_schemes, target_requests) for w1, w2 in missing],
+        fresh = iter(map_chunks(
+            _run_scheme_jobs,
+            [
+                (w1, w2, scheme, target_requests)
+                for w1, w2 in missing
+                for scheme in key_schemes
+            ],
             size=1,
-        )
-        for (w1, w2), run in zip(missing, fresh):
+        ))
+        for w1, w2 in missing:
+            run = PairRun(w1=w1, w2=w2)
+            for scheme in key_schemes:
+                run.results[scheme] = next(fresh)
             key = _pair_cache_key(
                 w1, w2, key_schemes, target_requests, DEFAULT_CORE
             )

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ConfigError
 from repro.experiments import expected
 from repro.experiments.common import (
     DEFAULT_TARGET_REQUESTS,
@@ -27,6 +28,10 @@ from repro.experiments.common import (
     run_all_pairs,
 )
 from repro.serving.server import ALL_SCHEMES
+
+#: Schemes the headline aggregates read: latency and throughput are
+#: normalised to PMT, and Neu10 is compared with V10 and PMT.
+BASELINE_SCHEMES = ("pmt", "v10", "neu10")
 
 
 @dataclass
@@ -208,6 +213,56 @@ def main() -> None:
     )
 
 
+def _checked_params(target_requests, pairs, schemes):
+    """``(pairs, schemes)`` normalised, or a ConfigError naming the bad
+    input.  Runs in the parent, before any fan-out, so a bad scenario
+    file fails once with one message instead of in every worker task."""
+    from repro.api.registries import SCHEDULERS
+    from repro.workloads.catalog import model_info
+
+    if (
+        isinstance(target_requests, bool)
+        or not isinstance(target_requests, int)
+        or target_requests < 1
+    ):
+        raise ConfigError(
+            f"fig19: target_requests must be a positive int, "
+            f"got {target_requests!r}"
+        )
+    if schemes is None:
+        schemes = ALL_SCHEMES
+    if not isinstance(schemes, (list, tuple)) or not all(
+        isinstance(s, str) for s in schemes
+    ):
+        raise ConfigError(
+            f"fig19: schemes must be a list of scheme names, got {schemes!r}"
+        )
+    for scheme in schemes:
+        SCHEDULERS.get(scheme)
+    missing = [s for s in BASELINE_SCHEMES if s not in schemes]
+    if missing:
+        raise ConfigError(
+            f"fig19: schemes must include {list(BASELINE_SCHEMES)}, the "
+            f"figure's baselines; missing {missing}"
+        )
+    if pairs is None:
+        return None, tuple(schemes)
+    if not isinstance(pairs, (list, tuple)) or not all(
+        isinstance(p, (list, tuple))
+        and len(p) == 2
+        and all(isinstance(m, str) for m in p)
+        for p in pairs
+    ):
+        raise ConfigError(
+            f"fig19: pairs must be a list of [model, model] pairs, "
+            f"got {pairs!r}"
+        )
+    for pair in pairs:
+        for model in pair:
+            model_info(model)
+    return [tuple(p) for p in pairs], tuple(schemes)
+
+
 def run_result(
     target_requests: int = DEFAULT_TARGET_REQUESTS,
     pairs=None,
@@ -216,8 +271,7 @@ def run_result(
     """Structured Figs. 19-22 metrics (see :mod:`repro.api`)."""
     from repro.api.result import figure_result
 
-    pairs = [tuple(p) for p in pairs] if pairs is not None else None
-    schemes = tuple(schemes) if schemes is not None else ALL_SCHEMES
+    pairs, schemes = _checked_params(target_requests, pairs, schemes)
     comparison = run(target_requests, pairs, schemes)
     per_pair = {}
     for pair_run in comparison.runs:

@@ -171,13 +171,21 @@ class _ChainNode:
     def build(
         cls, scope: _ChainScope, plan_key: Tuple, cursors: Tuple
     ) -> Optional["_ChainNode"]:
+        """The node for a memoised plan, or None when the plan is outside
+        the chain representation.
+
+        Forced entries (plans that set ``next_decision_at``) are refused:
+        their re-decision time comes from the scheduler's policy state
+        at the moment of replay, and an array-mode lane never consults
+        the scheduler.
+        """
         if plan_key[0] is not None:
             return None  # reclaim counts in the key: outside the chain
         entry = scope.memo.get(plan_key)
-        if entry is None or entry[0]:
-            return None  # evicted, or a preempting plan
+        if entry is None or entry[0] or entry[10]:
+            return None  # evicted, a preempting plan, or a forced one
         (_pre, dense, enc_rates, enc_ve_exec, _hbm, blocked,
-         me_busy, ve_busy, _ma, _va) = entry
+         me_busy, ve_busy, _ma, _va, _forced) = entry
 
         node = cls()
         node.scope = scope
@@ -523,9 +531,16 @@ class _Lane:
 
 def _chain_scope(sim: Simulator) -> Optional[_ChainScope]:
     """The chain scope ``sim`` binds its nodes in, or None when it can
-    never bind to a chain node: the fast path is off, the scheduler has
-    no memo context (pmt, v10, neu10-temporal), or the run records ops,
-    assignments or bandwidth, which the chain path does not track."""
+    never bind to a chain node: the fast path is off, the run records
+    ops, assignments or bandwidth, which the chain path does not track,
+    or the scheduler has no memo context.
+
+    PMT and V10 have no memo context.  Their memo keys carry a policy
+    token that only the run's own scheduler can compute, and most of
+    their plans force a re-decision whose time comes from that
+    scheduler, which :meth:`_ChainNode.build` refuses; so their lanes
+    run through ``Simulator.run()``, memo and all.  Neu10-temporal
+    does not fingerprint at all."""
     stats = sim.stats
     if (
         sim.fast_path

@@ -505,9 +505,12 @@ def _encode_plan(
     is snapshot densely so a replay applies it in one fused pass.  The
     blocked set and the rate dicts are keyed by tenant id, so an entry
     holds no per-simulation object references and memos can be shared
-    across simulators.  The entry is the 10-tuple ``(preempt effects,
+    across simulators.  The entry is the 11-tuple ``(preempt effects,
     dense state, ME rates, VE rates, HBM rate, blocked tenant ids,
-    me_busy, ve_busy, me_assigned, ve_assigned)``.
+    me_busy, ve_busy, me_assigned, ve_assigned, forced)``.  ``forced``
+    records whether the plan forced a re-decision; its time is not
+    stored, because it belongs to the policy state of the moment (a
+    replay asks :meth:`SchedulerBase.forced_decision_at` for it).
     """
     index = {u: i for i, u in enumerate(units)}
     return (
@@ -524,6 +527,7 @@ def _encode_plan(
         plan.ve_busy,
         plan.me_assigned,
         plan.ve_assigned,
+        plan.next_at is not None,
     )
 
 
@@ -639,6 +643,8 @@ class Simulator:
         # (same policy knobs, core, tenant layout) so repeated windows,
         # sweep points, and cluster segments start with a warm memo;
         # entries are positional and hold no per-simulation references.
+        # A scheduler without a memo context (PMT and V10, whose keys
+        # carry a policy token) gets a memo private to this run.
         memo_ctx = self.scheduler.memo_context() if self.fast_path else None
         if memo_ctx is not None:
             # The concrete class is part of the key: a subclass that
@@ -758,10 +764,10 @@ class Simulator:
 
         if not dirty and self._reusable:
             # Steady-state epoch fusion: no discrete event happened since
-            # the previous epoch and the scheduler is state-free, so the
-            # previous decision, grants, progress rates, and accounting
-            # sets hold verbatim -- fast-forward straight to the next
-            # event.
+            # the previous epoch, which the scheduler fingerprinted and
+            # which forced no re-decision, so the previous decision,
+            # grants, progress rates, and accounting sets hold verbatim
+            # -- fast-forward straight to the next event.
             return self._prev_plan, False
         return self._plan_epoch()
 
@@ -795,8 +801,13 @@ class Simulator:
         seen before, replay the stored plan without re-running the
         scheduler or the HBM waterfill; (2) full plan -- run the
         scheduler, validate, compute rates, and memoise when the
-        scheduler is state-free; (3) reference path (fast_path off) --
-        identical to (2) minus every cache.
+        scheduler fingerprinted the epoch; (3) reference path
+        (fast_path off) -- identical to (2) minus every cache.
+
+        A plan that forces a re-decision is memoised only when the
+        scheduler's ``forced_decision_at`` returns exactly the plan's
+        time, so a scheduler without that hook never has such a plan
+        replayed.
         """
         fp = self.scheduler.state_fingerprint(self) if self.fast_path else None
         self._fp_capable = fp is not None
@@ -846,7 +857,10 @@ class Simulator:
             rates, ve_exec_rates, hbm_rate, next_at, self._compute_blocked(),
             me_busy, ve_busy, me_assigned, ve_assigned,
         )
-        if fp is not None and next_at is None:
+        if fp is not None and (
+            next_at is None
+            or next_at == self.scheduler.forced_decision_at(self)
+        ):
             if len(self._decision_memo) >= _MEMO_LIMIT:
                 self._decision_memo.clear()
             self._decision_memo[fp[0]] = _encode_plan(
@@ -863,7 +877,7 @@ class Simulator:
         guarantees the state is structurally identical, so validation and
         the continuity check are skipped."""
         (enc_pre, dense, enc_rates, enc_ve_exec, hbm_rate, blocked,
-         me_busy, ve_busy, me_assigned, ve_assigned) = entry
+         me_busy, ve_busy, me_assigned, ve_assigned, forced) = entry
         if enc_pre:
             stats = self.stats
             penalty = self.core.me_preemption_cycles
@@ -890,8 +904,9 @@ class Simulator:
             unit.state = d[3]
         rates = [(units[i], r) for i, r in enc_rates]
         ve_exec_rates = [(units[i], r) for i, r in enc_ve_exec]
+        next_at = self.scheduler.forced_decision_at(self) if forced else None
         plan = _EpochPlan(
-            rates, ve_exec_rates, hbm_rate, None, blocked,
+            rates, ve_exec_rates, hbm_rate, next_at, blocked,
             me_busy, ve_busy, me_assigned, ve_assigned,
         )
         return plan, bool(enc_pre)

@@ -94,10 +94,6 @@ class ExecUnit:
     def done(self) -> bool:
         return self.state is UnitState.DONE
 
-    def granted_me_or(self, default: int) -> int:
-        """Current engine grant, or ``default`` before any grant."""
-        return self.granted_me if self.granted_me > 0 else default
-
     @classmethod
     def from_template(
         cls,
@@ -257,31 +253,55 @@ class SchedulerBase:
     ) -> Optional[Tuple[Hashable, List[ExecUnit]]]:
         """Cheap signature of every input :meth:`decide` reads, or None.
 
-        Schedulers whose decision is a pure function of the current unit
-        and reclaim state (no wall-clock, no accumulated service
-        counters) return ``(key, units)`` where ``key`` hashes the state
-        and ``units`` lists every active unit in fingerprint order.  The
-        engine's fast path uses the key to memoise decisions (and the
-        epoch's progress rates) across structurally identical epochs --
-        closed-loop tenants replay the same graph per request, so the
-        same states recur thousands of times.  Returning ``None`` (the
-        default) forces a fresh :meth:`decide` call every epoch, which is
-        required for time- or history-dependent policies (PMT, V10,
-        Neu10-temporal) and for any custom scheduler that does not opt
-        in.
+        A scheduler that opts in returns ``(key, units)``: ``key``
+        hashes everything the next decision depends on and ``units``
+        lists every active unit in fingerprint order.  The engine's fast
+        path uses the key to memoise decisions (and the epoch's progress
+        rates) across structurally identical epochs -- closed-loop
+        tenants replay the same graph per request, so the same states
+        recur thousands of times.
+
+        - State-free policies (Neu10, Neu10-NH) return
+          :func:`unit_state_fingerprint` as is.
+        - History-dependent policies (PMT, V10) append a small *policy
+          token*: the discrete outcome of the service counters and
+          policy state :meth:`decide` reads, such as the current owner
+          or the tenant a preemption benefits.  Epochs in which
+          :meth:`decide` would mutate policy state return ``None``.
+
+        Returning ``None`` (the default) forces a fresh :meth:`decide`
+        call every epoch, as Neu10-temporal and any custom scheduler
+        that does not opt in do.
         """
         return None
 
     def memo_context(self) -> Optional[Hashable]:
         """Policy identity for sharing decision memos across simulators.
 
-        Schedulers that support :meth:`state_fingerprint` return a
-        hashable describing every constructor knob that influences
-        decisions; the engine combines it with the core configuration
-        and tenant allocations to share one plan memo across all
-        structurally identical simulations in the process (repeated
-        measurement windows, sweep points, cluster segments).  ``None``
-        (the default) keeps the memo private to each Simulator.
+        Schedulers whose :meth:`state_fingerprint` reads only unit,
+        reclaim and allocation state return a hashable describing every
+        constructor knob that influences decisions; the engine combines
+        it with the core configuration and tenant allocations to share
+        one plan memo across all structurally identical simulations in
+        the process (repeated measurement windows, sweep points, cluster
+        segments).  ``None`` (the default) keeps the memo private to
+        each Simulator, which a policy token requires: the token is only
+        meaningful against the policy state of the run that made it, and
+        the memo is freed with its run.
+        """
+        return None
+
+    def forced_decision_at(self, sim: "Simulator") -> Optional[float]:
+        """When a plan that forces a re-decision asks to be re-planned.
+
+        A scheduler that sets ``Decision.next_decision_at`` and also
+        fingerprints returns that time here, computed from its current
+        policy state (PMT: the quantum end; V10: one check period from
+        now), and its :meth:`decide` sets the field from this hook so
+        the time has one source.  The engine memoises such a plan only
+        when this returns exactly the plan's time, and on a replay takes
+        the time from here.  ``None`` (the default) keeps every plan
+        that forces a re-decision out of the memo.
         """
         return None
 
@@ -293,45 +313,3 @@ class SchedulerBase:
             for u in tenant.active_units
             if u.is_me_unit and u.state is not UnitState.DONE
         ]
-
-    @staticmethod
-    def ready_ve_units(tenant: "Tenant") -> List[ExecUnit]:
-        return [
-            u
-            for u in tenant.active_units
-            if not u.is_me_unit and u.state is not UnitState.DONE
-        ]
-
-    @staticmethod
-    def embedded_ve_demand(unit: ExecUnit) -> float:
-        """VE engines needed to keep an ME unit's embedded stream at full
-        pace (ve_rate is per granted engine for VLIW blocks)."""
-        if unit.kind is UnitKind.VLIW_ME:
-            return unit.ve_rate
-        return unit.ve_rate
-
-    @staticmethod
-    def allocate_ve(
-        me_units: List[ExecUnit],
-        ve_units: List[ExecUnit],
-        capacity: float,
-    ) -> Dict[ExecUnit, float]:
-        """Standard VE split: embedded streams of running ME units first
-        (paper SectionIII-E: "the scheduler prioritizes those from ME
-        uTOps, which allows the occupied MEs to be freed as soon as
-        possible"), then VE units up to their parallelism."""
-        alloc: Dict[ExecUnit, float] = {}
-        remaining = capacity
-        for unit in me_units:
-            want = min(remaining, unit.ve_rate * max(1, unit.me_engines_needed))
-            if want > 0:
-                alloc[unit] = want
-                remaining -= want
-        for unit in ve_units:
-            if remaining <= 1e-12:
-                break
-            want = min(remaining, float(unit.parallelism))
-            if want > 0:
-                alloc[unit] = want
-                remaining -= want
-        return alloc

@@ -74,6 +74,41 @@ def test_run_missing_file_returns_one(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("figure, params, message", [
+    ("fig19", {"bogus": 1}, "does not accept param"),
+    ("fig06", {"bogus": 1}, "does not accept param"),
+    ("fig19", {"schemes": ["pmt", "neu10"]}, "must include"),
+    ("fig19", {"schemes": "pmt"}, "list of scheme names"),
+    ("fig19", {"schemes": ["pmt", "v10", "neu10", "nope"]},
+     "unknown scheduler scheme"),
+    ("fig19", {"pairs": [["NCF"]]}, "pairs"),
+    ("fig19", {"pairs": "NCF"}, "pairs"),
+    ("fig19", {"pairs": [["NCF", "Nope"]]}, "unknown model"),
+    ("fig19", {"target_requests": "abc"}, "positive int"),
+    ("fig19", {"target_requests": 0}, "positive int"),
+])
+def test_run_rejects_bad_figure_params(
+    figure, params, message, tmp_path, capsys
+):
+    """Bad figure params fail in the parent with one ConfigError line,
+    before any simulation or worker task."""
+    from repro.api import Scenario, run_scenario
+    from repro.errors import ConfigError
+
+    scenario = {"name": "bad", "kind": "figure", "figure": figure,
+                "params": params}
+    with pytest.raises(ConfigError, match=message):
+        run_scenario(Scenario.from_dict(scenario))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert cli_main(["run", str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
 def test_run_output_file(tiny_file, tmp_path, capsys):
     out_path = tmp_path / "result.json"
     assert cli_main(["run", tiny_file, "--json",

@@ -21,6 +21,7 @@ from repro.serving.server import (
     make_scheduler,
 )
 from repro.sim.engine import FAST_PATH_ENV, Simulator, Tenant
+from repro.sim.sched_static import StaticPartitionScheduler
 from repro.traffic import OpenLoopConfig, TrafficTenantSpec, run_open_loop
 from repro.traffic.arrivals import PoissonProcess
 from repro.workloads.traces import build_trace
@@ -215,3 +216,53 @@ def test_reference_path_stays_cold():
     sim.run()
     assert len(sim._decision_memo) == 0
     assert sim._factor_cache.hits == 0 and sim._factor_cache.misses == 0
+
+
+@pytest.mark.parametrize("scheme", ["pmt", "v10"])
+def test_history_dependent_schemes_fill_a_private_memo(scheme):
+    """PMT and V10 memoise under a policy token, in a memo private to
+    each run: a second simulation of the same layout starts cold."""
+    first = Simulator(CORE, make_scheduler(scheme),
+                      _closed_loop_tenants(scheme))
+    first.run()
+    assert len(first._decision_memo) > 0
+    second = Simulator(CORE, make_scheduler(scheme),
+                       _closed_loop_tenants(scheme))
+    assert len(second._decision_memo) == 0
+
+
+class _ForcingStatic(StaticPartitionScheduler):
+    """Fingerprints like Neu10-NH and forces a re-decision whenever the
+    first tenant has ME work left, but keeps the base class's
+    forced_decision_at (None)."""
+
+    def memo_context(self):
+        return None
+
+    def decide(self, sim):
+        decision = super().decide(sim)
+        if any(u.is_me_unit and not u.done
+               for u in sim.tenants[0].active_units):
+            decision.next_decision_at = sim.now + 30_000.0
+        return decision
+
+
+class _MismatchedHook(_ForcingStatic):
+    """A hook whose time disagrees with the decision's."""
+
+    def forced_decision_at(self, sim):
+        return sim.now + 1.0
+
+
+@pytest.mark.parametrize("scheduler_cls", [_ForcingStatic, _MismatchedHook])
+def test_forced_plans_without_a_matching_hook_are_not_memoised(scheduler_cls):
+    runs = {}
+    for fast in (True, False):
+        sim = Simulator(CORE, scheduler_cls(),
+                        _closed_loop_tenants("neu10-nh"), fast_path=fast)
+        runs[fast] = _stats_snapshot(sim.run())
+        if fast:
+            memo = sim._decision_memo
+            assert len(memo) > 0
+            assert not any(entry[10] for entry in memo.values())
+    assert runs[True] == runs[False]
