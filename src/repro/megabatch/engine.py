@@ -16,16 +16,28 @@ that sit on a node through plain remaining-work arrays:
   is constructed arithmetically from the node (packed template ids,
   updated states, creation-rank permutation) and looked up in the same
   process-wide plan memo the scalar fast path uses.  Known transitions
-  are cached per node, so recurring steady-state cycles never touch a
-  unit object.
+  are cached per node -- the hops that complete no request in a table
+  keyed by the epoch's winner bitmask -- so recurring steady-state
+  cycles never touch a unit object.
+
+Lanes step in rounds, in input order.  A round gives each lane one
+scalar-engine epoch; when that epoch's plan came out of the decision
+memo, the lane is *promoted* onto the plan's node and bursts there in
+one frame (:func:`_burst`), epoch after epoch and hop after hop, until
+it finishes, reaches its horizon or leaves array mode.  So no lane is
+in array mode when a round starts.  The burst keeps the lane's node,
+remaining work, clock, epoch counters and stats accumulators in
+locals and writes them back before every call that reads them --
+result build, materialisation, the scalar completion handler, the
+livelock and deadlock raises -- all of which happen at its exits.
 
 Anything the chain representation does not model -- preemptions,
-reclaim timers, arrivals landing on an idle tenant, a cold memo --
-*materialises* the lane back into ordinary unit objects and falls back
-to the scalar engine's own step functions; a simulator that can never
-bind to a node (op recording, the reference path, a scheduler without
-a memo context) runs through ``Simulator.run()`` instead.  Every float
-operation on the array path replicates the scalar expression grouping
+reclaim timers, a cold memo for a successor -- *materialises* the lane
+back into ordinary unit objects and falls back to the scalar engine's
+own step functions; a simulator that can never bind to a node (op
+recording, the reference path, a scheduler without a memo context)
+runs through ``Simulator.run()`` instead.  Every float operation on
+the array path replicates the scalar expression grouping
 (``rate * delta``, ``remaining - progress``,
 ``(progress * ve_rate) * granted``) and the scalar accumulation order,
 so results are bit-identical, not approximately equal.
@@ -128,23 +140,15 @@ def _scope_for(sim: Simulator) -> Optional[_ChainScope]:
     return scope
 
 
-class _Transition:
-    """One learned structural transition: winners + start flags in,
-    successor node plus remaining-work carry/init recipe out."""
-
-    __slots__ = ("next_node", "carry", "me_base", "ve_base", "completers")
-
-    def __init__(self, next_node, carry, me_base, ve_base, completers):
-        self.next_node = next_node
-        #: (new_slot, old_slot) pairs whose remaining work carries over.
-        self.carry = carry
-        #: Successor remaining-work vectors with every fresh value
-        #: (template work for spawns, zeros for lingering DONE winners)
-        #: pre-filled -- copy, then overwrite the carry slots.
-        self.me_base = me_base
-        self.ve_base = ve_base
-        #: Tenant positions whose request completed at this transition.
-        self.completers = completers
+#: One learned transition, ``(next_node, carry, me_base, ve_base)``:
+#: ``carry`` holds the (new_slot, old_slot) pairs whose remaining work
+#: carries over, and the base vectors are the successor's remaining
+#: work with every fresh value (template work for spawns, zeros for
+#: lingering DONE winners) pre-filled -- copy them, then overwrite the
+#: carry slots.  A plain tuple, so the burst loop unpacks it at once.
+_Transition = Tuple[
+    "_ChainNode", Tuple[Tuple[int, int], ...], List[float], List[float]
+]
 
 
 class _ChainNode:
@@ -162,9 +166,9 @@ class _ChainNode:
     __slots__ = (
         "scope", "plan_key", "cursors", "n_slots", "tenant_slots",
         "slot_tenant", "slot_templates", "slot_tpl_ids", "dense",
-        "dense_codes", "creation_order", "me_adv", "ve_adv", "delta_me",
-        "delta_ve", "blocked_tids", "me_busy_items", "ve_busy_items",
-        "trans", "start_trans", "completers_cache",
+        "dense_codes", "creation_order", "me_adv", "me_ve_adv", "ve_adv",
+        "delta_me", "delta_ve", "blocked_tids", "me_busy_items",
+        "ve_busy_items", "hops", "trans", "start_trans", "completers_cache",
     )
 
     @classmethod
@@ -230,15 +234,22 @@ class _ChainNode:
         rank_perm = plan_key[1]
         node.creation_order = rank_perm if rank_perm else tuple(range(pos))
 
-        # Advance vectors: every rates entry updates remaining ME work
-        # (and its embedded VE stream); VE-exec entries update VE work.
+        # Advance vectors: every rates entry updates remaining ME work,
+        # split by whether the unit also drains an embedded VE stream;
+        # VE-exec entries update VE work.  Each entry carries its slot's
+        # bit for the winner mask.
         me_adv = []
+        me_ve_adv = []
         for i, rate in enc_rates:
-            tpl = slot_templates[i]
-            me_adv.append((i, rate, tpl[5], dense[i][0]))
+            ve_rate = slot_templates[i][5]
+            if ve_rate > 0:
+                me_ve_adv.append((i, rate, ve_rate, dense[i][0], 1 << i))
+            else:
+                me_adv.append((i, rate, 1 << i))
         node.me_adv = tuple(me_adv)
-        node.ve_adv = tuple(enc_ve_exec)
-        node.delta_me = tuple((i, r) for i, r, _v, _g in me_adv if r > EPS)
+        node.me_ve_adv = tuple(me_ve_adv)
+        node.ve_adv = tuple((i, rate, 1 << i) for i, rate in enc_ve_exec)
+        node.delta_me = tuple((i, r) for i, r in enc_rates if r > EPS)
         node.delta_ve = tuple((i, r) for i, r in enc_ve_exec if r > EPS)
         node.blocked_tids = blocked
         # Tuple snapshots of the shared entry dicts: same pairs in the
@@ -246,67 +257,70 @@ class _ChainNode:
         # engine bitwise), minus the dict-view overhead per epoch.
         node.me_busy_items = tuple(me_busy.items())
         node.ve_busy_items = tuple(ve_busy.items())
+        node.hops = {}
         node.trans = {}
         node.start_trans = {}
         node.completers_cache = {}
         return node
 
     # ------------------------------------------------------------------
-    def request_completers(self, winners: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Tenant positions whose *request* completes when ``winners``
-        finish (a pure function of the structure, independent of queue
-        contents)."""
-        cached = self.completers_cache.get(winners)
+    # Transitions.  Winners are a bitmask over the node's slots.
+    # ------------------------------------------------------------------
+    def _retires(self, tpos: int, mask: int) -> bool:
+        """Whether tenant ``tpos``'s whole active group is DONE once the
+        ``mask`` winners finish."""
+        dense_codes = self.dense_codes
+        start, end = self.tenant_slots[tpos]
+        for s in range(start, end):
+            if dense_codes[s] != 2 and not mask >> s & 1:
+                return False
+        return True
+
+    def request_completers(self, mask: int) -> Tuple[int, ...]:
+        """Tenant positions whose *request* completes when the ``mask``
+        winners finish (a pure function of the structure, independent of
+        queue contents)."""
+        cached = self.completers_cache.get(mask)
         if cached is not None:
             return cached
-        winnerset = frozenset(winners)
-        dense_codes = self.dense_codes
         out = []
         for tpos, cur in enumerate(self.cursors):
-            if cur is None:
-                continue
-            start, end = self.tenant_slots[tpos]
-            all_done = True
-            for s in range(start, end):
-                if dense_codes[s] != 2 and s not in winnerset:
-                    all_done = False
-                    break
-            if not all_done:
+            if cur is None or not self._retires(tpos, mask):
                 continue
             op, grp = cur
             templates_t = self.scope.templates[tpos]
             if grp + 1 >= len(templates_t[op]) and op + 1 >= len(templates_t):
                 out.append(tpos)
         cached = tuple(out)
-        self.completers_cache[winners] = cached
+        self.completers_cache[mask] = cached
         return cached
 
     def transition(
-        self, winners: Tuple[int, ...], flags: Tuple[bool, ...]
+        self, mask: int, flags: Tuple[bool, ...]
     ) -> Optional[_Transition]:
-        """Successor for (winners, per-completer start flags); None when
-        the successor plan is not (yet) in the memo -- the caller
-        materialises and the scalar path fills the memo in."""
-        tkey = (winners, flags)
-        trans = self.trans.get(tkey)
+        """Successor for (winner mask, per-completer start flags); None
+        when the successor plan is not (yet) in the memo -- the caller
+        materialises and the scalar path fills the memo in.  A hop that
+        completes no request (no flags) is cached in ``hops``, which the
+        burst loop reads first."""
+        table, key = (self.trans, (mask, flags)) if flags else (self.hops, mask)
+        trans = table.get(key)
         if trans is None:
-            trans = self._build_transition(winners, flags)
+            trans = self._build_transition(mask, flags)
             if trans is not None:
-                self.trans[tkey] = trans
+                table[key] = trans
         return trans
 
     def _build_transition(
-        self, winners: Tuple[int, ...], flags: Tuple[bool, ...]
+        self, mask: int, flags: Tuple[bool, ...]
     ) -> Optional[_Transition]:
         scope = self.scope
-        winnerset = frozenset(winners)
         dense = self.dense
         dense_codes = self.dense_codes
         tpl_ids = self.slot_tpl_ids
         new_cursors: List[Optional[Tuple[int, int]]] = []
         carry: List[Tuple[int, int]] = []
         fresh: List[Tuple[int, float, float]] = []
-        completers: List[int] = []
         flat: List[int] = []
         old_to_new: Dict[int, int] = {}
         fresh_runs: List[List[int]] = []
@@ -317,20 +331,15 @@ class _ChainNode:
             if cur is None:
                 new_cursors.append(None)
                 continue
-            start, end = self.tenant_slots[tpos]
-            all_done = True
-            for s in range(start, end):
-                if dense_codes[s] != 2 and s not in winnerset:
-                    all_done = False
-                    break
             templates_t = scope.templates[tpos]
-            if not all_done:
+            if not self._retires(tpos, mask):
                 # Partial completion: the group lingers; winners become
                 # DONE slots with cleared grants, survivors keep their
                 # post-decision state and grant.
                 new_cursors.append(cur)
+                start, end = self.tenant_slots[tpos]
                 for s in range(start, end):
-                    if s in winnerset:
+                    if mask >> s & 1:
                         fresh.append((new_idx, 0.0, 0.0))
                         flat.append(tpl_ids[s] * 256 + 2 * 64)
                     else:
@@ -351,7 +360,6 @@ class _ChainNode:
             elif op + 1 < len(templates_t):
                 spawn = (op + 1, 0)
             else:
-                completers.append(tpos)
                 if fi >= len(flags):
                     return None  # flag arity mismatch; be conservative
                 spawn = (0, 0) if flags[fi] else None
@@ -367,29 +375,8 @@ class _ChainNode:
                 run.append(new_idx)
                 new_idx += 1
             fresh_runs.append(run)
-
-        # Creation order: survivors keep their relative spawn order and
-        # fresh units append in tenant order (the order on_unit_done
-        # assigns unit ids), which pins the fingerprint's cross-tenant
-        # FIFO permutation.
-        order = [old_to_new[s] for s in self.creation_order if s in old_to_new]
-        for run in fresh_runs:
-            order.extend(run)
-        if new_idx <= 1 or order == list(range(new_idx)):
-            rank_perm: Tuple[int, ...] = ()
-        else:
-            rank_perm = tuple(order)
-        fp_key = (None, rank_perm, tuple(flat))
-        next_node = scope.node(fp_key, tuple(new_cursors))
-        if next_node is None or next_node.n_slots != new_idx:
-            return None
-        me_base = [0.0] * new_idx
-        ve_base = [0.0] * new_idx
-        for slot, m0, v0 in fresh:
-            me_base[slot] = m0
-            ve_base[slot] = v0
-        return _Transition(
-            next_node, tuple(carry), me_base, ve_base, tuple(completers)
+        return self._successor(
+            new_cursors, flat, carry, fresh, old_to_new, fresh_runs, new_idx
         )
 
     def start_transition(
@@ -402,10 +389,9 @@ class _ChainNode:
         ``_spawn_group_units`` in tenant order.  None when the successor
         plan is not (yet) in the memo."""
         trans = self.start_trans.get(starters)
-        if trans is not None or starters in self.start_trans:
+        if trans is not None:
             return trans
         scope = self.scope
-        starterset = frozenset(starters)
         dense = self.dense
         dense_codes = self.dense_codes
         tpl_ids = self.slot_tpl_ids
@@ -416,7 +402,6 @@ class _ChainNode:
         old_to_new: Dict[int, int] = {}
         fresh_runs: List[List[int]] = []
         new_idx = 0
-        ok = True
         for tpos, cur in enumerate(self.cursors):
             flat.append(-1)
             if cur is not None:
@@ -430,43 +415,23 @@ class _ChainNode:
                     old_to_new[s] = new_idx
                     new_idx += 1
                 continue
-            if tpos not in starterset:
+            if tpos not in starters:
                 new_cursors.append(None)
                 continue
             templates_t = scope.templates[tpos]
             if not templates_t or not templates_t[0]:
-                ok = False
-                break
+                return None
             new_cursors.append((0, 0))
-            group = templates_t[0][0]
             run: List[int] = []
-            for tpl in group:
+            for tpl in templates_t[0][0]:
                 fresh.append((new_idx, tpl[3], tpl[4]))
                 flat.append(tpl[10] * 256)  # READY, no grant
                 run.append(new_idx)
                 new_idx += 1
             fresh_runs.append(run)
-
-        trans = None
-        if ok:
-            order = [
-                old_to_new[s] for s in self.creation_order if s in old_to_new
-            ]
-            for run in fresh_runs:
-                order.extend(run)
-            if new_idx <= 1 or order == list(range(new_idx)):
-                rank_perm: Tuple[int, ...] = ()
-            else:
-                rank_perm = tuple(order)
-            fp_key = (None, rank_perm, tuple(flat))
-            next_node = scope.node(fp_key, tuple(new_cursors))
-            if next_node is not None and next_node.n_slots == new_idx:
-                me_base = [0.0] * new_idx
-                ve_base = [0.0] * new_idx
-                for slot, m0, v0 in fresh:
-                    me_base[slot] = m0
-                    ve_base[slot] = v0
-                trans = _Transition(next_node, tuple(carry), me_base, ve_base, ())
+        trans = self._successor(
+            new_cursors, flat, carry, fresh, old_to_new, fresh_runs, new_idx
+        )
         if trans is not None:
             # Only cache successes: a miss just means the scalar memo
             # has not seen the successor yet -- it will after the
@@ -474,27 +439,49 @@ class _ChainNode:
             self.start_trans[starters] = trans
         return trans
 
+    def _successor(
+        self, new_cursors, flat, carry, fresh, old_to_new, fresh_runs, new_idx
+    ) -> Optional[_Transition]:
+        """The transition onto the successor these parts describe, or
+        None when its node cannot be built (yet)."""
+        # Creation order: survivors keep their relative spawn order and
+        # fresh units append in tenant order (the order on_unit_done
+        # assigns unit ids), which pins the fingerprint's cross-tenant
+        # FIFO permutation.
+        order = [old_to_new[s] for s in self.creation_order if s in old_to_new]
+        for run in fresh_runs:
+            order.extend(run)
+        if new_idx <= 1 or order == list(range(new_idx)):
+            rank_perm: Tuple[int, ...] = ()
+        else:
+            rank_perm = tuple(order)
+        fp_key = (None, rank_perm, tuple(flat))
+        next_node = self.scope.node(fp_key, tuple(new_cursors))
+        if next_node is None or next_node.n_slots != new_idx:
+            return None
+        me_base = [0.0] * new_idx
+        ve_base = [0.0] * new_idx
+        for slot, m0, v0 in fresh:
+            me_base[slot] = m0
+            ve_base[slot] = v0
+        return (next_node, tuple(carry), me_base, ve_base)
+
 
 # ----------------------------------------------------------------------
 # Lanes
 # ----------------------------------------------------------------------
 class _Lane:
-    """One simulator threaded through the batch loop.
-
-    Caches every per-epoch-stable reference (stats accumulator dicts,
-    the tenants list, the arrival watch list) so the array-mode inner
-    loop touches no attribute chains."""
+    """One simulator threaded through the batch loop.  While the lane
+    bursts, its node, remaining-work lists and counters live in the
+    burst frame's locals; these fields hold them between bursts."""
 
     __slots__ = (
         "sim", "scope", "node", "rem_me", "rem_ve", "epochs",
         "check_finish", "done", "result", "array_epochs", "object_epochs",
-        "stats", "tenants", "blocked_map", "me_map", "ve_map",
-        "arrival_watch", "horizon",
     )
 
     def __init__(self, sim: Simulator, scope: _ChainScope) -> None:
         self.sim = sim
-        stats = sim.stats
         self.scope = scope
         self.node: Optional[_ChainNode] = None
         self.rem_me: List[float] = []
@@ -505,28 +492,12 @@ class _Lane:
         self.result: Optional[SimResult] = None
         self.array_epochs = 0
         self.object_epochs = 0
-        self.stats = stats
-        self.tenants = sim.tenants
-        self.blocked_map = stats.blocked_cycles_per_tenant
-        self.me_map = stats.me_busy_per_tenant
-        self.ve_map = stats.ve_busy_per_tenant
-        self.arrival_watch: List = []
-        self.horizon = sim.horizon if sim.horizon != math.inf else None
 
-    def sync_arrival_watch(self) -> None:
-        """(position, tenant) pairs that still hold undelivered
-        arrivals.  Arrival deques only drain, so the watch list shrinks
-        monotonically between syncs (re-synced whenever the lane enters
-        array mode)."""
-        self.arrival_watch = [
-            (tpos, t)
-            for tpos, t in enumerate(self.tenants)
-            if t.pending_arrivals
-        ]
-
-    @property
-    def in_array_mode(self) -> bool:
-        return self.node is not None
+    def finish(self) -> None:
+        # No materialisation needed: stats and request bookkeeping are
+        # maintained on the real objects in both modes.
+        self.result = self.sim._build_result()
+        self.done = True
 
 
 def _chain_scope(sim: Simulator) -> Optional[_ChainScope]:
@@ -570,10 +541,10 @@ class MegaBatchEngine:
     produced.  A simulator that can never bind to a chain node (see
     :func:`_chain_scope`) runs alone through ``sim.run()`` before the
     loop starts, because stepping it one epoch per round is slower.
-    The rest co-step and leave the batch as they finish; a lane whose
-    current state the chain representation cannot express steps
-    through the scalar engine's own ``_next_plan``/``_finish_step`` --
-    correctness never depends on a lane being accelerated.
+    The rest co-step in rounds and leave the batch as they finish; a
+    lane whose current state the chain representation cannot express
+    steps through the scalar engine's own ``_next_plan``/``_finish_step``
+    -- correctness never depends on a lane being accelerated.
     """
 
     def __init__(self, sims: Sequence[Simulator]) -> None:
@@ -611,74 +582,34 @@ class MegaBatchEngine:
         return [r if r is not None else next(chained).result for r in results]
 
     # ------------------------------------------------------------------
+    def _round(self, active: List[_Lane]) -> List[_Lane]:
+        """Advance every active lane, in input order, by one object-mode
+        epoch -- and, when that epoch promotes the lane onto a chain
+        node, by the whole burst that follows -- so no lane is in array
+        mode between rounds."""
+        for lane in active:
+            if self._check(lane):
+                self._object_epoch(lane)
+        return [lane for lane in active if not lane.done]
+
     def _check(self, lane: _Lane) -> bool:
         """Pre-epoch stop check, mirroring Simulator.run's loop
         condition.  Returns False (and finishes the lane) when the lane
         is done; the per-epoch livelock guard lives in the steppers."""
         sim = lane.sim
         if lane.check_finish and sim._finished():
-            self._finish(lane)
+            lane.finish()
             return False
         lane.check_finish = False
         if sim.now >= sim.horizon:
-            self._finish(lane)
+            lane.finish()
             return False
         return True
 
-    def _round(self, active: List[_Lane]) -> List[_Lane]:
-        """Advance every active lane by at least one epoch.
-
-        Array-mode lanes *burst* -- they keep stepping until they leave
-        array mode or finish -- so the scheduling overhead of this
-        method is off the hot path.  Object-mode lanes step one epoch
-        per round, giving each a promotion attempt."""
-        object_lanes: List[_Lane] = []
-        buckets: Dict[int, List[_Lane]] = {}
-        for lane in active:
-            if not self._check(lane):
-                continue
-            if lane.in_array_mode:
-                buckets.setdefault(id(lane.node), []).append(lane)
-            else:
-                object_lanes.append(lane)
-
-        for lane in object_lanes:
-            self._object_epoch(lane)
-        # Lanes are independent, but they fill the shared chain caches
-        # as they go: bursting them grouped by node keeps that order,
-        # and so group_stats, stable.
-        for group in buckets.values():
-            for lane in group:
-                self._array_burst(lane)
-        return [lane for lane in active if not lane.done]
-
-    def _finish(self, lane: _Lane) -> None:
-        # No materialisation needed: stats and request bookkeeping are
-        # maintained on the real objects in both modes.
-        lane.result = lane.sim._build_result()
-        lane.done = True
-
-    def _array_burst(self, lane: _Lane) -> None:
-        """Keep stepping an array-mode lane (including across chain
-        transitions) until it finishes, hits the horizon, or drops back
-        to object mode.  The caller has already vetted the first epoch
-        via _check (whose logic is inlined in the loop below)."""
-        sim = lane.sim
-        _array_epoch(lane)
-        while lane.node is not None:
-            if lane.check_finish and sim._finished():
-                self._finish(lane)
-                return
-            lane.check_finish = False
-            if sim.now >= sim.horizon:
-                self._finish(lane)
-                return
-            _array_epoch(lane)
-
-    # ------------------------------------------------------------------
     def _object_epoch(self, lane: _Lane) -> None:
         """One scalar-engine epoch, promoting the lane onto a chain node
-        whenever the plan just came out of the decision memo."""
+        -- and bursting it there -- whenever the plan just came out of
+        the decision memo."""
         sim = lane.sim
         lane.epochs += 1
         if lane.epochs > sim.max_epochs:
@@ -686,7 +617,6 @@ class MegaBatchEngine:
                 f"exceeded {sim.max_epochs} epochs at cycle "
                 f"{sim.now:.0f}; likely a scheduling livelock"
             )
-        lane.object_epochs += 1
         lane.check_finish = True
         plan, had_preempt = sim._next_plan()
         if (
@@ -700,224 +630,256 @@ class MegaBatchEngine:
                 lane.node = node
                 lane.rem_me = [u.remaining_me for u in fp_units]
                 lane.rem_ve = [u.remaining_ve for u in fp_units]
-                lane.sync_arrival_watch()
-                lane.object_epochs -= 1
-                lane.check_finish = False
-                _array_epoch(lane)
+                _burst(lane)
                 return
+        lane.object_epochs += 1
         sim._finish_step(plan, had_preempt)
 
 
 # ----------------------------------------------------------------------
-# Array-mode epoch
+# Array mode: one burst frame per promotion
 # ----------------------------------------------------------------------
-def _array_epoch(lane: _Lane) -> None:
-    """One epoch for a lane bound to a chain node.
+def _burst(lane: _Lane) -> None:
+    """Step a lane that was just promoted onto a chain node, epoch after
+    epoch and hop after hop, until it finishes, reaches the horizon, or
+    leaves array mode.  The promoting object-mode epoch has already
+    counted and vetted the first epoch.
 
     Fully fused -- delta scan, work advance, accounting, completion
     transition, and arrival admission in one frame -- because this is
-    the per-epoch cost everything else amortises down to.  Every float
-    expression replicates the scalar engine's grouping and accumulation
-    order exactly (see `_pick_delta`, `_advance`, `on_unit_done`)."""
-    node = lane.node
+    the per-epoch cost everything else amortises down to.  The lane's
+    node, remaining-work lists, clock, epoch counters and the three
+    ``SimStats`` accumulators live in locals.  Every exit -- finish,
+    horizon, cold-successor fallback, arrival-start materialise,
+    livelock and deadlock -- breaks out of the loop to one write-back,
+    which runs before the exit's call out.  The calls inside the loop
+    read only node structure and the tenants' request bookkeeping
+    (``Simulator._finished``, transition building, request ids), and
+    the burst updates that bookkeeping and the per-tenant stats dicts
+    in place.  Every float expression replicates the scalar engine's
+    grouping and accumulation order exactly (see ``_pick_delta``,
+    ``_advance``, ``on_unit_done``), so results are bit-identical."""
     sim = lane.sim
-    lane.epochs += 1
-    if lane.epochs > sim.max_epochs:
-        _materialize(lane)
-        raise SimulationError(
-            f"exceeded {sim.max_epochs} epochs at cycle "
-            f"{sim.now:.0f}; likely a scheduling livelock"
-        )
+    stats = sim.stats
+    tenants = sim.tenants
+    blocked_map = stats.blocked_cycles_per_tenant
+    me_map = stats.me_busy_per_tenant
+    ve_map = stats.ve_busy_per_tenant
+    horizon = sim.horizon
+    max_epochs = sim.max_epochs
+    inf = math.inf
+    node = lane.node
     rem_me = lane.rem_me
     rem_ve = lane.rem_ve
-
-    # -- delta: exactly Simulator._pick_delta over the node's plan ------
-    best = math.inf
-    for i, rate in node.delta_me:
-        c = rem_me[i] / rate
-        if EPS < c < best:
-            best = c
-    for i, rate in node.delta_ve:
-        c = rem_ve[i] / rate
-        if EPS < c < best:
-            best = c
     now = sim.now
-    watch = lane.arrival_watch
-    next_arr = math.inf
-    if watch:
-        for _tpos, tenant in watch:
-            pending = tenant.pending_arrivals
-            if pending:
-                a = pending[0]
-                if a < next_arr:
-                    next_arr = a
-                c = a - now
-                if EPS < c < best:
-                    best = c
-    horizon = lane.horizon
-    if horizon is not None:
-        c = horizon - now
+    epochs = lane.epochs
+    array_epochs = lane.array_epochs
+    total_cycles = stats.total_cycles
+    me_integral = stats.me_busy_integral
+    ve_integral = stats.ve_busy_integral
+    check_finish = False
+    # (position, tenant) pairs that still hold undelivered arrivals, and
+    # their deques.  Deques only drain, and only through the admission
+    # below, which reloads both lists when one runs dry: every watched
+    # deque is non-empty at the delta scan.
+    watched = [(tpos, t) for tpos, t in enumerate(tenants) if t.pending_arrivals]
+    watch = [t.pending_arrivals for _tpos, t in watched]
+    while True:
+        # -- delta: exactly Simulator._pick_delta over the node's plan --
+        best = inf
+        for i, rate in node.delta_me:
+            c = rem_me[i] / rate
+            if EPS < c < best:
+                best = c
+        for i, rate in node.delta_ve:
+            c = rem_ve[i] / rate
+            if EPS < c < best:
+                best = c
+        next_arr = inf
+        for pending in watch:
+            a = pending[0]
+            if a < next_arr:
+                next_arr = a
+            c = a - now
+            if EPS < c < best:
+                best = c
+        c = horizon - now  # inf without a horizon: never a candidate
         if EPS < c < best:
             best = c
-    if best == math.inf:
+        if best == inf:
+            stop = "deadlock"
+            break
+        delta = best if best > MIN_DELTA else MIN_DELTA
+
+        # -- advance: exactly Simulator._advance's work updates ---------
+        # (``rate * delta`` is the scalar ``progress``.)  Slots are
+        # independent, so splitting the ME loop by VE stream keeps
+        # every per-slot result.
+        mask = 0
+        for i, rate, bit in node.me_adv:
+            remaining = rem_me[i] - rate * delta
+            rem_me[i] = remaining if remaining > 0.0 else 0.0
+            if remaining <= EPS:
+                mask |= bit
+        for i, rate, ve_rate, granted, bit in node.me_ve_adv:
+            progress = rate * delta
+            remaining = rem_me[i] - progress
+            rem_me[i] = remaining if remaining > 0.0 else 0.0
+            if remaining <= EPS:
+                mask |= bit
+            remaining = rem_ve[i] - progress * ve_rate * granted
+            rem_ve[i] = remaining if remaining > 0.0 else 0.0
+        for i, rate, bit in node.ve_adv:
+            remaining = rem_ve[i] - rate * delta
+            rem_ve[i] = remaining if remaining > 0.0 else 0.0
+            if remaining <= EPS:
+                mask |= bit
+
+        # -- accounting: the scalar _advance's record-flags-off branch --
+        for tid in node.blocked_tids:
+            blocked_map[tid] += delta
+        total_cycles += delta
+        for owner, mes in node.me_busy_items:
+            v = mes * delta
+            me_integral += v
+            me_map[owner] += v
+        for owner, ves in node.ve_busy_items:
+            v = ves * delta
+            ve_integral += v
+            ve_map[owner] += v
+        now += delta
+        array_epochs += 1
+
+        # -- completions: structural transition along the chain ---------
+        if mask:
+            trans = node.hops.get(mask)
+            if trans is None:
+                completers = node.request_completers(mask)
+                flags = tuple(
+                    tenants[tpos].closed_loop
+                    or bool(tenants[tpos].queued_requests)
+                    for tpos in completers
+                )
+                trans = node.transition(mask, flags)
+                if trans is None:
+                    stop = "cold"
+                    break
+                # Request-completion effects on the real tenant objects
+                # (identical to on_unit_done's request tail, minus unit
+                # spawns, which the successor node encodes).
+                for tpos, start_next in zip(completers, flags):
+                    tenant = tenants[tpos]
+                    request = tenant.current_request
+                    request.finish_cycle = now
+                    tenant.completed.append(request)
+                    tenant.current_request = None
+                    if tenant.closed_loop:
+                        tenant.queued_requests.append(
+                            Request(request_id=tenant._take_id(), issue_cycle=now)
+                        )
+                    if start_next:
+                        nxt = tenant.queued_requests.popleft()
+                        nxt.start_cycle = now
+                        tenant.current_request = nxt
+                    check_finish = True
+            node, carry, me_base, ve_base = trans
+            new_me = me_base.copy()
+            new_ve = ve_base.copy()
+            for new_slot, old_slot in carry:
+                new_me[new_slot] = rem_me[old_slot]
+                new_ve[new_slot] = rem_ve[old_slot]
+            rem_me = new_me
+            rem_ve = new_ve
+
+        # -- arrivals: the scalar pre_step's admission at the same clock --
+        # Gated on the minimum arrival time read during the delta scan,
+        # so epochs with nothing due skip the admission pass entirely.
+        # Admit (in tenant order) onto every watched queue, then start
+        # idle tenants' requests through an arrival-start transition.
+        threshold = now + EPS
+        if next_arr <= threshold:
+            drained = False
+            starters = []
+            for tpos, tenant in watched:
+                pending = tenant.pending_arrivals
+                if pending[0] <= threshold:
+                    take_id = tenant._take_id
+                    queue = tenant.queued_requests
+                    while pending and pending[0] <= threshold:
+                        issue = pending.popleft()
+                        queue.append(
+                            Request(request_id=take_id(), issue_cycle=issue)
+                        )
+                    if tenant.current_request is None:
+                        starters.append(tpos)
+                    if not pending:
+                        drained = True
+            if drained:
+                watched = [(tpos, t) for tpos, t in watched if t.pending_arrivals]
+                watch = [t.pending_arrivals for _tpos, t in watched]
+            if starters:
+                starters = tuple(starters)
+                trans = node.start_trans.get(starters)
+                if trans is None:
+                    trans = node.start_transition(starters)
+                    if trans is None:
+                        stop = "materialize"
+                        break
+                for tpos in starters:
+                    tenant = tenants[tpos]
+                    request = tenant.queued_requests.popleft()
+                    request.start_cycle = now
+                    tenant.current_request = request
+                node, carry, me_base, ve_base = trans
+                new_me = me_base.copy()
+                new_ve = ve_base.copy()
+                for new_slot, old_slot in carry:
+                    new_me[new_slot] = rem_me[old_slot]
+                    new_ve[new_slot] = rem_ve[old_slot]
+                rem_me = new_me
+                rem_ve = new_ve
+
+        # -- next epoch: Simulator.run's loop condition and guard --------
+        if check_finish:
+            if sim._finished():
+                stop = "finish"
+                break
+            check_finish = False
+        if now >= horizon:
+            stop = "finish"
+            break
+        epochs += 1
+        if epochs > max_epochs:
+            stop = "livelock"
+            break
+
+    lane.node = node
+    lane.rem_me = rem_me
+    lane.rem_ve = rem_ve
+    lane.epochs = epochs
+    lane.array_epochs = array_epochs
+    sim.now = now
+    stats.total_cycles = total_cycles
+    stats.me_busy_integral = me_integral
+    stats.ve_busy_integral = ve_integral
+    if stop == "finish":
+        lane.finish()
+    elif stop == "cold":
+        _fallback_complete(lane, mask)
+    elif stop == "materialize":
+        _materialize(lane)
+    elif stop == "livelock":
+        _materialize(lane)
+        raise SimulationError(
+            f"exceeded {max_epochs} epochs at cycle "
+            f"{now:.0f}; likely a scheduling livelock"
+        )
+    else:
         _materialize(lane)
         sim._raise_deadlock()
-    delta = best if best > MIN_DELTA else MIN_DELTA
-
-    # -- advance: exactly Simulator._advance's work updates -------------
-    winners = None
-    for i, rate, ve_rate, granted in node.me_adv:
-        progress = rate * delta
-        remaining = rem_me[i] - progress
-        rem_me[i] = remaining if remaining > 0.0 else 0.0
-        if remaining <= EPS:
-            if winners is None:
-                winners = [i]
-            else:
-                winners.append(i)
-        if ve_rate > 0:
-            rv = rem_ve[i] - progress * ve_rate * granted
-            rem_ve[i] = rv if rv > 0.0 else 0.0
-    for i, rate in node.ve_adv:
-        remaining = rem_ve[i] - rate * delta
-        rem_ve[i] = remaining if remaining > 0.0 else 0.0
-        if remaining <= EPS:
-            if winners is None:
-                winners = [i]
-            else:
-                winners.append(i)
-
-    # -- accounting: the scalar _advance's record-flags-off branch ------
-    stats = lane.stats
-    blocked = lane.blocked_map
-    for tid in node.blocked_tids:
-        blocked[tid] += delta
-    stats.total_cycles += delta
-    integral = stats.me_busy_integral
-    per_tenant = lane.me_map
-    for owner, mes in node.me_busy_items:
-        v = mes * delta
-        integral += v
-        per_tenant[owner] += v
-    stats.me_busy_integral = integral
-    integral = stats.ve_busy_integral
-    per_tenant = lane.ve_map
-    for owner, ves in node.ve_busy_items:
-        v = ves * delta
-        integral += v
-        per_tenant[owner] += v
-    stats.ve_busy_integral = integral
-
-    now = sim.now = now + delta
-    lane.array_epochs += 1
-
-    # -- completions: structural transition along the chain -------------
-    if winners is not None:
-        tenants = lane.tenants
-        wkey = tuple(winners)
-        completers = node.completers_cache.get(wkey)
-        if completers is None:
-            completers = node.request_completers(wkey)
-        if completers:
-            flags = tuple(
-                tenants[tpos].closed_loop or bool(tenants[tpos].queued_requests)
-                for tpos in completers
-            )
-        else:
-            flags = ()
-        trans = node.trans.get((wkey, flags))
-        if trans is None:
-            trans = node.transition(wkey, flags)
-            if trans is None:
-                _fallback_complete(lane, winners)
-                return
-        # Request-completion effects on the real tenant objects
-        # (identical to on_unit_done's request tail, minus unit spawns
-        # which are encoded in the successor node).
-        for k, tpos in enumerate(trans.completers):
-            tenant = tenants[tpos]
-            request = tenant.current_request
-            request.finish_cycle = now
-            tenant.completed.append(request)
-            tenant.current_request = None
-            if tenant.closed_loop:
-                tenant.queued_requests.append(
-                    Request(request_id=tenant._take_id(), issue_cycle=now)
-                )
-            if flags[k]:
-                nxt = tenant.queued_requests.popleft()
-                nxt.start_cycle = now
-                tenant.current_request = nxt
-            lane.check_finish = True
-        new_me = trans.me_base.copy()
-        new_ve = trans.ve_base.copy()
-        for new_slot, old_slot in trans.carry:
-            new_me[new_slot] = rem_me[old_slot]
-            new_ve[new_slot] = rem_ve[old_slot]
-        lane.node = trans.next_node
-        lane.rem_me = new_me
-        lane.rem_ve = new_ve
-
-    # -- arrivals: the scalar pre_step's admission at the same clock ----
-    # Gated on the minimum arrival time read during the delta scan, so
-    # epochs with nothing due skip the admission pass entirely.
-    if next_arr <= now + EPS:
-        _admit_arrivals(lane, now)
 
 
-def _admit_arrivals(lane: _Lane, now: float) -> None:
-    """Deliver due arrivals exactly as the scalar ``activate_arrivals``
-    would at the next epoch's pre-step: admit (in tenant order) onto
-    every watched queue, then start idle tenants' requests through an
-    arrival-start chain transition.  Falls back to materialisation only
-    when the successor structure is not in the memo yet."""
-    threshold = now + EPS
-    drained = False
-    starters = None
-    for tpos, tenant in lane.arrival_watch:
-        pending = tenant.pending_arrivals
-        if pending and pending[0] <= threshold:
-            take_id = tenant._take_id
-            queue = tenant.queued_requests
-            while pending and pending[0] <= threshold:
-                issue = pending.popleft()
-                queue.append(Request(request_id=take_id(), issue_cycle=issue))
-            if tenant.current_request is None:
-                if starters is None:
-                    starters = [tpos]
-                else:
-                    starters.append(tpos)
-            if not pending:
-                drained = True
-    if starters is not None:
-        node = lane.node
-        trans = node.start_trans.get(tuple(starters))
-        if trans is None:
-            trans = node.start_transition(tuple(starters))
-            if trans is None:
-                _materialize(lane)
-                return
-        tenants = lane.tenants
-        for tpos in starters:
-            tenant = tenants[tpos]
-            request = tenant.queued_requests.popleft()
-            request.start_cycle = now
-            tenant.current_request = request
-        rem_me = lane.rem_me
-        rem_ve = lane.rem_ve
-        new_me = trans.me_base.copy()
-        new_ve = trans.ve_base.copy()
-        for new_slot, old_slot in trans.carry:
-            new_me[new_slot] = rem_me[old_slot]
-            new_ve[new_slot] = rem_ve[old_slot]
-        lane.node = trans.next_node
-        lane.rem_me = new_me
-        lane.rem_ve = new_ve
-    if drained:
-        lane.sync_arrival_watch()
-
-
-def _fallback_complete(lane: _Lane, winners: List[int]) -> None:
+def _fallback_complete(lane: _Lane, mask: int) -> None:
     """Unknown transition (cold memo for the successor): rebuild unit
     objects and drive the engine's own completion handler, which also
     repopulates the memo for the next time this transition occurs."""
@@ -925,11 +887,9 @@ def _fallback_complete(lane: _Lane, winners: List[int]) -> None:
     sim = lane.sim
     fin = sim._finished_units
     fin.clear()
-    for slot in winners:
-        fin.append(units[slot])
+    fin.extend(unit for slot, unit in enumerate(units) if mask >> slot & 1)
     sim._handle_completions()
     sim._dirty = True
-    lane.check_finish = True
 
 
 def _materialize(lane: _Lane) -> List[ExecUnit]:

@@ -9,11 +9,11 @@ integrals, counters, per-request latencies, queueing delays, op
 records.  No tolerance anywhere: the batch engine only replays memoised
 epochs the scalar engine planned, so any drift is a bug.
 
-The engine must be order-insensitive (lanes grouped by structural
-fingerprint, not position), size-insensitive (a batch of one, a batch
-that is mostly one scheme plus a straggler, a 64-lane batch), and
-mix-insensitive (open-loop and closed-loop lanes co-stepped in one
-batch).
+The engine must be order-insensitive (a lane's result does not
+depend on its position or its neighbours), size-insensitive (a batch
+of one, a batch that is mostly one scheme plus a straggler, a 64-lane
+batch), and mix-insensitive (open-loop and closed-loop lanes
+co-stepped in one batch).
 
 ``run_simulators`` is the driver of every library simulation, so the
 routing tests below pin who steps what: a lone chainable simulation
@@ -215,6 +215,65 @@ def test_empty_and_single_batches():
     assert run_simulators([]) == []
     solo = _snapshot(run_simulators([_make_sim("neu10", "open", 9, False)])[0])
     assert solo == _snapshot(_make_sim("neu10", "open", 9, False).run())
+
+
+# ----------------------------------------------------------------------
+# Epoch accounting: a lane's epochs are Simulator.run()'s epochs
+# ----------------------------------------------------------------------
+#: Chainable lanes: open loop, closed loop (which takes object-mode
+#: epochs after its preemptions) and neu10-nh.
+EPOCH_LANES = [("neu10", "open"), ("neu10", "closed"), ("neu10-nh", "open")]
+
+
+def _scalar_epochs(scheme, kind):
+    """Epochs ``Simulator.run()`` steps for one lane."""
+    sim = _make_sim(scheme, kind)
+    step = sim._step
+    count = [0]
+
+    def counting_step():
+        count[0] += 1
+        step()
+
+    sim._step = counting_step
+    sim.run()
+    return count[0]
+
+
+@pytest.mark.parametrize("scheme,kind", EPOCH_LANES)
+def test_group_stats_count_every_epoch_once(scheme, kind):
+    """For a batch of one, array plus object epochs is the scalar epoch
+    count: perfbench's ``megabatch.array_epoch_share`` divides by it."""
+    epochs = _scalar_epochs(scheme, kind)
+    engine = MegaBatchEngine([_make_sim(scheme, kind)])
+    engine.run()
+    stats = engine.group_stats
+    assert stats["array_epochs"] > 0
+    assert stats["array_epochs"] + stats["object_epochs"] == epochs
+
+
+@pytest.mark.parametrize("scheme,kind", EPOCH_LANES)
+def test_livelock_guard_trips_where_simulator_run_does(scheme, kind):
+    """``max_epochs`` bounds a lane's epochs exactly as in
+    ``Simulator.run()``: a lane that needs N epochs completes at
+    ``max_epochs=N`` and raises the same error at N-1."""
+    from repro.errors import SimulationError
+
+    epochs = _scalar_epochs(scheme, kind)
+    sim = _make_sim(scheme, kind)
+    sim.max_epochs = epochs
+    (result,) = MegaBatchEngine([sim]).run()
+    assert _snapshot(result) == _snapshot(_make_sim(scheme, kind).run())
+
+    errors = []
+    for run in (Simulator.run, lambda s: MegaBatchEngine([s]).run()):
+        sim = _make_sim(scheme, kind)
+        sim.max_epochs = epochs - 1
+        with pytest.raises(SimulationError, match="epochs") as err:
+            run(sim)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert f"exceeded {epochs - 1} epochs" in errors[0]
 
 
 # ----------------------------------------------------------------------
