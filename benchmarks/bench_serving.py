@@ -72,14 +72,14 @@ from repro.api import (
     ScenarioAutoscaler,
     ScenarioChurn,
     ScenarioLlm,
-    ScenarioLlmTenant,
-    ScenarioPool,
     ScenarioTenant,
-    ScenarioVirtualization,
     run_scenario,
     sweep_scenario,
 )
+from repro.cluster.autoscale import HostPoolSpec
+from repro.cluster.virt import VirtualizationSpec
 from repro.config import DEFAULT_CORE
+from repro.llmserve.engine import LlmTenantSpec
 
 HERE = Path(__file__).resolve().parent
 RESULT_PATH = HERE / "BENCH_serving.json"
@@ -273,7 +273,7 @@ def _autoscale_scenario(end_s: float, policy: str,
         duration_s=end_s,
         seed=SEED,
         churn=tuple(churn),
-        pools=(ScenarioPool(name="pool", min_hosts=1, max_hosts=4,
+        pools=(HostPoolSpec(name="pool", min_hosts=1, max_hosts=4,
                             initial_hosts=initial_hosts),),
         autoscaler=ScenarioAutoscaler(
             policy=policy,
@@ -321,7 +321,7 @@ def bench_cluster_autoscale(quick: bool, repeats: int) -> Dict:
 
 
 def _virt_scenario(end_s: float,
-                   virtualization: Optional[ScenarioVirtualization]) -> Scenario:
+                   virtualization: Optional[VirtualizationSpec]) -> Scenario:
     """A wave of eight small tenants over two 2-VF hosts.
 
     Engine-wise every host takes four 1ME/1VE tenants, so without the
@@ -350,7 +350,7 @@ def _virt_scenario(end_s: float,
         duration_s=end_s,
         seed=SEED,
         churn=tuple(churn),
-        pools=(ScenarioPool(name="pool", min_hosts=2, max_hosts=2,
+        pools=(HostPoolSpec(name="pool", min_hosts=2, max_hosts=2,
                             initial_hosts=2),),
         virtualization=virtualization,
     )
@@ -360,7 +360,7 @@ def bench_cluster_virt(quick: bool, repeats: int) -> Dict:
     end_s = 0.002 if quick else 0.004
     constrained = _virt_scenario(
         end_s,
-        ScenarioVirtualization(num_vfs=2, hypercall_cost_s=end_s / 100),
+        VirtualizationSpec(num_vfs=2, hypercall_cost_s=end_s / 100),
     )
     result, wall = _timed(lambda: run_scenario(constrained), repeats)
     virt = result.metrics["virtualization"]
@@ -406,10 +406,10 @@ def _llm_scenario(m_total: int, duration_s: float) -> Scenario:
         drain=True,
         llm=ScenarioLlm(
             tenants=(
-                ScenarioLlmTenant(name="chat", prompt_tokens=256,
-                                  decode_tokens=64),
-                ScenarioLlmTenant(name="code", prompt_tokens=512,
-                                  decode_tokens=128, weight=0.5),
+                LlmTenantSpec(name="chat", prompt_tokens=256,
+                              decode_tokens=64),
+                LlmTenantSpec(name="code", prompt_tokens=512,
+                              decode_tokens=128, weight=0.5),
             ),
             batch_tokens=1024,
             m_total=m_total,

@@ -49,7 +49,6 @@ from repro.api.registries import (
     make_scheduler,
     make_victim_policy,
     scheme_isa,
-    scheme_isa_map,
     victim_policy_names,
     workload_names,
 )
@@ -79,13 +78,8 @@ from repro.api.scenario import (
     ScenarioAutoscaler,
     ScenarioCheckpoint,
     ScenarioChurn,
-    ScenarioExecutor,
-    ScenarioFault,
     ScenarioLlm,
-    ScenarioLlmTenant,
-    ScenarioPool,
     ScenarioTenant,
-    ScenarioVirtualization,
     SweepSpec,
     load_scenario,
     load_scenarios,
@@ -117,13 +111,8 @@ __all__ = [
     "ScenarioAutoscaler",
     "ScenarioCheckpoint",
     "ScenarioChurn",
-    "ScenarioExecutor",
-    "ScenarioFault",
     "ScenarioLlm",
-    "ScenarioLlmTenant",
-    "ScenarioPool",
     "ScenarioTenant",
-    "ScenarioVirtualization",
     "SchedulerInfo",
     "SweepReport",
     "SweepSpec",
@@ -147,7 +136,6 @@ __all__ = [
     "run_scenario",
     "save_scenario",
     "scheme_isa",
-    "scheme_isa_map",
     "sweep_scenario",
     "sweep_scenario_report",
     "sweep_variants",

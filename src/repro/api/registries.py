@@ -30,8 +30,8 @@ file, CLI choice list and sweep immediately accepts the new name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 from repro.api.registry import Registry
 
@@ -226,11 +226,6 @@ def make_scheduler(scheme: str) -> object:
 
 def scheme_isa(scheme: str) -> str:
     return SCHEDULERS.get(scheme).isa
-
-
-def scheme_isa_map() -> Dict[str, str]:
-    """``{scheme: isa}`` for every registered scheme."""
-    return {name: info.isa for name, info in SCHEDULERS.items()}
 
 
 def default_scheme_names() -> Tuple[str, ...]:

@@ -167,7 +167,7 @@ def _host_pools(scenario: Scenario):
     from repro.cluster.autoscale import HostPoolSpec
 
     if scenario.pools:
-        return tuple(p.to_spec() for p in scenario.pools)
+        return scenario.pools
     hosts = scenario.hosts
     elastic = scenario.autoscaler is not None
     return (
@@ -219,17 +219,9 @@ def cluster_inputs(scenario: Scenario):
             if scenario.autoscaler is not None
             else None
         ),
-        virtualization=(
-            scenario.virtualization.to_spec()
-            if scenario.virtualization is not None
-            else None
-        ),
-        executor=(
-            scenario.executor.to_spec()
-            if scenario.executor is not None
-            else None
-        ),
-        faults=tuple(f.to_spec() for f in scenario.faults),
+        virtualization=scenario.virtualization,
+        executor=scenario.executor,
+        faults=scenario.faults,
     )
     return events, cfg
 
@@ -281,7 +273,7 @@ def _cluster_run_result(scenario: Scenario, cfg, result) -> RunResult:
                     "cores_per_host": p.cores_per_host,
                     "min_hosts": p.min_hosts,
                     "max_hosts": p.max_hosts,
-                    "initial_hosts": p.to_spec().start_hosts,
+                    "initial_hosts": p.start_hosts,
                 }
                 for p in scenario.pools
             ]
@@ -362,7 +354,7 @@ def _run_llm(scenario: Scenario) -> RunResult:
         cycles_per_token=block.cycles_per_token,
         swap_cycles_per_token=block.swap_cycles_per_token,
     )
-    result = run_llm_serving(block.tenant_specs(), cfg)
+    result = run_llm_serving(block.tenants, cfg)
     metrics = result.metrics()
     metrics["simulated_cycles"] = result.duration_cycles
     metadata = {
@@ -645,10 +637,13 @@ def _resolve_exec_spec(
     from repro.exec import ExecSpec, base as exec_base
     from repro.parallel import default_workers
 
-    block = scenario.executor
-    spec = block.to_spec() if block is not None else ExecSpec()
-    if block is None and executor is None and max_workers is None:
-        max_workers = min(default_workers(), -(-points // exec_base.CHUNK))
+    spec = scenario.executor
+    if spec is None:
+        spec = ExecSpec()
+        if executor is None and max_workers is None:
+            max_workers = min(
+                default_workers(), -(-points // exec_base.CHUNK)
+            )
     changes: Dict[str, Any] = {}
     if executor is not None:
         changes["backend"] = executor

@@ -22,18 +22,32 @@ llm       continuous-batching LLM serving under a KV-cache HBM budget
 figure    a registered paper-figure experiment (``figure:`` names it)
 ======== ==============================================================
 
-``to_dict``/``from_dict`` round-trip losslessly; files may hold one
-scenario, a ``scenarios:`` list, or (YAML) a multi-document stream.
+The ``pools:``, ``virtualization:``, ``faults:``, ``llm.tenants`` and
+``executor:`` blocks are the engines' own specs
+(:class:`~repro.cluster.autoscale.HostPoolSpec`,
+:class:`~repro.cluster.virt.VirtualizationSpec`,
+:class:`~repro.cluster.virt.FaultSpec`,
+:class:`~repro.llmserve.engine.LlmTenantSpec`,
+:class:`~repro.exec.ExecSpec`), imported only when a scenario holds the
+block.  Every block is parsed by one path, which turns a block of the
+wrong shape into a :class:`~repro.errors.ConfigError` naming its key,
+and encoded by one rule: a field is written when it has no default or
+differs from it.  ``to_dict``/``from_dict`` round-trip losslessly;
+files may hold one scenario, a ``scenarios:`` list, or (YAML) a
+multi-document stream.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib
 import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     List,
@@ -47,6 +61,12 @@ from typing import (
 from repro.api.result import canonical_digest
 from repro.config import DEFAULT_CORE, DEFAULT_SEED, NpuCoreConfig
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:  # pragma: no cover - loaded on demand, see _BLOCKS
+    from repro.cluster.autoscale import HostPoolSpec
+    from repro.cluster.virt import FaultSpec, VirtualizationSpec
+    from repro.exec import ExecSpec
+    from repro.llmserve.engine import LlmTenantSpec
 
 SCENARIO_KINDS = ("serving", "open_loop", "cluster", "llm", "figure")
 
@@ -62,9 +82,14 @@ def _require_yaml():
     return yaml
 
 
-def _from_mapping(cls, payload: Mapping[str, Any], what: str):
-    """Build dataclass ``cls`` from a mapping, rejecting unknown keys and
-    naming missing required ones."""
+def _from_mapping(cls, payload: Any, what: str):
+    """Build dataclass ``cls`` from a mapping.
+
+    Rejects unknown keys, names missing required ones, and parses each
+    of ``cls``'s blocks (:data:`_BLOCKS`) by the same path: a block
+    whose field defaults to ``()`` is a list of mappings, any other
+    block -- and any field defaulting to an empty dict -- a mapping.
+    """
     if not isinstance(payload, Mapping):
         raise ConfigError(f"{what} must be a mapping, got {type(payload).__name__}")
     fields = dataclasses.fields(cls)
@@ -82,21 +107,66 @@ def _from_mapping(cls, payload: Mapping[str, Any], what: str):
     } - set(payload)
     if missing:
         raise ConfigError(f"{what} missing required key(s) {sorted(missing)}")
-    return cls(**payload)
+    data = dict(payload)
+    blocks = _BLOCKS.get(cls, {})
+    for f in fields:
+        value = data.get(f.name)
+        is_block = f.name in blocks
+        if value is None or not (is_block or f.default_factory is dict):
+            continue
+        many = isinstance(f.default, tuple)
+        if not isinstance(value, (list, tuple) if many else Mapping):
+            raise ConfigError(
+                f"{what} key {f.name!r} must be "
+                f"{'a list of mappings' if many else 'a mapping'}, "
+                f"got {type(value).__name__}"
+            )
+        if is_block:
+            spec, entry = blocks[f.name]
+            if isinstance(spec, str):
+                module, _, name = spec.partition(":")
+                spec = getattr(importlib.import_module(module), name)
+            data[f.name] = (
+                tuple(_from_mapping(spec, item, entry) for item in value)
+                if many
+                else _from_mapping(spec, value, entry)
+            )
+    return cls(**data)
 
 
-def _nondefault_dict(obj) -> Dict[str, Any]:
-    """Dataclass -> dict with fields equal to their default omitted."""
+@functools.lru_cache(maxsize=None)
+def _defaults(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """``(name, default)`` per field of dataclass ``cls``; a required
+    field's default is ``dataclasses.MISSING``, which nothing equals."""
+    return tuple(
+        (f.name, f.default_factory()  # type: ignore[misc]
+         if f.default_factory is not dataclasses.MISSING  # type: ignore[misc]
+         else f.default)
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _encode(value: Any) -> Any:
+    """The serialised form of a spec value.
+
+    A dataclass becomes a dict of the fields that have no default or
+    differ from it, nested specs by the same rule; tuples become lists.
+    (Every mapping a spec holds is a plain dict: each spec's
+    ``__post_init__`` copies its mappings into one.)
+    """
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    if not dataclasses.is_dataclass(value):
+        return value
     out: Dict[str, Any] = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if f.default is not dataclasses.MISSING:
-            if value == f.default:
-                continue
-        elif f.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-            if value == f.default_factory():  # type: ignore[misc]
-                continue
-        out[f.name] = value
+    for name, default in _defaults(type(value)):
+        item = getattr(value, name)
+        if item != default:
+            out[name] = _encode(item)
     return out
 
 
@@ -152,39 +222,6 @@ class ScenarioChurn:
 
 
 @dataclass(frozen=True)
-class ScenarioPool:
-    """One elastic host pool of a cluster scenario.
-
-    Mirrors :class:`repro.cluster.autoscale.HostPoolSpec`: the pool owns
-    ``max_hosts`` identical hosts, ``initial_hosts`` (default
-    ``min_hosts``) are live at t=0, and an autoscaler may move the live
-    count within ``[min_hosts, max_hosts]``.
-    """
-
-    name: str = "default"
-    cores_per_host: int = 1
-    min_hosts: int = 1
-    max_hosts: int = 4
-    initial_hosts: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        # Delegate range checking to the cluster-layer spec so the two
-        # descriptions cannot drift apart.
-        self.to_spec()
-
-    def to_spec(self):
-        from repro.cluster.autoscale import HostPoolSpec
-
-        return HostPoolSpec(
-            name=self.name,
-            cores_per_host=self.cores_per_host,
-            min_hosts=self.min_hosts,
-            max_hosts=self.max_hosts,
-            initial_hosts=self.initial_hosts,
-        )
-
-
-@dataclass(frozen=True)
 class ScenarioAutoscaler:
     """Declarative ``autoscaler:`` block of a cluster scenario.
 
@@ -214,7 +251,8 @@ class ScenarioAutoscaler:
 
 #: One-line docs per ``virtualization:`` field, rendered by ``repro
 #: list`` and ``tools/gen_docs.py``; a test pins its keys to the
-#: :class:`ScenarioVirtualization` fields so they cannot drift.
+#: :class:`~repro.cluster.virt.VirtualizationSpec` fields so they cannot
+#: drift.
 VIRTUALIZATION_FIELD_DOCS = {
     "num_vfs": "SR-IOV virtual functions per host (default 16); "
                "admission rejects tenants once a host's pool is empty",
@@ -224,68 +262,9 @@ VIRTUALIZATION_FIELD_DOCS = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioVirtualization:
-    """Declarative ``virtualization:`` block of a cluster scenario.
-
-    Turns the per-host control plane (:mod:`repro.runtime`: SR-IOV VFs,
-    hypercalls, IOMMU) into a binding constraint: ``num_vfs`` sizes
-    every host's virtual-function pool (``pool_num_vfs`` overrides it
-    per named host pool), and ``hypercall_cost_s`` charges control-plane
-    latency against tenant onboarding (one create hypercall) and
-    migration (destroy + create).  Presence of the block enables the
-    control-plane metrics on the result; omitting it keeps results
-    bit-identical to releases without virtualization.
-    """
-
-    num_vfs: int = 16
-    pool_num_vfs: Mapping[str, int] = field(default_factory=dict)
-    hypercall_cost_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pool_num_vfs", dict(self.pool_num_vfs))
-        # Delegate range checking to the cluster-layer spec so the two
-        # descriptions cannot drift apart.
-        self.to_spec()
-
-    def to_spec(self):
-        from repro.cluster.virt import VirtualizationSpec
-
-        return VirtualizationSpec(
-            num_vfs=self.num_vfs,
-            pool_num_vfs=self.pool_num_vfs,
-            hypercall_cost_s=self.hypercall_cost_s,
-        )
-
-
-@dataclass(frozen=True)
-class ScenarioLlmTenant:
-    """One open-loop LLM tenant inside an ``llm:`` block."""
-
-    name: str
-    prompt_tokens: int = 512
-    decode_tokens: int = 64
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        # Delegate range checking to the engine-layer spec so the two
-        # descriptions cannot drift apart.
-        self.to_spec()
-
-    def to_spec(self):
-        from repro.llmserve.engine import LlmTenantSpec
-
-        return LlmTenantSpec(
-            name=self.name,
-            prompt_tokens=self.prompt_tokens,
-            decode_tokens=self.decode_tokens,
-            weight=self.weight,
-        )
-
-
 #: One-line docs per ``faults:`` field, rendered by ``repro list`` and
 #: ``tools/gen_docs.py``; a test pins its keys to the
-#: :class:`ScenarioFault` fields so they cannot drift.
+#: :class:`~repro.cluster.virt.FaultSpec` fields so they cannot drift.
 FAULT_FIELD_DOCS = {
     "kind": "failure kind: host-crash, vf-loss, hypercall-spike or "
             "burst-storm",
@@ -297,44 +276,6 @@ FAULT_FIELD_DOCS = {
     "count": "SR-IOV virtual functions removed by vf-loss",
     "host": "target host name (default: picked by load / free VFs)",
 }
-
-
-@dataclass(frozen=True)
-class ScenarioFault:
-    """One entry of a cluster scenario's ``faults:`` block.
-
-    Mirrors :class:`repro.cluster.virt.FaultSpec`: a point failure
-    (``host-crash``, ``vf-loss``) fires at ``time_s``; a window failure
-    (``hypercall-spike``, ``burst-storm``) holds for ``duration_s``
-    multiplying hypercall latency or offered load by ``factor``.
-    Presence of the block enables the ``fault_events`` audit log on the
-    result; omitting it keeps results bit-identical to releases without
-    fault injection.
-    """
-
-    kind: str
-    time_s: float
-    duration_s: float = 0.0
-    factor: float = 4.0
-    count: int = 1
-    host: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        # Delegate range checking to the cluster-layer spec so the two
-        # descriptions cannot drift apart.
-        self.to_spec()
-
-    def to_spec(self):
-        from repro.cluster.virt import FaultSpec
-
-        return FaultSpec(
-            kind=self.kind,
-            time_s=self.time_s,
-            duration_s=self.duration_s,
-            factor=self.factor,
-            count=self.count,
-            host=self.host,
-        )
 
 
 #: One-line docs per ``llm:`` field, rendered by ``repro list`` and
@@ -377,7 +318,7 @@ class ScenarioLlm:
     from simulator calibration unless both explicit overrides are set.
     """
 
-    tenants: Tuple[ScenarioLlmTenant, ...] = ()
+    tenants: Tuple[LlmTenantSpec, ...] = ()
     batch_tokens: int = 2048
     m_total: int = 8192
     preemption_mode: str = "swap"
@@ -409,13 +350,10 @@ class ScenarioLlm:
                     f"exceeds m_total={self.m_total}"
                 )
 
-    def tenant_specs(self):
-        return tuple(t.to_spec() for t in self.tenants)
-
 
 #: One-line docs per ``executor:`` field, rendered by ``repro list``
 #: and ``tools/gen_docs.py``; a test pins its keys to the
-#: :class:`ScenarioExecutor` fields so they cannot drift.
+#: :class:`~repro.exec.ExecSpec` fields so they cannot drift.
 EXECUTOR_FIELD_DOCS = {
     "backend": "EXECUTORS registry entry dispatching sweep points "
                "(serial, pool, local-queue, or a plugin)",
@@ -430,52 +368,6 @@ EXECUTOR_FIELD_DOCS = {
     "keep_going": "record permanently failed points as structured "
                   "failures instead of aborting the sweep",
 }
-
-
-@dataclass(frozen=True)
-class ScenarioExecutor:
-    """Declarative ``executor:`` block: how a sweep is fanned out.
-
-    ``backend`` names an entry of
-    :data:`repro.api.registries.EXECUTORS`; the remaining fields mirror
-    :class:`repro.exec.ExecSpec` (worker count, per-task timeout,
-    bounded retries with backoff, per-item fault isolation).  The block
-    configures *dispatch only* -- simulations are deterministic
-    functions of their spec, so results are bit-identical across
-    backends, worker counts and resumes.  Without the block a sweep
-    runs each point as its own shard on the default ``pool`` backend,
-    and a cluster run fans its hosts out, as under ``executor: {}``.
-    """
-
-    backend: str = "pool"
-    max_workers: Optional[int] = None
-    task_timeout_s: Optional[float] = None
-    retries: Optional[int] = None
-    retry_backoff_s: Optional[float] = None
-    keep_going: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.backend:
-            raise ConfigError("executor block needs a backend name")
-        # Delegate range checking to the exec-layer spec so the two
-        # descriptions cannot drift apart.
-        self.to_spec()
-
-    def to_spec(self):
-        from repro.exec import DEFAULT_BACKOFF_S, DEFAULT_RETRIES, ExecSpec
-
-        return ExecSpec(
-            backend=self.backend,
-            max_workers=self.max_workers,
-            task_timeout_s=self.task_timeout_s,
-            retries=DEFAULT_RETRIES if self.retries is None else self.retries,
-            retry_backoff_s=(
-                DEFAULT_BACKOFF_S
-                if self.retry_backoff_s is None
-                else self.retry_backoff_s
-            ),
-            keep_going=self.keep_going,
-        )
 
 
 #: One-line docs per ``checkpoint:`` field, rendered by ``repro list``
@@ -547,19 +439,23 @@ class Scenario:
     - ``open_loop``: ``tenants``, ``arrival``, ``load``,
       ``duration_s``, ``drain``;
     - ``cluster``: ``churn``, ``hosts``/``cores_per_host`` (or
-      ``pools``), ``arrival``, ``load``, ``duration_s``, the optional
+      ``pools``, :class:`~repro.cluster.autoscale.HostPoolSpec`),
+      ``arrival``, ``load``, ``duration_s``, the optional
       ``autoscaler`` control loop, the optional ``virtualization``
-      control plane (VF budgets, hypercall cost), optional injected
-      ``faults`` (host crashes, VF loss, hypercall spikes, burst
-      storms), and the optional ``checkpoint`` block (journaled
-      segment snapshots for ``repro run --resume``);
-    - ``llm``: the ``llm`` block (tenants, token budgets, preemption),
-      plus ``arrival``, ``load``, ``duration_s``, ``drain``;
+      control plane (:class:`~repro.cluster.virt.VirtualizationSpec`:
+      VF budgets, hypercall cost), optional injected ``faults``
+      (:class:`~repro.cluster.virt.FaultSpec`: host crashes, VF loss,
+      hypercall spikes, burst storms), and the optional ``checkpoint``
+      block (journaled segment snapshots for ``repro run --resume``);
+    - ``llm``: the ``llm`` block (tenants as
+      :class:`~repro.llmserve.engine.LlmTenantSpec`, token budgets,
+      preemption), plus ``arrival``, ``load``, ``duration_s``,
+      ``drain``;
     - ``figure``: ``figure`` (the experiment name) and ``params``.
 
-    Any kind may carry an ``executor`` block choosing how its sweep (or
-    a cluster's host-segment fan-out) is dispatched; results never
-    depend on it.
+    Any kind may carry an ``executor`` block (:class:`~repro.exec.ExecSpec`)
+    choosing how its sweep (or a cluster's host-segment fan-out) is
+    dispatched; results never depend on it.
 
     Example::
 
@@ -570,12 +466,15 @@ class Scenario:
         )
         sc == Scenario.from_yaml(sc.to_yaml())   # lossless round-trip
 
-    Construction validates shape (positive durations, kind-appropriate
-    blocks); :meth:`validate` additionally resolves every registry name
-    (scheme, arrival kinds, models, figure, autoscaler policy) with
-    did-you-mean errors and rejects figure ``params`` the figure's
-    ``run_result`` does not accept, which is what ``run_scenario``
-    calls first.
+    :meth:`from_dict` parses every block through one path, so a block
+    of the wrong shape (``executor: pool``, ``pools: 3``) is a
+    :class:`~repro.errors.ConfigError` naming its key.  Construction
+    validates shape (positive durations, kind-appropriate blocks, each
+    engine spec's own ranges); :meth:`validate` additionally resolves
+    every registry name (scheme, arrival kinds, models, figure,
+    autoscaler policy) with did-you-mean errors and rejects figure
+    ``params`` the figure's ``run_result`` does not accept, which is
+    what ``run_scenario`` calls first.
     """
 
     name: str
@@ -596,22 +495,22 @@ class Scenario:
     churn: Tuple[ScenarioChurn, ...] = ()
     #: Elastic host pools (cluster kind; empty = one ``host`` pool of
     #: ``hosts`` hosts with ``cores_per_host`` cores each).
-    pools: Tuple[ScenarioPool, ...] = ()
+    pools: Tuple[HostPoolSpec, ...] = ()
     #: Closed-loop scaling policy (cluster kind; None = static cluster,
     #: bit-identical to pre-autoscaling runs).
     autoscaler: Optional[ScenarioAutoscaler] = None
     #: Virtualization control plane (cluster kind; None = default VF
     #: pools, free hypercalls, no control-plane metrics -- bit-identical
     #: to pre-virtualization runs).
-    virtualization: Optional[ScenarioVirtualization] = None
+    virtualization: Optional[VirtualizationSpec] = None
     #: Injected failures (cluster kind; empty = the exact fault-free
     #: code path, bit-identical to releases without fault injection).
-    faults: Tuple[ScenarioFault, ...] = ()
+    faults: Tuple[FaultSpec, ...] = ()
     #: Continuous-batching LLM serving block (llm kind only).
     llm: Optional[ScenarioLlm] = None
     #: Fan-out backend (None = the default ``pool`` backend; results
     #: never depend on it).
-    executor: Optional[ScenarioExecutor] = None
+    executor: Optional[ExecSpec] = None
     #: Journaled segment checkpoints (cluster kind; None = no snapshots
     #: are written.  Persistence only: metrics never depend on it).
     checkpoint: Optional[ScenarioCheckpoint] = None
@@ -788,168 +687,23 @@ class Scenario:
     # Serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        out = _nondefault_dict(self)
-        # Required fields always appear, defaults or not.
-        out["name"] = self.name
-        out["kind"] = self.kind
-        if self.tenants:
-            out["tenants"] = [_nondefault_dict(t) | {"model": t.model}
-                              for t in self.tenants]
-        if self.churn:
-            out["churn"] = [
-                _nondefault_dict(e)
-                | {"time_s": e.time_s, "action": e.action, "name": e.name}
-                for e in self.churn
-            ]
-        if self.sweep is not None:
-            out["sweep"] = {
-                "param": self.sweep.param,
-                "values": list(self.sweep.values),
-            }
-        if self.pools:
-            out["pools"] = [_nondefault_dict(p) for p in self.pools]
-        if self.autoscaler is not None:
-            block: Dict[str, Any] = {"policy": self.autoscaler.policy}
-            if self.autoscaler.interval_s is not None:
-                block["interval_s"] = self.autoscaler.interval_s
-            if self.autoscaler.params:
-                block["params"] = dict(self.autoscaler.params)
-            out["autoscaler"] = block
-        if self.virtualization is not None:
-            out["virtualization"] = _nondefault_dict(self.virtualization)
-        if self.faults:
-            out["faults"] = [
-                _nondefault_dict(f) | {"kind": f.kind, "time_s": f.time_s}
-                for f in self.faults
-            ]
-        if self.llm is not None:
-            block = _nondefault_dict(self.llm)
-            block["tenants"] = [
-                _nondefault_dict(t) | {"name": t.name}
-                for t in self.llm.tenants
-            ]
-            out["llm"] = block
+        out = _encode(self)
         if self.executor is not None:
-            out["executor"] = _nondefault_dict(self.executor) | {
-                "backend": self.executor.backend
-            }
-        if self.checkpoint is not None:
-            out["checkpoint"] = _nondefault_dict(self.checkpoint) | {
-                "directory": self.checkpoint.directory
-            }
-        if self.hardware:
-            out["hardware"] = dict(self.hardware)
-        if self.params:
-            out["params"] = dict(self.params)
+            # Written even at its default, as every release has: the
+            # digest of an ``executor: {}`` scenario must not change.
+            out["executor"].setdefault("backend", self.executor.backend)
         return out
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Scenario":
-        if not isinstance(payload, Mapping):
-            raise ConfigError(
-                f"scenario must be a mapping, got {type(payload).__name__}"
-            )
         try:
-            return cls._build(dict(payload))
+            return _from_mapping(cls, payload, "scenario")
         except TypeError as exc:
-            # A value of the wrong type (``load: high``, ``tenants: 5``)
-            # fails deep inside construction; report it, not a traceback.
+            # A value of the wrong type (``load: high``) fails deep
+            # inside construction; report it, not a traceback.
             raise ConfigError(
                 f"scenario {payload.get('name')!r} is malformed: {exc}"
             ) from exc
-
-    @classmethod
-    def _build(cls, data: Dict[str, Any]) -> "Scenario":
-        tenants = tuple(
-            _from_mapping(ScenarioTenant, t, "tenant")
-            for t in data.pop("tenants", ())
-        )
-        churn = tuple(
-            _from_mapping(ScenarioChurn, e, "churn event")
-            for e in data.pop("churn", ())
-        )
-        sweep_raw = data.pop("sweep", None)
-        sweep = (
-            _from_mapping(SweepSpec, dict(sweep_raw), "sweep")
-            if sweep_raw is not None
-            else None
-        )
-        pools = tuple(
-            _from_mapping(ScenarioPool, p, "host pool")
-            for p in data.pop("pools", ())
-        )
-        autoscaler_raw = data.pop("autoscaler", None)
-        autoscaler = (
-            _from_mapping(
-                ScenarioAutoscaler, dict(autoscaler_raw), "autoscaler"
-            )
-            if autoscaler_raw is not None
-            else None
-        )
-        virtualization_raw = data.pop("virtualization", None)
-        virtualization = (
-            _from_mapping(
-                ScenarioVirtualization, dict(virtualization_raw),
-                "virtualization",
-            )
-            if virtualization_raw is not None
-            else None
-        )
-        faults = tuple(
-            _from_mapping(ScenarioFault, f, "fault")
-            for f in data.pop("faults", ())
-        )
-        llm_raw = data.pop("llm", None)
-        llm = None
-        if llm_raw is not None:
-            if not isinstance(llm_raw, Mapping):
-                raise ConfigError(
-                    f"llm block must be a mapping, got {type(llm_raw).__name__}"
-                )
-            llm_data = dict(llm_raw)
-            llm_tenants = tuple(
-                _from_mapping(ScenarioLlmTenant, t, "llm tenant")
-                for t in llm_data.pop("tenants", ())
-            )
-            known_llm = {f.name for f in dataclasses.fields(ScenarioLlm)}
-            unknown_llm = set(llm_data) - known_llm
-            if unknown_llm:
-                raise ConfigError(
-                    f"unknown llm key(s) {sorted(unknown_llm)}; "
-                    f"known: {sorted(known_llm)}"
-                )
-            llm = ScenarioLlm(tenants=llm_tenants, **llm_data)
-        executor_raw = data.pop("executor", None)
-        executor = (
-            _from_mapping(ScenarioExecutor, dict(executor_raw), "executor")
-            if executor_raw is not None
-            else None
-        )
-        checkpoint_raw = data.pop("checkpoint", None)
-        checkpoint = (
-            _from_mapping(
-                ScenarioCheckpoint, dict(checkpoint_raw), "checkpoint"
-            )
-            if checkpoint_raw is not None
-            else None
-        )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown scenario key(s) {sorted(unknown)}; "
-                f"known: {sorted(known)}"
-            )
-        missing = {"name", "kind"} - set(data)
-        if missing:
-            raise ConfigError(f"scenario missing required key(s) {sorted(missing)}")
-        return cls(
-            tenants=tenants, churn=churn, sweep=sweep,
-            pools=pools, autoscaler=autoscaler,
-            virtualization=virtualization, faults=faults,
-            llm=llm, executor=executor, checkpoint=checkpoint,
-            **data,
-        )
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -970,6 +724,32 @@ class Scenario:
                 f"expected exactly one scenario, found {len(scenarios)}"
             )
         return scenarios[0]
+
+
+#: The blocks :func:`_from_mapping` parses, per owner class: field ->
+#: (spec class, what one entry is called in errors).  A spec named
+#: ``"module:Class"`` is an engine's own, imported only when a scenario
+#: holds its block, so loading a figure or open-loop scenario never
+#: imports the cluster, LLM or executor engines.
+_BLOCKS: Dict[type, Dict[str, Tuple[Union[type, str], str]]] = {
+    Scenario: {
+        "tenants": (ScenarioTenant, "tenant"),
+        "churn": (ScenarioChurn, "churn event"),
+        "pools": ("repro.cluster.autoscale:HostPoolSpec", "host pool"),
+        "autoscaler": (ScenarioAutoscaler, "autoscaler"),
+        "virtualization": (
+            "repro.cluster.virt:VirtualizationSpec", "virtualization"
+        ),
+        "faults": ("repro.cluster.virt:FaultSpec", "fault"),
+        "llm": (ScenarioLlm, "llm"),
+        "executor": ("repro.exec:ExecSpec", "executor"),
+        "checkpoint": (ScenarioCheckpoint, "checkpoint"),
+        "sweep": (SweepSpec, "sweep"),
+    },
+    ScenarioLlm: {
+        "tenants": ("repro.llmserve.engine:LlmTenantSpec", "llm tenant"),
+    },
+}
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,6 @@ conservative:
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.compiler.graph import Graph
 from repro.compiler.operators import Conv2D, Elementwise, MatMul
 
@@ -71,14 +69,3 @@ def fuse_graph(graph: Graph) -> int:
             changed = True
             break
     return fused
-
-
-def fusion_candidates(graph: Graph) -> List[int]:
-    """Node ids of ME ops that would accept another epilogue op --
-    useful for tests and for reporting fusion coverage."""
-    out: List[int] = []
-    for node in graph:
-        if isinstance(node.op, (MatMul, Conv2D)):
-            if len(node.op.epilogue) < MAX_EPILOGUE_OPS:
-                out.append(node.node_id)
-    return out

@@ -22,10 +22,11 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.api.registries import scheme_isa
 from repro.config import DEFAULT_CORE, NpuCoreConfig
 from repro.experiments.common import specs_for_pair
 from repro.megabatch import run_simulators
-from repro.serving.server import SCHEME_ISA, SCHEME_NEU10
+from repro.serving.server import SCHEME_NEU10
 from repro.sim.engine import SimResult, Simulator, Tenant
 from repro.sim.sched_neu10 import Neu10Scheduler
 from repro.workloads.traces import build_trace
@@ -56,7 +57,7 @@ def _run(
             Tenant(
                 tenant_id=idx,
                 name=trace.abbrev,
-                graph=trace.compiled(SCHEME_ISA[SCHEME_NEU10]),
+                graph=trace.compiled(scheme_isa(SCHEME_NEU10)),
                 alloc_mes=spec.alloc_mes or core.num_mes // 2,
                 alloc_ves=spec.alloc_ves or core.num_ves // 2,
                 target_requests=target_requests,

@@ -70,22 +70,6 @@ class ServingComparison:
         return rows
 
     # ------------------------------------------------------------------
-    # Fig. 22: utilization
-    # ------------------------------------------------------------------
-    def utilization_rows(self) -> List[Tuple[str, Dict[str, Tuple[float, float]]]]:
-        rows = []
-        for run in self.runs:
-            per_scheme = {
-                scheme: (
-                    run.results[scheme].total_me_utilization,
-                    run.results[scheme].total_ve_utilization,
-                )
-                for scheme in run.results
-            }
-            rows.append((run.label, per_scheme))
-        return rows
-
-    # ------------------------------------------------------------------
     # Headline aggregates
     # ------------------------------------------------------------------
     def tail_gain_vs_v10(self) -> Tuple[float, float]:

@@ -29,12 +29,6 @@ class HarvestBreakdown:
     #: tenant index -> workload abbreviation.
     names: Dict[int, str]
 
-    def fraction_above(self, tenant: int, threshold: float = 1.0) -> float:
-        ops = self.speedups.get(tenant, [])
-        if not ops:
-            return 0.0
-        return sum(1 for s in ops if s > threshold) / len(ops)
-
     def median_speedup(self, tenant: int) -> float:
         ops = sorted(self.speedups.get(tenant, []))
         if not ops:

@@ -27,16 +27,15 @@ from repro.api.scenario import (
     Scenario,
     ScenarioAutoscaler,
     ScenarioChurn,
-    ScenarioExecutor,
-    ScenarioFault,
     ScenarioLlm,
-    ScenarioLlmTenant,
-    ScenarioPool,
     ScenarioTenant,
-    ScenarioVirtualization,
     SweepSpec,
 )
+from repro.cluster.autoscale import HostPoolSpec
+from repro.cluster.virt import FaultSpec, VirtualizationSpec
 from repro.errors import ConfigError
+from repro.exec import ExecSpec
+from repro.llmserve.engine import LlmTenantSpec
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def _churn(
     return tuple(events)
 
 
-def _pools(rng: random.Random) -> Tuple[ScenarioPool, ...]:
+def _pools(rng: random.Random) -> Tuple[HostPoolSpec, ...]:
     n = rng.randint(1, 2)
     names = ("std", "edge")
     out = []
@@ -146,7 +145,7 @@ def _pools(rng: random.Random) -> Tuple[ScenarioPool, ...]:
         min_hosts = rng.randint(1, 2)
         max_hosts = min_hosts + rng.randint(0, 2)
         out.append(
-            ScenarioPool(
+            HostPoolSpec(
                 name=names[i],
                 cores_per_host=rng.randint(1, 2),
                 min_hosts=min_hosts,
@@ -166,15 +165,15 @@ def _autoscaler(rng: random.Random, duration_s: float) -> ScenarioAutoscaler:
 
 
 def _virtualization(
-    rng: random.Random, g: FuzzGrammar, pools: Tuple[ScenarioPool, ...]
-) -> ScenarioVirtualization:
+    rng: random.Random, g: FuzzGrammar, pools: Tuple[HostPoolSpec, ...]
+) -> VirtualizationSpec:
     cost = 0.0
     if rng.random() < g.p_hypercall_cost:
         cost = rng.choice((1e-5, 5e-5, 2e-4))
     pool_vfs = {}
     if pools and rng.random() < 0.5:
         pool_vfs = {pools[0].name: rng.randint(1, 4)}
-    return ScenarioVirtualization(
+    return VirtualizationSpec(
         num_vfs=rng.randint(2, 8),
         pool_num_vfs=pool_vfs,
         hypercall_cost_s=cost,
@@ -183,7 +182,7 @@ def _virtualization(
 
 def _faults(
     rng: random.Random, g: FuzzGrammar, duration_s: float
-) -> Tuple[ScenarioFault, ...]:
+) -> Tuple[FaultSpec, ...]:
     out = []
     for _ in range(rng.randint(1, g.max_faults)):
         kind = rng.choice(
@@ -192,7 +191,7 @@ def _faults(
         at = _round(rng.uniform(0.1 * duration_s, 0.8 * duration_s), 6)
         if kind in ("hypercall-spike", "burst-storm"):
             out.append(
-                ScenarioFault(
+                FaultSpec(
                     kind=kind,
                     time_s=at,
                     duration_s=_round(
@@ -203,10 +202,10 @@ def _faults(
             )
         elif kind == "vf-loss":
             out.append(
-                ScenarioFault(kind=kind, time_s=at, count=rng.randint(1, 4))
+                FaultSpec(kind=kind, time_s=at, count=rng.randint(1, 4))
             )
         else:
-            out.append(ScenarioFault(kind=kind, time_s=at))
+            out.append(FaultSpec(kind=kind, time_s=at))
     return tuple(out)
 
 
@@ -214,7 +213,7 @@ def _llm_block(rng: random.Random) -> ScenarioLlm:
     batch_tokens = rng.choice((512, 1024, 2048))
     n = rng.randint(1, 3)
     tenants = tuple(
-        ScenarioLlmTenant(
+        LlmTenantSpec(
             name=f"llm{i}",
             prompt_tokens=rng.choice((64, 128, 256)),
             decode_tokens=rng.choice((16, 32, 64)),
@@ -264,7 +263,7 @@ def generate_scenario(
         seed=seed,
     )
     executor = (
-        ScenarioExecutor(backend="serial")
+        ExecSpec(backend="serial")
         if rng.random() < g.p_executor
         else None
     )

@@ -248,9 +248,5 @@ def decode_vliw_instruction(data: bytes, offset: int = 0) -> Tuple[VliwInstructi
     return inst, offset
 
 
-def vliw_instruction_size_bytes(inst: VliwInstruction) -> int:
-    return len(encode_vliw_instruction(inst))
-
-
 def utop_instruction_size_bytes(inst: UTopInstruction) -> int:
     return len(encode_utop_instruction(inst))

@@ -62,13 +62,6 @@ class InterpreterResult:
     scratch: Dict[int, int] = field(default_factory=dict)
 
     @property
-    def dynamic_utops(self) -> List[UTop]:
-        out: List[UTop] = []
-        for grp in self.groups:
-            out.extend(run.utop for run in grp.utop_runs)
-        return out
-
-    @property
     def dynamic_group_indices(self) -> List[int]:
         return [grp.group_index for grp in self.groups]
 

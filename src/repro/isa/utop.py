@@ -55,10 +55,6 @@ class UTopInstruction:
         return self.me_slot is not None and not self.me_slot.is_nop
 
     @property
-    def active_ve_count(self) -> int:
-        return sum(1 for op in self.ve_slots if not op.is_nop)
-
-    @property
     def issue_cycles(self) -> int:
         latency = 1
         if self.me_slot is not None:

@@ -264,10 +264,3 @@ class VliwProgram:
             if engine < len(inst.me_slots) and not inst.me_slots[engine].is_nop:
                 busy += max(1, inst.me_slots[engine].latency_cycles)
         return busy
-
-    def ve_busy_cycles(self, engine: int) -> int:
-        busy = 0
-        for inst in self.instructions:
-            if engine < len(inst.ve_slots) and not inst.ve_slots[engine].is_nop:
-                busy += 1
-        return busy

@@ -93,9 +93,5 @@ class CommandRing:
         return self._count
 
     @property
-    def is_empty(self) -> bool:
-        return self._count == 0
-
-    @property
     def is_full(self) -> bool:
         return self._count == self.capacity

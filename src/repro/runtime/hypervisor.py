@@ -86,10 +86,6 @@ class Hypervisor:
         return self.sriov.in_use
 
     @property
-    def vf_free(self) -> int:
-        return self.sriov.num_vfs - self.sriov.in_use
-
-    @property
     def iommu_mapping_count(self) -> int:
         return self.iommu.mapping_count
 

@@ -124,12 +124,6 @@ class Iommu:
             )
         return window.base_bytes + virt_addr
 
-    def window_of(self, vnpu_id: int, kind: MemoryKind) -> SegmentWindow:
-        window = self._windows.get((vnpu_id, kind))
-        if window is None:
-            raise SegmentationFault(f"vNPU {vnpu_id} has no {kind.label} window")
-        return window
-
     # ------------------------------------------------------------------
     # DMA remapping (host-memory side)
     # ------------------------------------------------------------------

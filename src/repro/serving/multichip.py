@@ -14,14 +14,14 @@ an all-gather step over the board interconnect.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.api.registries import scheme_isa
 from repro.config import NpuCoreConfig
 from repro.errors import ConfigError
 from repro.megabatch import run_simulators
-from repro.serving.server import SCHEME_ISA, SCHEME_NEU10, make_scheduler
+from repro.serving.server import SCHEME_NEU10, make_scheduler
 from repro.sim.engine import Simulator, Tenant
 from repro.workloads.catalog import model_info
 from repro.workloads.traces import build_trace
@@ -124,7 +124,7 @@ class DataParallelVnpu:
                 self._allgather_cycles() if self.num_cores > 1 else 0.0
             ),
         )
-        isa = SCHEME_ISA[self.scheme]
+        isa = scheme_isa(self.scheme)
         shard_batches = self.shard_batches()
         sims = []
         for core_index, shard_batch in enumerate(shard_batches):

@@ -9,7 +9,7 @@ workload completes its request target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.api import registries
 from repro.config import DEFAULT_CORE, NpuCoreConfig
@@ -31,12 +31,6 @@ SCHEME_TEMPORAL = "neu10-temporal"
 #: registered later should call
 #: :func:`repro.api.registries.default_scheme_names` instead.
 ALL_SCHEMES = registries.default_scheme_names()
-
-#: Which ISA each scheme's workloads are compiled with.  A snapshot of
-#: the registry at import time, kept for backwards compatibility --
-#: prefer :func:`repro.api.registries.scheme_isa`, which also sees
-#: schemes registered later.
-SCHEME_ISA = registries.scheme_isa_map()
 
 
 def make_scheduler(scheme: str) -> SchedulerBase:

@@ -67,10 +67,6 @@ class Request:
         return self.finish_cycle - self.issue_cycle
 
     @property
-    def service_time(self) -> float:
-        return self.finish_cycle - self.start_cycle
-
-    @property
     def queueing_delay(self) -> float:
         """Time spent waiting for admission (zero under closed loop)."""
         return self.start_cycle - self.issue_cycle
@@ -172,11 +168,6 @@ class Tenant:
         if self.current_request is None and self.queued_requests:
             self._maybe_start_request(now)
 
-    def next_arrival(self) -> Optional[float]:
-        if self.pending_arrivals:
-            return self.pending_arrivals[0]
-        return None
-
     def _maybe_start_request(self, now: float) -> None:
         if self.current_request is not None or not self.queued_requests:
             return
@@ -260,28 +251,9 @@ class Tenant:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def reached_target(self) -> bool:
-        if self.target_requests is None:
-            # Drain mode: done once the whole arrival stream is served.
-            return (
-                not self.pending_arrivals
-                and not self.queued_requests
-                and self.current_request is None
-            )
-        return len(self.completed) >= self.target_requests
-
     def issued_requests(self) -> int:
         """Requests admitted so far (open-loop offered load accounting)."""
         return self._next_request_id
-
-    def me_engines_wanted(self) -> int:
-        done = UnitState.DONE
-        total = 0
-        for u in self.active_units:
-            if u.is_me_unit and u.state is not done:
-                total += u.me_engines_needed
-        return total
 
     def latencies(self) -> List[float]:
         return [r.latency for r in self.completed]

@@ -8,12 +8,12 @@ from repro.api import (
     Scenario,
     ScenarioAutoscaler,
     ScenarioChurn,
-    ScenarioPool,
     ScenarioTenant,
     run_scenario,
     sweep_scenario,
     validate_run_result,
 )
+from repro.cluster.autoscale import HostPoolSpec
 from repro.errors import ConfigError
 
 pytest.importorskip("yaml")
@@ -34,7 +34,7 @@ def _cluster_scenario(**overrides):
             ScenarioChurn(0.0, "arrive", "b", model="MNIST",
                           num_mes=1, num_ves=1),
         ),
-        pools=(ScenarioPool(name="default", min_hosts=1, max_hosts=3,
+        pools=(HostPoolSpec(name="default", min_hosts=1, max_hosts=3,
                             initial_hosts=1),),
         autoscaler=ScenarioAutoscaler(
             policy="slo-burn-rate",
@@ -87,7 +87,7 @@ def test_bad_autoscaler_blocks_rejected():
         ScenarioAutoscaler(policy="static", interval_s=0.0)
     with pytest.raises(ConfigError, match="unique"):
         _cluster_scenario(
-            pools=(ScenarioPool(name="p"), ScenarioPool(name="p"))
+            pools=(HostPoolSpec(name="p"), HostPoolSpec(name="p"))
         )
 
 

@@ -9,11 +9,12 @@ from repro.api import (
     FAULT_FIELD_DOCS,
     Scenario,
     ScenarioChurn,
-    ScenarioFault,
     run_scenario,
 )
 from repro.cli import main as cli_main
+from repro.cluster.virt import FaultSpec
 from repro.errors import ConfigError
+from repro.llmserve.engine import LlmTenantSpec
 
 
 def _cluster_scenario(faults=(), **overrides):
@@ -42,11 +43,11 @@ def _cluster_scenario(faults=(), **overrides):
 # ----------------------------------------------------------------------
 def test_faults_round_trip_yaml_json_digest():
     sc = _cluster_scenario((
-        ScenarioFault(kind="host-crash", time_s=0.001),
-        ScenarioFault(kind="burst-storm", time_s=0.0005,
-                      duration_s=0.0008, factor=3.0),
-        ScenarioFault(kind="vf-loss", time_s=0.0012, count=2,
-                      host="host0"),
+        FaultSpec(kind="host-crash", time_s=0.001),
+        FaultSpec(kind="burst-storm", time_s=0.0005,
+                  duration_s=0.0008, factor=3.0),
+        FaultSpec(kind="vf-loss", time_s=0.0012, count=2,
+                  host="host0"),
     ))
     assert Scenario.from_yaml(sc.to_yaml()) == sc
     assert Scenario.from_json(sc.to_json()) == sc
@@ -54,8 +55,8 @@ def test_faults_round_trip_yaml_json_digest():
 
 
 def test_fault_defaults_omitted_from_dict():
-    sc = _cluster_scenario((ScenarioFault(kind="host-crash",
-                                          time_s=0.001),))
+    sc = _cluster_scenario((FaultSpec(kind="host-crash",
+                                      time_s=0.001),))
     payload = sc.to_dict()["faults"]
     assert payload == [{"kind": "host-crash", "time_s": 0.001}]
 
@@ -74,12 +75,12 @@ def test_empty_faults_absent_from_dict():
 ])
 def test_invalid_fault_specs_rejected(bad):
     with pytest.raises(ConfigError):
-        _cluster_scenario((ScenarioFault(**bad),))
+        _cluster_scenario((FaultSpec(**bad),))
 
 
 def test_unknown_fault_key_rejected():
     payload = _cluster_scenario(
-        (ScenarioFault(kind="host-crash", time_s=0.001),)
+        (FaultSpec(kind="host-crash", time_s=0.001),)
     ).to_dict()
     payload["faults"][0]["surprise"] = 1
     with pytest.raises(ConfigError):
@@ -88,20 +89,16 @@ def test_unknown_fault_key_rejected():
 
 @pytest.mark.parametrize("kind", ["open_loop", "serving", "llm"])
 def test_faults_gated_to_cluster_kind(kind):
-    from repro.api.scenario import (
-        ScenarioLlm,
-        ScenarioLlmTenant,
-        ScenarioTenant,
-    )
+    from repro.api.scenario import ScenarioLlm, ScenarioTenant
 
     params = dict(
         name="x", kind=kind, scheme="neu10",
-        faults=(ScenarioFault(kind="host-crash", time_s=0.0001),),
+        faults=(FaultSpec(kind="host-crash", time_s=0.0001),),
     )
     if kind == "llm":
         params.update(load=0.5, duration_s=0.001, llm=ScenarioLlm(
-            tenants=(ScenarioLlmTenant(name="t", prompt_tokens=64,
-                                       decode_tokens=16),),
+            tenants=(LlmTenantSpec(name="t", prompt_tokens=64,
+                                   decode_tokens=16),),
         ))
     else:
         params["tenants"] = (ScenarioTenant(model="MNIST", batch=8),)
@@ -120,7 +117,7 @@ def test_runner_stamps_fault_events_only_when_faults_present():
     assert "faults" not in clean.metadata
 
     faulty = run_scenario(_cluster_scenario(
-        (ScenarioFault(kind="host-crash", time_s=0.001),)
+        (FaultSpec(kind="host-crash", time_s=0.001),)
     ))
     assert faulty.metadata["faults"] == [
         {"kind": "host-crash", "time_s": 0.001}
@@ -145,11 +142,11 @@ def test_fault_free_scenario_digest_unchanged_by_feature():
 # ----------------------------------------------------------------------
 def test_fault_field_docs_match_dataclass():
     """`repro list` and gen_docs render FAULT_FIELD_DOCS; a new
-    ScenarioFault field must document itself."""
+    FaultSpec field must document itself."""
     import dataclasses
 
     assert set(FAULT_FIELD_DOCS) == {
-        f.name for f in dataclasses.fields(ScenarioFault)
+        f.name for f in dataclasses.fields(FaultSpec)
     }
 
 

@@ -10,22 +10,22 @@ from repro.api import (
     PREEMPTION,
     Scenario,
     ScenarioLlm,
-    ScenarioLlmTenant,
     ScenarioTenant,
     run_scenario,
     victim_policy_names,
 )
 from repro.cli import main as cli_main
 from repro.errors import ConfigError
+from repro.llmserve.engine import LlmTenantSpec
 
 
 def _block(**overrides):
     params = dict(
         tenants=(
-            ScenarioLlmTenant(name="chat", prompt_tokens=64,
-                              decode_tokens=64),
-            ScenarioLlmTenant(name="code", prompt_tokens=128,
-                              decode_tokens=128, weight=0.5),
+            LlmTenantSpec(name="chat", prompt_tokens=64,
+                          decode_tokens=64),
+            LlmTenantSpec(name="code", prompt_tokens=128,
+                          decode_tokens=128, weight=0.5),
         ),
         batch_tokens=256,
         m_total=384,
@@ -96,7 +96,7 @@ def test_block_validation():
     with pytest.raises(ConfigError, match="exceeds"):
         _block(m_total=128)  # peak KV no longer fits the device
     with pytest.raises(ConfigError):
-        ScenarioLlmTenant(name="", prompt_tokens=64)
+        LlmTenantSpec(name="", prompt_tokens=64)
     with pytest.raises(ConfigError, match="unknown llm key"):
         Scenario.from_dict({
             "name": "x", "kind": "llm",
@@ -140,7 +140,7 @@ def test_run_result_matches_direct_engine_call():
     from repro.llmserve import LlmServeConfig, run_llm_serving
 
     direct = run_llm_serving(
-        sc.llm.tenant_specs(),
+        sc.llm.tenants,
         LlmServeConfig(
             core=sc.core(), scheme=sc.scheme, seed=sc.seed,
             duration_s=sc.duration_s, load=sc.load, arrival=sc.arrival,

@@ -23,7 +23,6 @@ def test_serving_scheme_lists_come_from_the_registry():
     from repro.serving import server
 
     assert server.ALL_SCHEMES == default_scheme_names()
-    assert set(server.SCHEME_ISA) == set(all_scheme_names())
     assert server.ALL_SCHEMES == ("pmt", "v10", "neu10-nh", "neu10")
     assert "neu10-temporal" in all_scheme_names()
 

@@ -126,8 +126,14 @@ def test_unknown_tenant_key_is_rejected():
         })
 
 
-#: Scenario files that used to escape as a ``TypeError`` traceback,
-#: each with the message that now names what is wrong.
+_CLUSTER = (
+    "name: c\nkind: cluster\nchurn:\n"
+    "  - {time_s: 0.0, action: arrive, name: a, model: MNIST}\n"
+)
+
+#: Scenario files that used to escape as a ``TypeError`` or
+#: ``ValueError`` traceback, each with the message that now names what
+#: is wrong.
 MALFORMED = {
     "churn-without-name": (
         "name: c\nkind: cluster\nchurn:\n"
@@ -139,9 +145,7 @@ MALFORMED = {
         r"tenant missing required key\(s\) \['model'\]",
     ),
     "fault-without-kind": (
-        "name: f\nkind: cluster\nchurn:\n"
-        "  - {time_s: 0.0, action: arrive, name: a, model: MNIST}\n"
-        "faults:\n  - {time_s: 0.0005}\n",
+        _CLUSTER + "faults:\n  - {time_s: 0.0005}\n",
         r"fault missing required key\(s\) \['kind'\]",
     ),
     "load-not-a-number": (
@@ -151,7 +155,47 @@ MALFORMED = {
     ),
     "tenants-not-a-list": (
         "name: n\nkind: open_loop\ntenants: 5\n",
-        "scenario 'n' is malformed",
+        "scenario key 'tenants' must be a list of mappings, got int",
+    ),
+    "pools-not-a-list": (
+        _CLUSTER + "pools: 3\n",
+        "scenario key 'pools' must be a list of mappings, got int",
+    ),
+    "virtualization-not-a-mapping": (
+        _CLUSTER + "virtualization: on\n",
+        "scenario key 'virtualization' must be a mapping, got bool",
+    ),
+    "executor-not-a-mapping": (
+        _CLUSTER + "executor: pool\n",
+        "scenario key 'executor' must be a mapping, got str",
+    ),
+    "checkpoint-not-a-mapping": (
+        _CLUSTER + "checkpoint: /tmp/x\n",
+        "scenario key 'checkpoint' must be a mapping, got str",
+    ),
+    "autoscaler-not-a-mapping": (
+        _CLUSTER + "autoscaler: threshold\n",
+        "scenario key 'autoscaler' must be a mapping, got str",
+    ),
+    "sweep-not-a-mapping": (
+        _CLUSTER + "sweep: seed\n",
+        "scenario key 'sweep' must be a mapping, got str",
+    ),
+    "hardware-not-a-mapping": (
+        _CLUSTER + "hardware: fast\n",
+        "scenario key 'hardware' must be a mapping, got str",
+    ),
+    "params-not-a-mapping": (
+        _CLUSTER + "params: x\n",
+        "scenario key 'params' must be a mapping, got str",
+    ),
+    "autoscaler-params-not-a-mapping": (
+        _CLUSTER + "autoscaler: {policy: threshold, params: x}\n",
+        "autoscaler key 'params' must be a mapping, got str",
+    ),
+    "llm-tenants-not-a-list": (
+        "name: m\nkind: llm\nllm: {tenants: 3}\n",
+        "llm key 'tenants' must be a list of mappings, got int",
     ),
 }
 

@@ -8,12 +8,12 @@ import pytest
 from repro.api import (
     Scenario,
     ScenarioChurn,
-    ScenarioPool,
     ScenarioTenant,
-    ScenarioVirtualization,
     run_scenario,
 )
 from repro.cli import main as cli_main
+from repro.cluster.autoscale import HostPoolSpec
+from repro.cluster.virt import VirtualizationSpec
 from repro.errors import ConfigError
 
 
@@ -25,7 +25,7 @@ def _cluster_scenario(virtualization=None, **overrides):
         load=0.5,
         duration_s=0.0005,
         seed=3,
-        pools=(ScenarioPool(name="pool", min_hosts=2, max_hosts=2,
+        pools=(HostPoolSpec(name="pool", min_hosts=2, max_hosts=2,
                             initial_hosts=2),),
         churn=tuple(
             ScenarioChurn(0.0, "arrive", f"t{i}", model="MNIST",
@@ -42,7 +42,7 @@ def _cluster_scenario(virtualization=None, **overrides):
 # Round-trip + validation
 # ----------------------------------------------------------------------
 def test_virtualization_block_round_trips():
-    sc = _cluster_scenario(ScenarioVirtualization(
+    sc = _cluster_scenario(VirtualizationSpec(
         num_vfs=2, pool_num_vfs={"pool": 2}, hypercall_cost_s=1e-5,
     ))
     assert Scenario.from_yaml(sc.to_yaml()) == sc
@@ -53,7 +53,7 @@ def test_virtualization_block_round_trips():
 
 
 def test_default_block_round_trips_and_stays_distinct_from_absent():
-    enabled = _cluster_scenario(ScenarioVirtualization())
+    enabled = _cluster_scenario(VirtualizationSpec())
     disabled = _cluster_scenario(None)
     assert Scenario.from_yaml(enabled.to_yaml()) == enabled
     assert enabled != disabled
@@ -66,24 +66,24 @@ def test_virtualization_only_for_cluster_kind():
         Scenario(
             name="x", kind="open_loop",
             tenants=(ScenarioTenant(model="MNIST"),),
-            virtualization=ScenarioVirtualization(),
+            virtualization=VirtualizationSpec(),
         )
 
 
 def test_pool_overrides_validated_against_declared_pools():
     with pytest.raises(ConfigError, match="unknown pool"):
-        _cluster_scenario(ScenarioVirtualization(pool_num_vfs={"ghost": 2}))
+        _cluster_scenario(VirtualizationSpec(pool_num_vfs={"ghost": 2}))
     with pytest.raises(ConfigError, match="needs explicit 'pools'"):
         _cluster_scenario(
-            ScenarioVirtualization(pool_num_vfs={"pool": 2}), pools=(),
+            VirtualizationSpec(pool_num_vfs={"pool": 2}), pools=(),
         )
 
 
 def test_block_value_validation_matches_cluster_layer():
     with pytest.raises(ConfigError):
-        ScenarioVirtualization(num_vfs=0)
+        VirtualizationSpec(num_vfs=0)
     with pytest.raises(ConfigError):
-        ScenarioVirtualization(hypercall_cost_s=-1.0)
+        VirtualizationSpec(hypercall_cost_s=-1.0)
     with pytest.raises(ConfigError, match="unknown virtualization key"):
         Scenario.from_dict({
             "name": "x", "kind": "cluster",
@@ -103,7 +103,7 @@ def test_runner_reports_virtualization_only_when_configured():
     assert "cluster_attainment" not in plain.metrics
 
     virt = run_scenario(_cluster_scenario(
-        ScenarioVirtualization(num_vfs=2, hypercall_cost_s=5e-5)
+        VirtualizationSpec(num_vfs=2, hypercall_cost_s=5e-5)
     ))
     block = virt.metrics["virtualization"]
     assert block["hypercalls"]["create"] == 4
@@ -123,7 +123,7 @@ def test_runner_reports_virtualization_only_when_configured():
 
 def test_runner_result_json_round_trips(tmp_path):
     result = run_scenario(_cluster_scenario(
-        ScenarioVirtualization(num_vfs=2)
+        VirtualizationSpec(num_vfs=2)
     ))
     payload = json.loads(json.dumps(result.to_dict()))
     assert payload["metrics"]["virtualization"]["vf_exhaustion_rejections"] == 2
@@ -149,18 +149,18 @@ def test_cli_list_json_describes_the_block(capsys):
 
 def test_field_doc_table_matches_the_dataclass():
     """`repro list` and gen_docs render VIRTUALIZATION_FIELD_DOCS; a
-    new ScenarioVirtualization field must land there too."""
+    new VirtualizationSpec field must land there too."""
     import dataclasses
 
     from repro.api import VIRTUALIZATION_FIELD_DOCS
 
     assert set(VIRTUALIZATION_FIELD_DOCS) == {
-        f.name for f in dataclasses.fields(ScenarioVirtualization)
+        f.name for f in dataclasses.fields(VirtualizationSpec)
     }
 
 
 def test_cli_run_json_reports_virtualization(tmp_path, capsys):
-    sc = _cluster_scenario(ScenarioVirtualization(num_vfs=2))
+    sc = _cluster_scenario(VirtualizationSpec(num_vfs=2))
     path = tmp_path / "virt.json"
     path.write_text(sc.to_json(), encoding="utf-8")
     assert cli_main(["run", str(path), "--json"]) == 0

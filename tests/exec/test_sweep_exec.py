@@ -12,7 +12,6 @@ from repro.api import (
     EXECUTORS,
     Scenario,
     ScenarioChurn,
-    ScenarioExecutor,
     ScenarioTenant,
     run_scenario,
     sweep_scenario,
@@ -21,7 +20,7 @@ from repro.api import (
 )
 from repro.api.registries import ExecutorInfo
 from repro.errors import ConfigError, ExecError
-from repro.exec import SerialExecutor
+from repro.exec import ExecSpec, SerialExecutor
 
 BACKENDS = ("serial", "pool", "local-queue")
 
@@ -96,7 +95,7 @@ def test_default_sweep_runs_one_pool_worker_per_chunk(
 
 
 def test_sweep_scenario_routes_executor_block(tiny, reference):
-    routed = tiny.replaced(executor=ScenarioExecutor(backend="serial"))
+    routed = tiny.replaced(executor=ExecSpec(backend="serial"))
     results = sweep_scenario(routed, param="load", values=[0.5, 0.9])
     assert [r.provenance["executor"] for r in results] == [
         {"backend": "serial"}
@@ -238,7 +237,7 @@ def test_sweep_scenario_raises_on_failed_point_under_keep_going():
     ghost = Scenario(
         name="ghost", kind="cluster", scheme="neu10", duration_s=0.0004,
         churn=(ScenarioChurn(time_s=0.0, action="depart", name="ghost"),),
-        executor=ScenarioExecutor(
+        executor=ExecSpec(
             backend="serial", keep_going=True, retries=0
         ),
     )
@@ -277,7 +276,7 @@ def test_third_party_backend_failures_raise_exec_error(tiny):
 # ----------------------------------------------------------------------
 def test_executor_block_round_trips(tiny):
     sc = tiny.replaced(
-        executor=ScenarioExecutor(
+        executor=ExecSpec(
             backend="local-queue", max_workers=3, task_timeout_s=10.0,
             retries=1, keep_going=True,
         )
@@ -290,18 +289,23 @@ def test_executor_block_round_trips(tiny):
 
 def test_executor_block_defaults_omitted_from_dict(tiny):
     assert "executor" not in tiny.to_dict()
-    sc = tiny.replaced(executor=ScenarioExecutor())
+    sc = tiny.replaced(executor=ExecSpec())
     assert sc.to_dict()["executor"] == {"backend": "pool"}
+    # A block that spells out the defaults encodes as the bare block.
+    spelled = Scenario.from_dict(
+        tiny.to_dict() | {"executor": {"retries": 2, "retry_backoff_s": 0.05}}
+    )
+    assert spelled == sc and spelled.digest() == sc.digest()
 
 
 def test_unknown_backend_rejected_by_validate(tiny):
-    sc = tiny.replaced(executor=ScenarioExecutor(backend="nope"))
+    sc = tiny.replaced(executor=ExecSpec(backend="nope"))
     with pytest.raises(ConfigError, match="nope"):
         sc.validate()
 
 
 def test_executor_field_docs_pinned_to_fields():
-    fields = {f.name for f in dataclasses.fields(ScenarioExecutor)}
+    fields = {f.name for f in dataclasses.fields(ExecSpec)}
     assert set(EXECUTOR_FIELD_DOCS) == fields
 
 
@@ -330,7 +334,7 @@ def cluster():
 def test_cluster_executor_metrics_identical(cluster, backend):
     want = run_scenario(cluster).to_dict()
     got = run_scenario(
-        cluster.replaced(executor=ScenarioExecutor(backend=backend))
+        cluster.replaced(executor=ExecSpec(backend=backend))
     ).to_dict()
     assert got["provenance"].pop("executor") == {"backend": backend}
     assert got["metrics"] == want["metrics"]

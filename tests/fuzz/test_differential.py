@@ -11,10 +11,10 @@ from repro.api.scenario import (
     Scenario,
     ScenarioChurn,
     ScenarioLlm,
-    ScenarioLlmTenant,
     ScenarioTenant,
 )
 from repro.fuzz.invariants import _env, _metrics_digest
+from repro.llmserve.engine import LlmTenantSpec
 
 
 def _open_loop() -> Scenario:
@@ -59,10 +59,10 @@ def _llm() -> Scenario:
         load=0.6, duration_s=0.001, seed=9, drain=True,
         llm=ScenarioLlm(
             tenants=(
-                ScenarioLlmTenant(name="chat", prompt_tokens=128,
-                                  decode_tokens=32),
-                ScenarioLlmTenant(name="code", prompt_tokens=64,
-                                  decode_tokens=16),
+                LlmTenantSpec(name="chat", prompt_tokens=128,
+                              decode_tokens=32),
+                LlmTenantSpec(name="code", prompt_tokens=64,
+                              decode_tokens=16),
             ),
             batch_tokens=512, m_total=512,
             preemption_mode="sacrifice", victim_policy="fifo",

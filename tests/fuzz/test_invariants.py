@@ -9,7 +9,6 @@ from repro.api import run_scenario
 from repro.api.scenario import (
     Scenario,
     ScenarioLlm,
-    ScenarioLlmTenant,
     ScenarioTenant,
 )
 from repro.config import spawn_rng
@@ -25,6 +24,7 @@ from repro.fuzz.invariants import (
     check_roundtrip,
     check_scenario,
 )
+from repro.llmserve.engine import LlmTenantSpec
 
 
 def _open_loop(drain: bool = True) -> Scenario:
@@ -40,7 +40,7 @@ def _llm() -> Scenario:
         name="inv-llm", kind="llm", scheme="neu10",
         load=0.5, duration_s=0.001, seed=5, drain=True,
         llm=ScenarioLlm(
-            tenants=(ScenarioLlmTenant(
+            tenants=(LlmTenantSpec(
                 name="t0", prompt_tokens=64, decode_tokens=16),),
             batch_tokens=256, m_total=1024,
             step_overhead_cycles=2000.0, cycles_per_token=20.0,

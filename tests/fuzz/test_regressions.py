@@ -11,9 +11,9 @@ from repro.api import run_scenario
 from repro.api.scenario import (
     Scenario,
     ScenarioLlm,
-    ScenarioLlmTenant,
     ScenarioTenant,
 )
+from repro.llmserve.engine import LlmTenantSpec
 
 
 def test_v10_does_not_preempt_and_run_same_unit():
@@ -71,10 +71,10 @@ def test_llm_sacrifice_fifo_terminates():
         seed=49238, drain=True,
         llm=ScenarioLlm(
             tenants=(
-                ScenarioLlmTenant(name="llm0", prompt_tokens=64,
-                                  decode_tokens=32, weight=1.35),
-                ScenarioLlmTenant(name="llm1", prompt_tokens=256,
-                                  decode_tokens=32, weight=0.72),
+                LlmTenantSpec(name="llm0", prompt_tokens=64,
+                              decode_tokens=32, weight=1.35),
+                LlmTenantSpec(name="llm1", prompt_tokens=256,
+                              decode_tokens=32, weight=0.72),
             ),
             batch_tokens=512, m_total=576,
             preemption_mode="sacrifice", victim_policy="fifo",
@@ -94,7 +94,7 @@ def test_llm_sacrifice_terminates_under_every_policy(policy):
         name=f"regress-llm-{policy}", kind="llm", scheme="neu10",
         load=0.8, duration_s=0.0012, seed=7, drain=True,
         llm=ScenarioLlm(
-            tenants=(ScenarioLlmTenant(
+            tenants=(LlmTenantSpec(
                 name="t", prompt_tokens=128, decode_tokens=32),),
             batch_tokens=256, m_total=320,
             preemption_mode="sacrifice", victim_policy=policy,

@@ -25,11 +25,11 @@ import json
 
 import pytest
 
+from repro.api.registries import scheme_isa
 from repro.config import NpuCoreConfig, spawn_rng
 from repro.megabatch import MEGABATCH_ENV, MegaBatchEngine, megabatch_default
 from repro.serving.server import (
     ALL_SCHEMES,
-    SCHEME_ISA,
     SCHEME_TEMPORAL,
     make_scheduler,
 )
@@ -42,7 +42,7 @@ SCHEMES = list(ALL_SCHEMES) + [SCHEME_TEMPORAL]
 
 
 def _closed_loop_tenants(scheme, target_requests=4):
-    isa = SCHEME_ISA[scheme]
+    isa = scheme_isa(scheme)
     tenants = []
     for idx, (model, batch) in enumerate([("MNIST", 8), ("DLRM", 8)]):
         trace = build_trace(model, batch, core=CORE)
@@ -60,7 +60,7 @@ def _closed_loop_tenants(scheme, target_requests=4):
 
 
 def _open_loop_tenants(scheme, duration_cycles, seed=33, rate=1.0 / 120_000.0):
-    isa = SCHEME_ISA[scheme]
+    isa = scheme_isa(scheme)
     tenants = []
     for idx, (model, batch) in enumerate([("MNIST", 8), ("DLRM", 8)]):
         trace = build_trace(model, batch, core=CORE)

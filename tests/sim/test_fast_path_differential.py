@@ -9,14 +9,12 @@ the fast path only memoises pure functions of the scheduler state, so
 any drift is a bug.
 """
 
-import os
-
 import pytest
 
+from repro.api.registries import scheme_isa
 from repro.config import NpuCoreConfig, spawn_rng
 from repro.serving.server import (
     ALL_SCHEMES,
-    SCHEME_ISA,
     SCHEME_TEMPORAL,
     make_scheduler,
 )
@@ -31,7 +29,7 @@ SCHEMES = list(ALL_SCHEMES) + [SCHEME_TEMPORAL]
 
 
 def _closed_loop_tenants(scheme, target_requests=4):
-    isa = SCHEME_ISA[scheme]
+    isa = scheme_isa(scheme)
     tenants = []
     for idx, (model, batch) in enumerate([("MNIST", 8), ("DLRM", 8)]):
         trace = build_trace(model, batch, core=CORE)
@@ -49,7 +47,7 @@ def _closed_loop_tenants(scheme, target_requests=4):
 
 
 def _open_loop_tenants(scheme, duration_cycles):
-    isa = SCHEME_ISA[scheme]
+    isa = scheme_isa(scheme)
     tenants = []
     for idx, (model, batch) in enumerate([("MNIST", 8), ("DLRM", 8)]):
         trace = build_trace(model, batch, core=CORE)

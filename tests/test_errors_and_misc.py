@@ -37,15 +37,47 @@ def test_package_exports():
         assert hasattr(repro, name), name
 
 
-def test_run_paths_do_not_import_numpy():
+#: A scenario dict shaped like perfbench's seed_sweep point.
+_OPEN_LOOP = {
+    "name": "o", "kind": "open_loop", "scheme": "neu10",
+    "arrival": "poisson", "load": 0.8, "duration_s": 0.003, "seed": 1,
+    "tenants": [{"model": "MNIST", "batch": 8}, {"model": "DLRM", "batch": 8}],
+}
+
+IMPORT_LIGHT = {
+    "run-paths": (
+        "import repro.api, repro.megabatch, repro.serve\n"
+        "import repro.traffic.cluster_sim\n",
+        ("numpy",),
+    ),
+    "figure-scenario": (
+        "import repro.api\n"
+        "repro.api.Scenario.from_dict("
+        "{'name': 'f', 'kind': 'figure', 'figure': 'fig19'}).validate()\n",
+        ("numpy", "repro.cluster", "repro.llmserve", "repro.exec",
+         "multiprocessing"),
+    ),
+    "open-loop-scenario": (
+        "import repro.api\n"
+        f"repro.api.Scenario.from_dict({_OPEN_LOOP!r}).validate()\n",
+        ("numpy", "repro.llmserve", "repro.exec", "multiprocessing"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "snippet, absent", IMPORT_LIGHT.values(), ids=IMPORT_LIGHT.keys()
+)
+def test_run_paths_do_not_import_numpy(snippet, absent):
     """numpy is not a dependency: a fresh interpreter loading every run
     path (scenarios, batch engine, live control, cluster driver) must
-    not pull it in."""
+    not pull it in.  Nor may parsing a scenario load an engine that
+    only a block it does not hold needs."""
     code = (
         "import sys\n"
-        "import repro.api, repro.megabatch, repro.serve\n"
-        "import repro.traffic.cluster_sim\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        + snippet
+        + f"loaded = [m for m in {absent!r} if m in sys.modules]\n"
+        "assert not loaded, f'imported {loaded}'\n"
     )
     src = str(Path(repro.__file__).resolve().parents[1])
     proc = subprocess.run(

@@ -16,14 +16,14 @@ import pytest
 
 from repro.api import (
     ScenarioAutoscaler,
-    ScenarioExecutor,
-    ScenarioVirtualization,
     load_scenario,
     run_scenario,
 )
 from repro.api.result import canonical_digest
 from repro.api.runner import cluster_inputs
+from repro.cluster.virt import VirtualizationSpec
 from repro.errors import CheckpointError, ConfigError, ValidationError
+from repro.exec import ExecSpec
 from repro.traffic.cluster_sim import (
     ClusterSimulation,
     run_cluster_checkpointed,
@@ -50,7 +50,7 @@ def _adversarial(name: str):
             policy="threshold", interval_s=scenario.duration_s / 3
         )
     if scenario.virtualization is None:
-        replacements["virtualization"] = ScenarioVirtualization(
+        replacements["virtualization"] = VirtualizationSpec(
             num_vfs=4, hypercall_cost_s=0.00002
         )
     if replacements:
@@ -236,9 +236,9 @@ def test_restore_ignores_the_executor():
         run_cluster_traffic(*cluster_inputs(scenario))
     )
     checkpoint = _mid_run_checkpoint(
-        scenario.replaced(executor=ScenarioExecutor(backend="serial"))
+        scenario.replaced(executor=ExecSpec(backend="serial"))
     )
-    for executor in (ScenarioExecutor(backend="pool"), None):
+    for executor in (ExecSpec(backend="pool"), None):
         restored = ClusterSimulation.restore(
             checkpoint, *cluster_inputs(scenario.replaced(executor=executor))
         )

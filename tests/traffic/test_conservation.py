@@ -10,7 +10,8 @@ the segment end.  ``build_slo_report`` now accepts the generator-side
 
 from repro.api import run_scenario, sweep_scenario_report
 from repro.api.scenario import Scenario, ScenarioChurn, ScenarioTenant
-from repro.api.scenario import ScenarioVirtualization
+from repro.cluster.virt import VirtualizationSpec
+from repro.llmserve.engine import LlmTenantSpec
 
 
 def _open_loop(drain: bool, seed: int = 3) -> Scenario:
@@ -77,7 +78,7 @@ def test_cluster_hypercall_hold_conserves():
     sc = Scenario(
         name="cons-cluster", kind="cluster", scheme="neu10",
         load=0.7, duration_s=0.002, seed=17, hosts=2,
-        virtualization=ScenarioVirtualization(
+        virtualization=VirtualizationSpec(
             num_vfs=4, hypercall_cost_s=0.0002,
         ),
         churn=(
@@ -97,17 +98,17 @@ def test_cluster_hypercall_hold_conserves():
 
 
 def test_llm_drain_conserves_per_tenant_and_headline():
-    from repro.api.scenario import ScenarioLlm, ScenarioLlmTenant
+    from repro.api.scenario import ScenarioLlm
 
     sc = Scenario(
         name="cons-llm", kind="llm", scheme="neu10",
         load=0.7, duration_s=0.001, seed=23, drain=True,
         llm=ScenarioLlm(
             tenants=(
-                ScenarioLlmTenant(name="a", prompt_tokens=64,
-                                  decode_tokens=16),
-                ScenarioLlmTenant(name="b", prompt_tokens=128,
-                                  decode_tokens=32, weight=2.0),
+                LlmTenantSpec(name="a", prompt_tokens=64,
+                              decode_tokens=16),
+                LlmTenantSpec(name="b", prompt_tokens=128,
+                              decode_tokens=32, weight=2.0),
             ),
             batch_tokens=512, m_total=1024,
             step_overhead_cycles=2000.0, cycles_per_token=20.0,
