@@ -70,10 +70,6 @@ class OpCost:
             raise CompileError("memory costs cannot be negative")
 
     @property
-    def dominant_cycles(self) -> float:
-        return max(self.me_cycles, self.ve_cycles)
-
-    @property
     def is_me_bound(self) -> bool:
         return self.me_cycles >= self.ve_cycles
 

@@ -103,10 +103,6 @@ class Graph:
     def __iter__(self) -> Iterator[GraphNode]:
         return iter(self._nodes.values())
 
-    @property
-    def node_ids(self) -> List[int]:
-        return list(self._nodes)
-
     def consumers(self, node_id: int) -> List[int]:
         return [n.node_id for n in self._nodes.values() if node_id in n.inputs]
 
@@ -151,10 +147,6 @@ class Graph:
     @property
     def total_hbm_bytes(self) -> float:
         return sum(node.op.hbm_bytes for node in self._nodes.values())
-
-    @property
-    def total_weight_bytes(self) -> int:
-        return sum(node.op.weight_bytes for node in self._nodes.values())
 
     def count_me_ops(self) -> int:
         return sum(1 for node in self._nodes.values() if node.op.is_me_op)

@@ -30,6 +30,7 @@ smoke budget stays fast; the harness samples deep scenarios evenly.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import random
 import tempfile
@@ -357,7 +358,10 @@ def _weighted_attainment(result: RunResult, kind: str) -> Optional[float]:
 
 
 def check_load_monotonicity(
-    scenario: Scenario, result: RunResult, tolerance: float
+    scenario: Scenario,
+    result: RunResult,
+    tolerance: float,
+    run: Callable[[Scenario], RunResult] = run_scenario,
 ) -> List[Violation]:
     """Doubling offered load cannot *raise* SLO attainment.
 
@@ -365,13 +369,22 @@ def check_load_monotonicity(
     sampling noise; ``tolerance`` absorbs it.  Only open-loop scenarios
     are checked -- cluster admission control and autoscalers may
     legitimately reshape the outcome under pressure.
+
+    Precondition: the base run offers at least ``ceil(1 / tolerance)``
+    requests.  A request still in flight when the window ends counts as
+    a miss, so below that count a single truncated request moves
+    attainment by more than the tolerance, and the relation says
+    nothing.  Such base runs are skipped.
     """
     if scenario.kind != "open_loop":
         return []
     base = _weighted_attainment(result, scenario.kind)
     if base is None:
         return []
-    doubled = run_scenario(
+    offered = sum(t["offered"] for t in result.metrics["tenants"])
+    if offered < math.ceil(1.0 / tolerance):
+        return []
+    doubled = run(
         scenario.replaced(load=round(scenario.load * 2, 6))
     )
     high = _weighted_attainment(doubled, scenario.kind)
@@ -555,7 +568,7 @@ def check_scenario(
     if deep:
         record(check_megabatch(scenario, result))
         record(check_fast_path(scenario, result))
-        record(check_load_monotonicity(scenario, result, tolerance))
+        record(check_load_monotonicity(scenario, result, tolerance, run))
         record(check_kv_monotonicity(scenario, result, tolerance))
         if scenario.kind in ("open_loop", "llm"):
             record(check_workers(scenario))

@@ -28,17 +28,17 @@ it finishes, reaches its horizon or leaves array mode.  So no lane is
 in array mode when a round starts.  The burst keeps the lane's node,
 remaining work, clock, epoch counters and stats accumulators in
 locals and writes them back before every call that reads them --
-result build, materialisation, the scalar completion handler, the
-livelock and deadlock raises -- all of which happen at its exits.
+result build, materialisation, the scalar frame's completion retire,
+the livelock and deadlock raises -- all of which happen at its exits.
 
 Anything the chain representation does not model -- preemptions,
 reclaim timers, a cold memo for a successor -- *materialises* the lane
 back into ordinary unit objects and falls back to the scalar engine's
-own step functions; a simulator that can never bind to a node (op
-recording, the reference path, a scheduler without a memo context)
-runs through ``Simulator.run()`` instead.  Every float operation on
-the array path replicates the scalar expression grouping
-(``rate * delta``, ``remaining - progress``,
+own epoch frame (``Simulator._step_epochs``); a simulator that can
+never bind to a node (op recording, the reference path, a scheduler
+without a memo context) runs through ``Simulator.run()`` instead.
+Every float operation on the array path replicates the scalar
+expression grouping (``rate * delta``, ``remaining - progress``,
 ``(progress * ve_rate) * granted``) and the scalar accumulation order,
 so results are bit-identical, not approximately equal.
 """
@@ -499,6 +499,19 @@ class _Lane:
         self.result = self.sim._build_result()
         self.done = True
 
+    def promote(self, plan_key: Tuple, units: List[ExecUnit]) -> bool:
+        """The scalar frame's promotion hook: bind the lane to the chain
+        node of this memoised plan and burst it there, or return False
+        when the state has no node, so the frame steps the epoch."""
+        node = self.scope.node(plan_key, _cursors_of(self.sim))
+        if node is None or len(units) != node.n_slots:
+            return False
+        self.node = node
+        self.rem_me = [u.remaining_me for u in units]
+        self.rem_ve = [u.remaining_ve for u in units]
+        _burst(self)
+        return True
+
 
 def _chain_scope(sim: Simulator) -> Optional[_ChainScope]:
     """The chain scope ``sim`` binds its nodes in, or None when it can
@@ -543,8 +556,8 @@ class MegaBatchEngine:
     loop starts, because stepping it one epoch per round is slower.
     The rest co-step in rounds and leave the batch as they finish; a
     lane whose current state the chain representation cannot express
-    steps through the scalar engine's own ``_next_plan``/``_finish_step``
-    -- correctness never depends on a lane being accelerated.
+    steps through the scalar engine's own epoch frame -- correctness
+    never depends on a lane being accelerated.
     """
 
     def __init__(self, sims: Sequence[Simulator]) -> None:
@@ -607,9 +620,9 @@ class MegaBatchEngine:
         return True
 
     def _object_epoch(self, lane: _Lane) -> None:
-        """One scalar-engine epoch, promoting the lane onto a chain node
-        -- and bursting it there -- whenever the plan just came out of
-        the decision memo."""
+        """One epoch through the scalar engine's frame, which promotes
+        the lane onto a chain node -- and bursts it there -- whenever
+        the plan has a memo key (see :meth:`_Lane.promote`)."""
         sim = lane.sim
         lane.epochs += 1
         if lane.epochs > sim.max_epochs:
@@ -618,22 +631,8 @@ class MegaBatchEngine:
                 f"{sim.now:.0f}; likely a scheduling livelock"
             )
         lane.check_finish = True
-        plan, had_preempt = sim._next_plan()
-        if (
-            not had_preempt
-            and not sim.reclaims
-            and sim._plan_key is not None
-        ):
-            node = lane.scope.node(sim._plan_key, _cursors_of(sim))
-            fp_units = sim._fp_units
-            if node is not None and fp_units is not None and len(fp_units) == node.n_slots:
-                lane.node = node
-                lane.rem_me = [u.remaining_me for u in fp_units]
-                lane.rem_ve = [u.remaining_ve for u in fp_units]
-                _burst(lane)
-                return
-        lane.object_epochs += 1
-        sim._finish_step(plan, had_preempt)
+        if not sim._step_epochs(1, lane.promote):
+            lane.object_epochs += 1
 
 
 # ----------------------------------------------------------------------
@@ -657,8 +656,9 @@ def _burst(lane: _Lane) -> None:
     (``Simulator._finished``, transition building, request ids), and
     the burst updates that bookkeeping and the per-tenant stats dicts
     in place.  Every float expression replicates the scalar engine's
-    grouping and accumulation order exactly (see ``_pick_delta``,
-    ``_advance``, ``on_unit_done``), so results are bit-identical."""
+    grouping and accumulation order exactly (see the delta scan and the
+    advance in ``Simulator._step_epochs``, and ``on_unit_done``), so
+    results are bit-identical."""
     sim = lane.sim
     stats = sim.stats
     tenants = sim.tenants
@@ -685,7 +685,7 @@ def _burst(lane: _Lane) -> None:
     watched = [(tpos, t) for tpos, t in enumerate(tenants) if t.pending_arrivals]
     watch = [t.pending_arrivals for _tpos, t in watched]
     while True:
-        # -- delta: exactly Simulator._pick_delta over the node's plan --
+        # -- delta: exactly the scalar delta scan over the node's plan --
         best = inf
         for i, rate in node.delta_me:
             c = rem_me[i] / rate
@@ -711,7 +711,7 @@ def _burst(lane: _Lane) -> None:
             break
         delta = best if best > MIN_DELTA else MIN_DELTA
 
-        # -- advance: exactly Simulator._advance's work updates ---------
+        # -- advance: exactly the scalar advance's work updates ---------
         # (``rate * delta`` is the scalar ``progress``.)  Slots are
         # independent, so splitting the ME loop by VE stream keeps
         # every per-slot result.
@@ -735,7 +735,7 @@ def _burst(lane: _Lane) -> None:
             if remaining <= EPS:
                 mask |= bit
 
-        # -- accounting: the scalar _advance's record-flags-off branch --
+        # -- accounting: the scalar advance's record-flags-off branch ---
         for tid in node.blocked_tids:
             blocked_map[tid] += delta
         total_cycles += delta
@@ -791,7 +791,7 @@ def _burst(lane: _Lane) -> None:
             rem_me = new_me
             rem_ve = new_ve
 
-        # -- arrivals: the scalar pre_step's admission at the same clock --
+        # -- arrivals: the scalar frame's admission at the same clock ---
         # Gated on the minimum arrival time read during the delta scan,
         # so epochs with nothing due skip the admission pass entirely.
         # Admit (in tenant order) onto every watched queue, then start
@@ -839,7 +839,7 @@ def _burst(lane: _Lane) -> None:
                 rem_me = new_me
                 rem_ve = new_ve
 
-        # -- next epoch: Simulator.run's loop condition and guard --------
+        # -- next epoch: the scalar frame's stop check and guard --------
         if check_finish:
             if sim._finished():
                 stop = "finish"
@@ -881,15 +881,13 @@ def _burst(lane: _Lane) -> None:
 
 def _fallback_complete(lane: _Lane, mask: int) -> None:
     """Unknown transition (cold memo for the successor): rebuild unit
-    objects and drive the engine's own completion handler, which also
-    repopulates the memo for the next time this transition occurs."""
+    objects and retire the winners through the scalar frame, whose next
+    epochs also repopulate the memo for the next time this transition
+    occurs."""
     units = _materialize(lane)
-    sim = lane.sim
-    fin = sim._finished_units
-    fin.clear()
-    fin.extend(unit for slot, unit in enumerate(units) if mask >> slot & 1)
-    sim._handle_completions()
-    sim._dirty = True
+    lane.sim._step_epochs(
+        0, retire=[unit for slot, unit in enumerate(units) if mask >> slot & 1]
+    )
 
 
 def _materialize(lane: _Lane) -> List[ExecUnit]:
@@ -898,7 +896,9 @@ def _materialize(lane: _Lane) -> List[ExecUnit]:
 
     Fresh unit ids are taken in the recorded creation order, preserving
     the cross-tenant FIFO rank permutation the fingerprint (and the
-    schedulers' tie-breaks) depend on."""
+    schedulers' tie-breaks) depend on.  Every tenant is flagged as having
+    replaced its active units, so the scalar frame's next epoch re-plans
+    and recomputes the rank permutation."""
     node = lane.node
     sim = lane.sim
     n = node.n_slots
@@ -920,6 +920,9 @@ def _materialize(lane: _Lane) -> List[ExecUnit]:
         unit.granted_ve = d[1]
         unit.harvesting = d[2]
         unit.state = d[3]
+        # A node's slots always pack (see _ChainNode.build), so the
+        # entry's code offset is never None here.
+        unit.code = unit.tpl_id * 256 + d[4]
         unit.remaining_me = rem_me[slot]
         unit.remaining_ve = rem_ve[slot]
         units[slot] = unit
@@ -932,9 +935,7 @@ def _materialize(lane: _Lane) -> List[ExecUnit]:
         else:
             tenant.op_cursor = 0
             tenant.group_cursor = 0
-        tenant._units_mutated = False
-    sim._dirty = True
-    sim._reusable = False
+        tenant._units_mutated = True
     lane.node = None
     lane.rem_me = []
     lane.rem_ve = []

@@ -18,7 +18,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.compiler.lowering import CompiledGraph, CompiledOp
 from repro.config import NpuCoreConfig
@@ -137,8 +137,10 @@ class Tenant:
         self._templates = _graph_unit_templates(graph)
         #: Free-list of retired ExecUnit shells for the hot spawn path.
         self._pool: List[ExecUnit] = []
-        #: Set when the active unit set changed (spawn/retire); the
-        #: engine's fast path uses it to detect steady-state epochs.
+        #: Set when this tenant replaced its active units (spawn, group
+        #: retire, mega-batch materialisation); the engine's epoch frame
+        #: consumes it to re-plan and to recompute the fingerprint's
+        #: creation-rank permutation.
         self._units_mutated = False
 
     # ------------------------------------------------------------------
@@ -208,12 +210,13 @@ class Tenant:
         ]
         self._units_mutated = True
 
-    def on_unit_done(self, now: float, stats: SimStats, sim: "Simulator") -> None:
-        """Advance cursors when the whole active group completed."""
+    def on_unit_done(self, now: float, stats: SimStats, sim: "Simulator") -> bool:
+        """Advance cursors when the whole active group completed; returns
+        whether that completed the current request."""
         done = UnitState.DONE
         for u in self.active_units:
             if u.state is not done:
-                return
+                return False
         assert self.current_request is not None
         op_cursor = self.op_cursor
         self.group_cursor += 1
@@ -224,7 +227,7 @@ class Tenant:
         self._units_mutated = True
         if self.group_cursor < len(self._templates[op_cursor]):
             self._spawn_group_units(now, stats)
-            return
+            return False
         if stats.record_ops:
             op = self.graph.ops[op_cursor]
             stats.op_finished(
@@ -235,7 +238,7 @@ class Tenant:
         self.op_cursor = op_cursor + 1
         if self.op_cursor < len(self._templates):
             self._spawn_group_units(now, stats)
-            return
+            return False
         # Request complete.
         request = self.current_request
         request.finish_cycle = now
@@ -247,6 +250,7 @@ class Tenant:
                 Request(request_id=self._take_id(), issue_cycle=now)
             )
         self.start_pending_work(now, stats)
+        return True
 
     # ------------------------------------------------------------------
     # Introspection
@@ -384,48 +388,36 @@ def _graph_unit_templates(
     return cached
 
 
-class _EpochPlan:
-    """One epoch's fully derived execution plan.
-
-    Everything here is a pure function of the scheduler state
-    fingerprint: the per-unit progress rates, the aggregated per-tenant
-    busy/assignment rate dicts (delta-independent, so they are computed
-    once per plan -- and shared by every replay of a memoised plan --
-    instead of once per epoch), the ids of the blocked tenants, and the
-    scheduler's forced re-decision time.
-    """
-
-    __slots__ = (
-        "rates", "ve_exec", "hbm_rate", "next_at", "blocked",
-        "me_busy", "ve_busy", "me_assigned", "ve_assigned",
-    )
-
-    def __init__(
-        self,
-        rates: List[Tuple[ExecUnit, float]],
-        ve_exec: List[Tuple[ExecUnit, float]],
-        hbm_rate: float,
-        next_at: Optional[float],
-        blocked: Tuple[int, ...],
-        me_busy: Dict[int, float],
-        ve_busy: Dict[int, float],
-        me_assigned: Optional[Dict[int, float]],
-        ve_assigned: Optional[Dict[int, float]],
-    ) -> None:
-        self.rates = rates
-        self.ve_exec = ve_exec
-        self.hbm_rate = hbm_rate
-        self.next_at = next_at
-        self.blocked = blocked
-        self.me_busy = me_busy
-        self.ve_busy = ve_busy
-        self.me_assigned = me_assigned
-        self.ve_assigned = ve_assigned
+#: An epoch plan is one decision-memo entry, the 11-tuple ``(preempt
+#: effects, dense state, ME rates, VE rates, HBM rate, blocked tenant
+#: ids, me_busy, ve_busy, me_assigned, ve_assigned, forced)``, applied to
+#: the epoch's units in fingerprint order (tenant order, then each
+#: tenant's active units):
+#:
+#: - preempt effects are ``(position, reclaim owner)`` pairs, applied
+#:   before the dense state;
+#: - the dense state holds one ``(granted_me, granted_ve, harvesting,
+#:   state, code offset)`` tuple per unit, the post-decision state; the
+#:   offset is ``state * 64 + granted_me`` (None from 64 engines up), so
+#:   a replay sets each unit's code as ``tpl_id * 256 + offset``;
+#: - the rate pairs are ``(position, rate)``, in the order the fresh
+#:   decision derived them;
+#: - the blocked ids and the busy/assignment dicts are keyed by tenant
+#:   id, and everything else is a plain value.
+#:
+#: So an entry holds no per-simulation object references, and memos can
+#: be shared across simulators.  Everything in it is a pure function of
+#: the scheduler state fingerprint, which is what makes it replayable.
+#: ``forced`` records whether the plan forced a re-decision; its time is
+#: not stored, because it belongs to the policy state of the moment (a
+#: replay asks :meth:`SchedulerBase.forced_decision_at` for it).
+PlanEntry = Tuple
 
 
 def _aggregate_rate_dicts(
-    rates: List[Tuple[ExecUnit, float]],
-    ve_exec: List[Tuple[ExecUnit, float]],
+    units: List[ExecUnit],
+    rates: Tuple[Tuple[int, float], ...],
+    ve_exec: Tuple[Tuple[int, float], ...],
     record_assignment: bool,
 ):
     """Per-tenant busy/assignment rate dicts for one plan.
@@ -439,7 +431,8 @@ def _aggregate_rate_dicts(
     if record_assignment:
         me_assigned = {}
         ve_assigned = {}
-    for unit, rate in rates:
+    for i, rate in rates:
+        unit = units[i]
         owner = unit.owner
         granted_me = unit.granted_me
         ve_rate = unit.ve_rate
@@ -454,7 +447,8 @@ def _aggregate_rate_dicts(
         me_busy[owner] = me_busy.get(owner, 0.0) + rate * granted_me
         if record_assignment:
             me_assigned[owner] = me_assigned.get(owner, 0.0) + granted_me
-    for unit, rate in ve_exec:
+    for i, rate in ve_exec:
+        unit = units[i]
         owner = unit.owner
         ve_busy[owner] = ve_busy.get(owner, 0.0) + rate
         if record_assignment:
@@ -462,45 +456,6 @@ def _aggregate_rate_dicts(
                 ve_assigned.get(owner, 0.0) + unit.granted_ve
             )
     return me_busy, ve_busy, me_assigned, ve_assigned
-
-
-def _encode_plan(
-    units: List[ExecUnit],
-    preempt_effects: List[Tuple[ExecUnit, int]],
-    plan: _EpochPlan,
-) -> Tuple:
-    """Encode an epoch plan for replay onto future unit objects.
-
-    Unit-dependent pieces (preempt effects, rate pairs) are stored
-    positionally against the fingerprint-ordered ``units`` list; the
-    post-decision unit state (grant, VE share, harvesting flag, state)
-    is snapshot densely so a replay applies it in one fused pass.  The
-    blocked set and the rate dicts are keyed by tenant id, so an entry
-    holds no per-simulation object references and memos can be shared
-    across simulators.  The entry is the 11-tuple ``(preempt effects,
-    dense state, ME rates, VE rates, HBM rate, blocked tenant ids,
-    me_busy, ve_busy, me_assigned, ve_assigned, forced)``.  ``forced``
-    records whether the plan forced a re-decision; its time is not
-    stored, because it belongs to the policy state of the moment (a
-    replay asks :meth:`SchedulerBase.forced_decision_at` for it).
-    """
-    index = {u: i for i, u in enumerate(units)}
-    return (
-        tuple((index[u], owner) for u, owner in preempt_effects),
-        tuple(
-            (u.granted_me, u.granted_ve, u.harvesting, u.state)
-            for u in units
-        ),
-        tuple((index[u], r) for u, r in plan.rates),
-        tuple((index[u], r) for u, r in plan.ve_exec),
-        plan.hbm_rate,
-        plan.blocked,
-        plan.me_busy,
-        plan.ve_busy,
-        plan.me_assigned,
-        plan.ve_assigned,
-        plan.next_at is not None,
-    )
 
 
 @dataclass
@@ -639,16 +594,23 @@ class Simulator:
         else:
             self._decision_memo = {}
         self._memo_ctx = ctx if memo_ctx is not None else None
+        #: Epochs stepped so far (the livelock guard's count).
+        self.epochs = 0
+        # Epoch-frame state carried between calls of _step_epochs: the
+        # current plan ``(entry, units, next_at)``, its memo key (None
+        # when it was neither replayed from nor stored into the memo),
+        # whether a discrete event happened since it was selected, and
+        # whether it may be reused verbatim while none does.
+        self._plan: Tuple[
+            Optional[PlanEntry], List[ExecUnit], Optional[float]
+        ] = (None, [], None)
+        self._plan_key = None
         self._dirty = True
         self._reusable = False
-        self._fp_capable = False
-        #: Memo key of the current plan when it was replayed from (or
-        #: stored into) the decision memo, else None.  Consumed by the
-        #: mega-batch engine to bind a lane to a shared chain node.
-        self._plan_key = None
-        #: Fingerprint-ordered unit list matching ``_plan_key``.
-        self._fp_units: Optional[List[ExecUnit]] = None
-        self._finished_units: List[ExecUnit] = []
+        #: Cached creation-rank permutation of the fingerprint's units
+        #: (see unit_state_fingerprint); None once a tenant replaced its
+        #: active units.
+        self._rank_perm: Optional[Tuple[int, ...]] = None
 
     # ------------------------------------------------------------------
     # Capacity helpers used by schedulers
@@ -675,8 +637,6 @@ class Simulator:
 
     def run(self) -> SimResult:
         self.start()
-        epochs = 0
-        max_epochs = self.max_epochs
         # The epoch loop allocates heavily but acyclically (tuples,
         # pair lists, pooled units); pausing the cycle collector keeps
         # its periodic scans out of the hot loop.
@@ -684,14 +644,7 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            while not self._finished() and self.now < self.horizon:
-                epochs += 1
-                if epochs > max_epochs:
-                    raise SimulationError(
-                        f"exceeded {max_epochs} epochs at cycle "
-                        f"{self.now:.0f}; likely a scheduling livelock"
-                    )
-                self._step()
+            self._step_epochs()
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -712,100 +665,323 @@ class Simulator:
                 return False
         return True
 
-    def _step(self) -> None:
-        plan, had_preempt = self._next_plan()
-        self._finish_step(plan, had_preempt)
+    def _step_epochs(
+        self,
+        limit: Optional[int] = None,
+        promote: Optional[Callable[[Hashable, List[ExecUnit]], bool]] = None,
+        retire: Sequence[ExecUnit] = (),
+    ) -> bool:
+        """Step epochs in one frame; every epoch of every run goes here.
 
-    def _next_plan(self):
-        """First half of an epoch: expire reclaims, admit arrivals and
-        pending work, then select this epoch's plan (fused reuse, memo
-        replay, or a fresh decision)."""
-        before = len(self.reclaims)
-        self._expire_reclaims()
-        dirty = self._dirty or len(self.reclaims) != before
-        now = self.now
-        stats = self.stats
-        for tenant in self.tenants:
-            if tenant.pending_arrivals:
-                tenant.activate_arrivals(now)
-            if not tenant.active_units:
-                tenant.start_pending_work(now, stats)
-            if tenant._units_mutated:
-                tenant._units_mutated = False
-                dirty = True
+        Without ``limit`` this is the whole run: it stops when every
+        tenant is done or the clock reaches the horizon, and raises once
+        ``max_epochs`` epochs have not sufficed (a livelock).  With
+        ``limit`` it steps exactly that many epochs and leaves the stop
+        check and the livelock count to the caller -- the mega-batch
+        engine, whose object epochs step one and whose cold-transition
+        fallback steps none after retiring the units in ``retire``.
 
-        if not dirty and self._reusable:
-            # Steady-state epoch fusion: no discrete event happened since
-            # the previous epoch, which the scheduler fingerprinted and
-            # which forced no re-decision, so the previous decision,
-            # grants, progress rates, and accounting sets hold verbatim
-            # -- fast-forward straight to the next event.
-            return self._prev_plan, False
-        return self._plan_epoch()
+        Each epoch runs, in order:
 
-    def _finish_step(self, plan: "_EpochPlan", had_preempt: bool) -> None:
-        """Second half of an epoch: advance to the next event and retire
-        completed units."""
-        next_at = plan.next_at
-        delta = self._pick_delta(next_at, plan.rates, plan.ve_exec)
-        self._advance(delta, plan)
-        self.now += delta
-        finished = self._handle_completions()
-        # A preemption epoch leaves fresh reclaim timers behind: the next
-        # decision must see them, so it can never be fused or reused.
-        self._dirty = finished or had_preempt
-        self._reusable = (
-            self.fast_path and self._fp_capable and next_at is None
-        )
-        self._prev_plan = plan
+        1. the stop check and the livelock guard;
+        2. reclaim expiry, arrivals and pending work;
+        3. plan selection.  *Steady-state reuse*: no discrete event
+           happened since the previous epoch, which the scheduler
+           fingerprinted and which forced no re-decision, so its plan
+           holds verbatim.  *Memo replay*: a structurally identical
+           state was planned before, so its entry is re-applied without
+           the scheduler or the HBM waterfill.  *Fresh decision*: run
+           the scheduler, validate, derive rates, and memoise the entry
+           when the scheduler fingerprinted the epoch (a plan that
+           forces a re-decision only when ``forced_decision_at`` returns
+           exactly its time).  With the fast path off, every epoch
+           decides fresh;
+        4. the delta scan: the next unit completion, reclaim expiry,
+           forced re-decision, arrival or the horizon;
+        5. the advance of every unit's remaining work, plus accounting;
+        6. completion retire: units driven to zero become DONE and their
+           tenants advance (retire runs at the top of the loop, so the
+           units handed in as ``retire`` retire before any epoch).
 
-    def _plan_epoch(self):
-        """Produce this epoch's plan and whether anything was preempted.
-
-        A plan holds ``(unit, rate)`` progress pairs for ME units and
-        for VE units, the consumed HBM rate, the scheduler's forced
-        re-decision time, the ids of the blocked tenants, and the
-        per-tenant busy/assignment rate dicts.  Everything in a plan is
-        a pure function of the scheduler state fingerprint, which is
-        what makes it replayable.
-
-        Three tiers: (1) memo hit -- a structurally identical state was
-        seen before, replay the stored plan without re-running the
-        scheduler or the HBM waterfill; (2) full plan -- run the
-        scheduler, validate, compute rates, and memoise when the
-        scheduler fingerprinted the epoch; (3) reference path
-        (fast_path off) -- identical to (2) minus every cache.
-
-        A plan that forces a re-decision is memoised only when the
-        scheduler's ``forced_decision_at`` returns exactly the plan's
-        time, so a scheduler without that hook never has such a plan
-        replayed.
+        A plan is a memo entry applied to the units in fingerprint order
+        (see :data:`PlanEntry`).  The clock, the epoch count, the stats
+        maps and the scheduler's bound methods live in locals;
+        ``self.now`` is written after every advance and the carried plan
+        state before every return and every call of ``promote``.
+        ``promote(plan_key, units)`` is offered each epoch whose plan has
+        a memo key, preempted nothing and runs without reclaim timers;
+        when it returns True it has stepped that epoch itself, and the
+        frame returns True at once.
         """
-        fp = self.scheduler.state_fingerprint(self) if self.fast_path else None
-        self._fp_capable = fp is not None
-        self._plan_key = None
-        self._fp_units = None
-        if fp is not None:
-            entry = self._decision_memo.get(fp[0])
-            if entry is not None:
-                self._plan_key = fp[0]
-                self._fp_units = fp[1]
-                return self._replay_plan(entry, fp[1])
+        tenants = self.tenants
+        stats = self.stats
+        blocked_map = stats.blocked_cycles_per_tenant
+        me_map = stats.me_busy_per_tenant
+        ve_map = stats.ve_busy_per_tenant
+        record = stats.record_assignment or stats.record_bandwidth
+        scheduler = self.scheduler
+        fingerprint = scheduler.state_fingerprint
+        forced_at = scheduler.forced_decision_at
+        memo = self._decision_memo
+        memo_get = memo.get
+        fast_path = self.fast_path
+        horizon = self.horizon
+        max_epochs = self.max_epochs
+        inf = math.inf
+        done = UnitState.DONE
+        now = self.now
+        epochs = self.epochs
+        last = None if limit is None else epochs + limit
+        entry, units, next_at = self._plan
+        plan_key = self._plan_key
+        dirty = self._dirty
+        reusable = self._reusable
+        finished = list(retire)
+        win = finished.append
+        check = True
+        while True:
+            # -- 6. completion retire ------------------------------------
+            # Only units that progressed can complete (spawns carry at
+            # least one cycle of work and non-running units make no
+            # progress), so the advance collects them as it goes.
+            if finished:
+                owners = set()
+                for unit in finished:
+                    if unit.is_me_unit:
+                        unit.remaining_me = 0.0
+                    unit.remaining_ve = 0.0
+                    unit.state = done
+                    unit.granted_me = 0
+                    unit.granted_ve = 0.0
+                    tpl = unit.tpl_id
+                    unit.code = tpl * 256 + 128 if tpl >= 0 else None
+                    owners.add(unit.owner)
+                finished.clear()
+                for tenant in tenants:
+                    if tenant.tenant_id in owners:
+                        if tenant.on_unit_done(now, stats, self):
+                            check = True
+                dirty = True
+            if epochs == last:
+                break
 
+            # -- 1. stop check and livelock guard ------------------------
+            # Only a request completion can finish a tenant, so the
+            # tenants are re-checked after completions alone.
+            if last is None:
+                if check:
+                    if self._finished():
+                        break
+                    check = False
+                if now >= horizon:
+                    break
+                if epochs >= max_epochs:
+                    raise SimulationError(
+                        f"exceeded {max_epochs} epochs at cycle "
+                        f"{now:.0f}; likely a scheduling livelock"
+                    )
+            epochs += 1
+
+            # -- 2. reclaim expiry, arrivals and pending work ------------
+            reclaims = self.reclaims
+            if reclaims:
+                threshold = now + EPS
+                kept = [r for r in reclaims if r.ready_at > threshold]
+                if len(kept) != len(reclaims):
+                    dirty = True
+                self.reclaims = reclaims = kept
+            for tenant in tenants:
+                if tenant.pending_arrivals:
+                    tenant.activate_arrivals(now)
+                if not tenant.active_units:
+                    tenant.start_pending_work(now, stats)
+                if tenant._units_mutated:
+                    # Spawned, retired or materialised units: the next
+                    # fingerprint recomputes the rank permutation.
+                    tenant._units_mutated = False
+                    self._rank_perm = None
+                    dirty = True
+
+            # -- 3. plan selection ---------------------------------------
+            had_preempt = False
+            if dirty or not reusable:
+                plan_key = None
+                entry = None
+                fp = fingerprint(self) if fast_path else None
+                if fp is not None:
+                    key, units = fp
+                    entry = memo_get(key)
+                if entry is not None:
+                    plan_key = key
+                    pre = entry[0]
+                    if pre:
+                        self._replay_preemptions(pre, units)
+                        had_preempt = True
+                    for unit, (granted, granted_ve, harvesting, state, off) in zip(
+                        units, entry[1]
+                    ):
+                        unit.granted_me = granted
+                        unit.granted_ve = granted_ve
+                        unit.harvesting = harvesting
+                        unit.state = state
+                        tpl = unit.tpl_id
+                        unit.code = (
+                            tpl * 256 + off
+                            if off is not None and tpl >= 0 else None
+                        )
+                    next_at = forced_at(self) if entry[10] else None
+                else:
+                    entry, units, next_at, had_preempt = self._decide(fp)
+                    if fp is not None and (
+                        next_at is None or next_at == forced_at(self)
+                    ):
+                        if len(memo) >= _MEMO_LIMIT:
+                            memo.clear()
+                        memo[key] = entry
+                        plan_key = key
+                reusable = fp is not None and next_at is None
+            if (
+                promote is not None
+                and plan_key is not None
+                and not had_preempt
+                and not reclaims
+            ):
+                self.epochs = epochs
+                self._plan = (entry, units, next_at)
+                self._plan_key = plan_key
+                self._dirty = dirty
+                self._reusable = reusable
+                if promote(plan_key, units):
+                    return True
+            # A preemption epoch leaves fresh reclaim timers behind: the
+            # next decision must see them, so it is never reused.
+            dirty = had_preempt
+
+            # -- 4. delta scan -------------------------------------------
+            me_rates = entry[2]
+            ve_rates = entry[3]
+            best = inf
+            for i, rate in me_rates:
+                if rate > EPS:
+                    c = units[i].remaining_me / rate
+                    if EPS < c < best:
+                        best = c
+            for i, rate in ve_rates:
+                if rate > EPS:
+                    c = units[i].remaining_ve / rate
+                    if EPS < c < best:
+                        best = c
+            for timer in reclaims:
+                c = timer.ready_at - now
+                if EPS < c < best:
+                    best = c
+            if next_at is not None:
+                gap = next_at - now
+                if gap <= EPS:
+                    raise SimulationError(
+                        "scheduler quantum did not advance time"
+                    )
+                if gap < best:
+                    best = gap
+            for tenant in tenants:
+                pending = tenant.pending_arrivals
+                if pending:
+                    c = pending[0] - now
+                    if EPS < c < best:
+                        best = c
+            c = horizon - now  # inf without a horizon: never a candidate
+            if EPS < c < best:
+                best = c
+            if best == inf:
+                self._raise_deadlock()
+            delta = best if best > MIN_DELTA else MIN_DELTA
+
+            # -- 5. advance and accounting -------------------------------
+            for i, rate in me_rates:
+                unit = units[i]
+                progress = rate * delta
+                remaining = unit.remaining_me - progress
+                unit.remaining_me = remaining if remaining > 0.0 else 0.0
+                if remaining <= EPS:
+                    win(unit)
+                ve_rate = unit.ve_rate
+                if ve_rate > 0:
+                    remaining = (
+                        unit.remaining_ve - progress * ve_rate * unit.granted_me
+                    )
+                    unit.remaining_ve = remaining if remaining > 0.0 else 0.0
+            for i, rate in ve_rates:
+                unit = units[i]
+                remaining = unit.remaining_ve - rate * delta
+                unit.remaining_ve = remaining if remaining > 0.0 else 0.0
+                if remaining <= EPS:
+                    win(unit)
+            # Table III metric: a tenant is blocked when it runs fewer
+            # home engines than it is entitled to (because a harvester
+            # still holds them or the reclaim penalty is being paid).
+            for tid in entry[5]:
+                blocked_map[tid] += delta
+            if record:
+                stats.record_epoch(
+                    now,
+                    delta,
+                    entry[6],
+                    entry[7],
+                    me_assigned=entry[8],
+                    ve_assigned=entry[9],
+                    hbm_bytes_per_cycle=entry[4],
+                )
+            else:
+                # Inline of SimStats.record_epoch for the no-trace case
+                # -- same accumulation order, minus the call and branch
+                # overhead of the general method.
+                stats.total_cycles += delta
+                integral = stats.me_busy_integral
+                for owner, mes in entry[6].items():
+                    v = mes * delta
+                    integral += v
+                    me_map[owner] += v
+                stats.me_busy_integral = integral
+                integral = stats.ve_busy_integral
+                for owner, ves in entry[7].items():
+                    v = ves * delta
+                    integral += v
+                    ve_map[owner] += v
+                stats.ve_busy_integral = integral
+            now += delta
+            self.now = now
+
+        self.epochs = epochs
+        self._plan = (entry, units, next_at)
+        self._plan_key = plan_key
+        self._dirty = dirty
+        self._reusable = reusable
+        return False
+
+    def _decide(
+        self, fp: Optional[Tuple[Hashable, List[ExecUnit]]]
+    ) -> Tuple[PlanEntry, List[ExecUnit], Optional[float], bool]:
+        """A fresh decision: run the scheduler, validate and apply its
+        decision, and build the plan's memo entry over the units in
+        fingerprint order (``fp``'s, or every active unit in the same
+        order when the epoch was not fingerprinted).  Returns ``(entry,
+        units, next_at, had_preempt)``."""
         decision = self.scheduler.decide(self)
+        running = UnitState.RUNNING
         # Capture preempt effects before they are applied (state changes
         # under _apply_preemptions); the memo replays effects, not the
         # scheduler's Decision object.
+        reclaim_owners = decision.reclaim_owners
         preempt_effects = [
-            (u, decision.reclaim_owners.get(u, u.owner))
+            (u, reclaim_owners.get(u, u.owner))
             for u in decision.preempt
-            if u.state is UnitState.RUNNING
+            if u.state is running
         ]
         prev_running = [
             u
             for t in self.tenants
             for u in t.active_units
-            if u.state is UnitState.RUNNING and u.is_me_unit
+            if u.state is running and u.is_me_unit
         ]
         self._apply_preemptions(decision)
         self._apply_grants(decision)
@@ -820,79 +996,66 @@ class Simulator:
                     "without preempting it"
                 )
 
-        rates, ve_exec_rates, hbm_rate = self._compute_rates()
+        if fp is not None:
+            units = fp[1]
+        else:
+            units = [u for t in self.tenants for u in t.active_units]
+        ready = UnitState.READY
+        dense = []
+        for u in units:
+            state = u.state
+            granted = u.granted_me
+            if granted < 64:
+                off = (0 if state is ready else 64 if state is running
+                       else 128) + granted
+                tpl = u.tpl_id
+                u.code = tpl * 256 + off if tpl >= 0 else None
+            else:
+                off = u.code = None
+            dense.append((granted, u.granted_ve, u.harvesting, state, off))
+        rates, ve_exec, hbm_rate = self._compute_rates(units)
         next_at = decision.next_decision_at
         me_busy, ve_busy, me_assigned, ve_assigned = _aggregate_rate_dicts(
-            rates, ve_exec_rates, self.stats.record_assignment
+            units, rates, ve_exec, self.stats.record_assignment
         )
-        plan = _EpochPlan(
-            rates, ve_exec_rates, hbm_rate, next_at, self._compute_blocked(),
-            me_busy, ve_busy, me_assigned, ve_assigned,
+        entry = (
+            tuple((units.index(u), owner) for u, owner in preempt_effects),
+            tuple(dense),
+            rates,
+            ve_exec,
+            hbm_rate,
+            self._compute_blocked(),
+            me_busy,
+            ve_busy,
+            me_assigned,
+            ve_assigned,
+            next_at is not None,
         )
-        if fp is not None and (
-            next_at is None
-            or next_at == self.scheduler.forced_decision_at(self)
-        ):
-            if len(self._decision_memo) >= _MEMO_LIMIT:
-                self._decision_memo.clear()
-            self._decision_memo[fp[0]] = _encode_plan(
-                fp[1], preempt_effects, plan
-            )
-            self._plan_key = fp[0]
-            self._fp_units = fp[1]
-        return plan, bool(decision.preempt)
+        return entry, units, next_at, bool(decision.preempt)
 
-    def _replay_plan(self, entry: Tuple, units: List[ExecUnit]):
-        """Re-apply a memoised epoch plan onto the current unit objects.
-
-        The plan was validated when first computed and the fingerprint
-        guarantees the state is structurally identical, so validation and
-        the continuity check are skipped."""
-        (enc_pre, dense, enc_rates, enc_ve_exec, hbm_rate, blocked,
-         me_busy, ve_busy, me_assigned, ve_assigned, forced) = entry
-        if enc_pre:
-            stats = self.stats
-            penalty = self.core.me_preemption_cycles
-            ready_at = self.now + penalty
-            reclaims = self.reclaims
-            for i, owner in enc_pre:
-                unit = units[i]
-                # granted_me still holds the pre-decision grant here (the
-                # dense snapshot is applied below), matching what the
-                # validated plan observed when it preempted.
-                engines = unit.granted_me
-                if engines < 1:
-                    engines = 1
-                for _ in range(engines):
-                    reclaims.append(
-                        ReclaimTimer(ready_at=ready_at, owner=owner)
-                    )
-                stats.preemption_count += 1
-                stats.reclaim_penalty_cycles += engines * penalty
-        for unit, d in zip(units, dense):
-            unit.granted_me = d[0]
-            unit.granted_ve = d[1]
-            unit.harvesting = d[2]
-            unit.state = d[3]
-        rates = [(units[i], r) for i, r in enc_rates]
-        ve_exec_rates = [(units[i], r) for i, r in enc_ve_exec]
-        next_at = self.scheduler.forced_decision_at(self) if forced else None
-        plan = _EpochPlan(
-            rates, ve_exec_rates, hbm_rate, next_at, blocked,
-            me_busy, ve_busy, me_assigned, ve_assigned,
-        )
-        return plan, bool(enc_pre)
+    def _replay_preemptions(
+        self, effects: Tuple[Tuple[int, int], ...], units: List[ExecUnit]
+    ) -> None:
+        """Re-apply a memoised plan's preempt effects: reclaim timers and
+        the preemption counters.  Each unit's ``granted_me`` still holds
+        its pre-decision grant (the dense state is applied after),
+        matching what the validated plan observed when it preempted."""
+        stats = self.stats
+        penalty = self.core.me_preemption_cycles
+        ready_at = self.now + penalty
+        reclaims = self.reclaims
+        for i, owner in effects:
+            engines = units[i].granted_me
+            if engines < 1:
+                engines = 1
+            for _ in range(engines):
+                reclaims.append(ReclaimTimer(ready_at=ready_at, owner=owner))
+            stats.preemption_count += 1
+            stats.reclaim_penalty_cycles += engines * penalty
 
     # ------------------------------------------------------------------
     # Decision application
     # ------------------------------------------------------------------
-    def _expire_reclaims(self) -> None:
-        reclaims = self.reclaims
-        if not reclaims:
-            return
-        threshold = self.now + EPS
-        self.reclaims = [r for r in reclaims if r.ready_at > threshold]
-
     def _apply_preemptions(self, decision: Decision) -> None:
         for unit in decision.preempt:
             if unit.state is not UnitState.RUNNING:
@@ -966,29 +1129,24 @@ class Simulator:
             )
 
     # ------------------------------------------------------------------
-    # Rate computation and epoch selection
+    # Rate computation
     # ------------------------------------------------------------------
-    def _running_units(self) -> List[ExecUnit]:
-        out: List[ExecUnit] = []
-        for tenant in self.tenants:
-            for unit in tenant.active_units:
-                if unit.state is UnitState.RUNNING:
-                    out.append(unit)
-        return out
+    def _compute_rates(self, units: List[ExecUnit]):
+        """Progress rates for the granted units among ``units``.
 
-    def _compute_rates(self):
-        """Per-unit progress rates for the currently granted units.
-
-        Returns ``(unit, rate)`` pairs for ME units and for VE units --
-        pair lists, not dicts, because the hot loops only iterate and
-        pair lists avoid hashing ExecUnits every epoch.  The HBM
+        Returns ``(position, rate)`` pairs for ME units and for VE units,
+        in ``units`` order, and the consumed HBM rate.  The HBM
         waterfill dominates this path; under the fast path its factors
         come from the exact-key :class:`FairFactorCache`, which returns
         bit-identical values to a fresh computation."""
-        running = self._running_units()
+        running_state = UnitState.RUNNING
+        running: List[int] = []
         demands: List[float] = []
         owners: List[int] = []
-        for unit in running:
+        for i, unit in enumerate(units):
+            if unit.state is not running_state:
+                continue
+            running.append(i)
             if unit.is_me_unit:
                 demands.append(unit.hbm_rate * unit.granted_me)
             else:
@@ -1007,10 +1165,10 @@ class Simulator:
             factors = [by_key[i] for i in range(len(demands))]
         hbm_rate = min(self.core.hbm_bytes_per_cycle, sum(demands))
 
-        rates: List[Tuple[ExecUnit, float]] = []
-        ve_exec: List[Tuple[ExecUnit, float]] = []
-        for i, unit in enumerate(running):
-            f = factors[i]
+        rates: List[Tuple[int, float]] = []
+        ve_exec: List[Tuple[int, float]] = []
+        for i, f in zip(running, factors):
+            unit = units[i]
             if unit.is_me_unit:
                 ve_rate = unit.ve_rate
                 if ve_rate > EPS:
@@ -1018,56 +1176,10 @@ class Simulator:
                     g = min(1.0, unit.granted_ve / needed) if needed > 0 else 1.0
                 else:
                     g = 1.0
-                rates.append((unit, f if f < g else g))
+                rates.append((i, f if f < g else g))
             else:
-                ve_exec.append((unit, unit.granted_ve * f))
-        return rates, ve_exec, hbm_rate
-
-    def _pick_delta(
-        self,
-        next_decision_at: Optional[float],
-        rates: List[Tuple[ExecUnit, float]],
-        ve_exec: List[Tuple[ExecUnit, float]],
-    ) -> float:
-        """Advance to the next event: a unit completion, reclaim expiry,
-        scheduler quantum, request arrival, or the horizon."""
-        best = math.inf
-        for unit, rate in rates:
-            if rate > EPS:
-                c = unit.remaining_me / rate
-                if EPS < c < best:
-                    best = c
-        for unit, rate in ve_exec:
-            if rate > EPS:
-                c = unit.remaining_ve / rate
-                if EPS < c < best:
-                    best = c
-        now = self.now
-        if self.reclaims:
-            for timer in self.reclaims:
-                c = timer.ready_at - now
-                if EPS < c < best:
-                    best = c
-        if next_decision_at is not None:
-            gap = next_decision_at - now
-            if gap <= EPS:
-                raise SimulationError("scheduler quantum did not advance time")
-            if gap < best:
-                best = gap
-        for tenant in self.tenants:
-            pending = tenant.pending_arrivals
-            if pending:
-                c = pending[0] - now
-                if EPS < c < best:
-                    best = c
-        horizon = self.horizon
-        if horizon != math.inf:
-            c = horizon - now
-            if EPS < c < best:
-                best = c
-        if best == math.inf:
-            self._raise_deadlock()
-        return best if best > MIN_DELTA else MIN_DELTA
+                ve_exec.append((i, unit.granted_ve * f))
+        return tuple(rates), tuple(ve_exec), hbm_rate
 
     def _raise_deadlock(self) -> None:
         detail = []
@@ -1080,69 +1192,6 @@ class Simulator:
             "no runnable work and no future events at cycle "
             f"{self.now:.0f} ({'; '.join(detail)})"
         )
-
-    # ------------------------------------------------------------------
-    # Advancing state
-    # ------------------------------------------------------------------
-    def _advance(self, delta: float, plan: _EpochPlan) -> None:
-        stats = self.stats
-        finished: List[ExecUnit] = self._finished_units
-        finished.clear()
-        for unit, rate in plan.rates:
-            progress = rate * delta
-            remaining = unit.remaining_me - progress
-            unit.remaining_me = remaining if remaining > 0.0 else 0.0
-            if remaining <= EPS:
-                finished.append(unit)
-            ve_rate = unit.ve_rate
-            if ve_rate > 0:
-                remaining = unit.remaining_ve - progress * ve_rate * unit.granted_me
-                unit.remaining_ve = remaining if remaining > 0.0 else 0.0
-
-        for unit, rate in plan.ve_exec:
-            remaining = unit.remaining_ve - rate * delta
-            unit.remaining_ve = remaining if remaining > 0.0 else 0.0
-            if remaining <= EPS:
-                finished.append(unit)
-
-        # Table III metric: a tenant is blocked when it runs fewer home
-        # engines than it is entitled to (because a harvester still holds
-        # them or the reclaim penalty is being paid).  The blocked set is
-        # part of the plan -- it is a pure function of unit states,
-        # grants, and allocations.
-        blocked = stats.blocked_cycles_per_tenant
-        for tid in plan.blocked:
-            blocked[tid] += delta
-
-        if stats.record_assignment or stats.record_bandwidth:
-            stats.record_epoch(
-                self.now,
-                delta,
-                plan.me_busy,
-                plan.ve_busy,
-                me_assigned=plan.me_assigned,
-                ve_assigned=plan.ve_assigned,
-                hbm_bytes_per_cycle=plan.hbm_rate,
-            )
-        else:
-            # Inline of SimStats.record_epoch for the no-trace case --
-            # same accumulation order, minus the call and branch
-            # overhead of the general method.
-            stats.total_cycles += delta
-            integral = stats.me_busy_integral
-            per_tenant = stats.me_busy_per_tenant
-            for owner, mes in plan.me_busy.items():
-                v = mes * delta
-                integral += v
-                per_tenant[owner] += v
-            stats.me_busy_integral = integral
-            integral = stats.ve_busy_integral
-            per_tenant = stats.ve_busy_per_tenant
-            for owner, ves in plan.ve_busy.items():
-                v = ves * delta
-                integral += v
-                per_tenant[owner] += v
-            stats.ve_busy_integral = integral
 
     def _compute_blocked(self) -> Tuple[int, ...]:
         """Ids of the tenants blocked under the current grant state."""
@@ -1168,39 +1217,6 @@ class Simulator:
             if running + EPS < entitled:
                 out.append(tenant.tenant_id)
         return tuple(out)
-
-    # ------------------------------------------------------------------
-    # Completion handling
-    # ------------------------------------------------------------------
-    def _handle_completions(self) -> bool:
-        """Retire the units _advance drove to zero remaining work.
-
-        Only units that progressed this epoch can complete (spawns carry
-        at least one cycle of work and non-running units make no
-        progress), so _advance collects them as it updates remainders
-        instead of rescanning every active unit here."""
-        finished = self._finished_units
-        if not finished:
-            return False
-        done = UnitState.DONE
-        owners = set()
-        for unit in finished:
-            if unit.is_me_unit:
-                unit.remaining_me = 0.0
-                unit.remaining_ve = 0.0
-            else:
-                unit.remaining_ve = 0.0
-            unit.state = done
-            unit.granted_me = 0
-            unit.granted_ve = 0.0
-            owners.add(unit.owner)
-        finished.clear()
-        now = self.now
-        stats = self.stats
-        for tenant in self.tenants:
-            if tenant.tenant_id in owners:
-                tenant.on_unit_done(now, stats, self)
-        return True
 
     # ------------------------------------------------------------------
     # Results

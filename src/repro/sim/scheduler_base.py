@@ -45,7 +45,11 @@ class UnitState(enum.Enum):
     DONE = "done"
 
 
-@dataclass(slots=True)
+#: ``state * 64`` in a unit's fingerprint code.
+_STATE_OFFSET = {UnitState.READY: 0, UnitState.RUNNING: 64, UnitState.DONE: 128}
+
+
+@dataclass(slots=True, eq=False)
 class ExecUnit:
     """Runtime state of one schedulable unit.
 
@@ -55,6 +59,11 @@ class ExecUnit:
     validated once when the template is built (see
     ``Tenant._unit_templates``) and then stamped onto fresh (or pooled)
     objects per request.
+
+    Units compare and hash by identity (``eq=False``): they serve as keys
+    of :class:`Decision` dicts and members of scheduler sets, and no two
+    live units share a ``unit_id`` because recycled shells take a fresh
+    one.
     """
 
     kind: UnitKind
@@ -82,6 +91,14 @@ class ExecUnit:
 
     #: Cached kind check (hot path) -- set in __post_init__.
     is_me_unit: bool = field(init=False, default=False)
+    #: This unit's part of :func:`unit_state_fingerprint`'s key,
+    #: ``tpl_id * 256 + state * 64 + granted_me`` with state READY=0,
+    #: RUNNING=1, DONE=2; None when the unit has no template or holds 64
+    #: or more engines, where the key spells the attributes out.  Every
+    #: writer of ``state`` or ``granted_me`` sets it: template stamping,
+    #: the engine's fresh decisions, plan replays and completion retire,
+    #: and the mega-batch engine's materialisation.
+    code: Optional[int] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.me_engines_needed < 0:
@@ -89,6 +106,7 @@ class ExecUnit:
         if self.remaining_me < 0 or self.remaining_ve < 0:
             raise SchedulerError("negative remaining work")
         self.is_me_unit = self.kind in (UnitKind.ME_UTOP, UnitKind.VLIW_ME)
+        self.code = unit_code(self.tpl_id, self.state, self.granted_me)
 
     @property
     def done(self) -> bool:
@@ -123,8 +141,9 @@ class ExecUnit:
             unit.parallelism,
             unit.op_index,
             unit.op_name,
-            unit.tpl_id,
+            tpl_id,
         ) = template
+        unit.tpl_id = tpl_id
         unit.owner = owner
         unit.request_id = request_id
         unit.unit_id = next(_unit_ids)
@@ -132,13 +151,16 @@ class ExecUnit:
         unit.harvesting = False
         unit.granted_me = 0
         unit.granted_ve = 0.0
+        unit.code = tpl_id * 256 if tpl_id >= 0 else None
         return unit
 
-    def __hash__(self) -> int:
-        return self.unit_id
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExecUnit) and other.unit_id == self.unit_id
+def unit_code(tpl_id: int, state: UnitState, granted_me: int) -> Optional[int]:
+    """:attr:`ExecUnit.code` for these attributes (the engine's hot
+    paths inline the same expression)."""
+    if tpl_id < 0 or granted_me >= 64:
+        return None
+    return tpl_id * 256 + _STATE_OFFSET[state] + granted_me
 
 
 @dataclass
@@ -179,64 +201,64 @@ def unit_state_fingerprint(
     on ``unit_id`` *across* tenants -- the cross-tenant FIFO permutation
     of the active units.  Two epochs with equal keys are guaranteed to
     produce identical decisions, so the engine may replay a memoised one.
+
+    The key is ``(reclaim counts or None, rank permutation, flat codes)``.
+    Each unit contributes its :attr:`ExecUnit.code`, which packs
+    (template, state, grant) into one small int -- cheap to hash, where
+    enum members hash through a Python-level ``__hash__``; a unit without
+    one contributes a full attribute tuple (an int never equals a tuple,
+    so the encodings cannot collide).  The tenant boundary marker -1
+    keeps per-tenant runs distinct; tenant allocations and priorities are
+    deliberately absent because they are constant for the lifetime of
+    the Simulator that owns the memo.  The rank permutation depends only
+    on which units are active, so it is cached on the simulator
+    (``sim._rank_perm``), which the engine clears whenever a tenant
+    replaces its active units.
     """
     units: List[ExecUnit] = []
     flat: List = []
-    # Small-int codes keep the key cheap to build and hash (enum members
-    # hash through a Python-level __hash__).  Units stamped from a
-    # validated template pack (template, state, grant) into one int --
-    # the template id pins every decision-relevant static attribute;
-    # directly constructed units fall back to a full attribute tuple (an
-    # int never equals a tuple, so the encodings cannot collide).  The
-    # tenant boundary marker -1 keeps per-tenant runs distinct; tenant
-    # allocations and priorities are deliberately absent because they
-    # are constant for the lifetime of the Simulator that owns the memo.
-    me_utop = UnitKind.ME_UTOP
-    ve_utop = UnitKind.VE_UTOP
-    vliw_me = UnitKind.VLIW_ME
-    ready = UnitState.READY
-    running = UnitState.RUNNING
     append = flat.append
-    uappend = units.append
     for tenant in sim.tenants:
+        active = tenant.active_units
+        units += active
         append(-1)
-        for u in tenant.active_units:
-            uappend(u)
-            s = u.state
-            sc = 0 if s is ready else 1 if s is running else 2
-            tid = u.tpl_id
-            granted = u.granted_me
-            if tid >= 0 and granted < 64:
-                append(tid * 256 + sc * 64 + granted)
-            else:
-                k = u.kind
-                append((
-                    0 if k is me_utop else 1 if k is ve_utop
-                    else 2 if k is vliw_me else 3,
-                    sc,
-                    u.me_engines_needed,
-                    granted,
-                    u.ve_rate,
-                    u.hbm_rate,
-                    u.parallelism,
-                ))
+        for u in active:
+            code = u.code
+            append(code if code is not None else _attribute_code(u))
     if sim.reclaims:
         rc = tuple(sim.reclaiming_for(t.tenant_id) for t in sim.tenants)
     else:
         rc = None
-    n = len(units)
-    rank_perm: Tuple[int, ...] = ()
-    if n > 1:
-        ids = [u.unit_id for u in units]
-        prev = ids[0]
-        for cur in ids[1:]:
-            if cur < prev:
-                rank_perm = tuple(sorted(range(n), key=ids.__getitem__))
-                break
-            prev = cur
-        # Already in FIFO order (the common case): the empty marker is
-        # canonical for the identity permutation.
+    rank_perm = sim._rank_perm
+    if rank_perm is None:
+        rank_perm = sim._rank_perm = _creation_rank_perm(units)
     return (rc, rank_perm, tuple(flat)), units
+
+
+def _attribute_code(u: ExecUnit) -> Tuple:
+    """A unit's fingerprint part when it has no :attr:`ExecUnit.code`."""
+    k = u.kind
+    s = u.state
+    return (
+        0 if k is UnitKind.ME_UTOP else 1 if k is UnitKind.VE_UTOP
+        else 2 if k is UnitKind.VLIW_ME else 3,
+        0 if s is UnitState.READY else 1 if s is UnitState.RUNNING else 2,
+        u.me_engines_needed,
+        u.granted_me,
+        u.ve_rate,
+        u.hbm_rate,
+        u.parallelism,
+    )
+
+
+def _creation_rank_perm(units: List[ExecUnit]) -> Tuple[int, ...]:
+    """Positions of ``units`` in creation (``unit_id``) order; the empty
+    tuple, canonical for the identity, when they already are in FIFO
+    order (the common case)."""
+    ids = [u.unit_id for u in units]
+    if ids == sorted(ids):
+        return ()
+    return tuple(sorted(range(len(ids)), key=ids.__getitem__))
 
 
 class SchedulerBase:

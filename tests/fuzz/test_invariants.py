@@ -15,10 +15,12 @@ from repro.config import spawn_rng
 from repro.fuzz.invariants import (
     INV_CONSERVATION,
     INV_DETERMINISM,
+    INV_LOAD_MONOTONE,
     INV_ROUNDTRIP,
     check_conservation,
     check_determinism,
     check_fast_path,
+    check_load_monotonicity,
     check_megabatch,
     check_resume,
     check_roundtrip,
@@ -112,6 +114,40 @@ def test_engine_toggle_differentials_clean(ol_result, llm_result):
     assert check_megabatch(_open_loop(), ol_result) == []
     assert check_fast_path(_open_loop(), ol_result) == []
     assert check_fast_path(_llm(), llm_result) == []
+
+
+def _with_attainment(result, offered, attained):
+    out = copy.deepcopy(result)
+    (tenant,) = out.metrics["tenants"]
+    tenant["offered"] = offered
+    tenant["attained"] = attained
+    return out
+
+
+@pytest.mark.parametrize("offered,fires", [(9, False), (10, True)])
+def test_load_monotonicity_fires_from_ceil_inverse_tolerance_requests(
+    ol_result, offered, fires
+):
+    """A planted doubled-load run that attains 0.95 against a base of
+    0.5: the check fires once the base offers ceil(1 / 0.1) = 10
+    requests, and skips a base that offers fewer."""
+    base = _with_attainment(ol_result, offered, offered / 2)
+    doubled = _with_attainment(ol_result, 2 * offered, 1.9 * offered)
+    loads = []
+
+    def planted_run(sc):
+        loads.append(sc.load)
+        return doubled
+
+    violations = check_load_monotonicity(
+        _open_loop(), base, 0.1, run=planted_run
+    )
+    if fires:
+        assert loads == [round(_open_loop().load * 2, 6)]
+        assert [v.invariant for v in violations] == [INV_LOAD_MONOTONE]
+        assert "rose from 0.5000 to 0.9500" in violations[0].detail
+    else:
+        assert loads == [] and violations == []
 
 
 def test_resume_after_torn_journal(tmp_path):

@@ -103,3 +103,40 @@ def test_llm_sacrifice_terminates_under_every_policy(policy):
     )
     req = run_scenario(sc).metrics["requests"]
     assert req["completed"] == req["arrived"]
+
+
+#: ``repro fuzz --seed 1 --budget 12 --deep-every 1 --shrink`` output for
+#: fuzz-0006, as written (comments dropped).
+FUZZ_0006_YAML = """\
+name: fuzz-0006
+kind: open_loop
+description: 'fuzz grammar sample #6'
+scheme: v10
+tenants:
+- model: NCF
+  weight: 0.51
+  priority: 2.0
+arrival: bursty
+load: 1.103
+duration_s: 0.002402
+seed: 49699
+"""
+
+
+def test_load_monotonicity_skips_runs_too_small_to_resolve_it():
+    """seed=1 idx=6: attainment rose from 0.75 to 0.875 when load
+    doubled.  The base run offers 4 requests and completes 3; the
+    doubled run offers 8 and completes 7; in both, exactly one request
+    is still in flight when the window ends and counts as a miss.  One
+    request is worth 0.25 of attainment at 4 offered, more than the 0.1
+    tolerance, so the check needs ceil(1 / 0.1) = 10 offered requests
+    and skips this run."""
+    from repro.api.scenario import Scenario
+    from repro.fuzz.invariants import check_load_monotonicity
+
+    sc = Scenario.from_yaml(FUZZ_0006_YAML)
+    result = run_scenario(sc)
+    (tenant,) = result.metrics["tenants"]
+    assert (tenant["offered"], tenant["completed"]) == (4, 3)
+    assert tenant["attained"] / tenant["offered"] == 0.75
+    assert check_load_monotonicity(sc, result, 0.1) == []

@@ -28,10 +28,11 @@ CORE = NpuCoreConfig()
 SCHEMES = list(ALL_SCHEMES) + [SCHEME_TEMPORAL]
 
 
-def _closed_loop_tenants(scheme, target_requests=4):
+def _closed_loop_tenants(scheme, target_requests=4,
+                         models=(("MNIST", 8), ("DLRM", 8))):
     isa = scheme_isa(scheme)
     tenants = []
-    for idx, (model, batch) in enumerate([("MNIST", 8), ("DLRM", 8)]):
+    for idx, (model, batch) in enumerate(models):
         trace = build_trace(model, batch, core=CORE)
         tenants.append(
             Tenant(
@@ -108,6 +109,25 @@ def test_closed_loop_bit_identical(scheme):
             CORE,
             make_scheduler(scheme),
             _closed_loop_tenants(scheme),
+            fast_path=fast,
+        )
+        runs[fast] = _stats_snapshot(sim.run())
+    assert runs[True] == runs[False]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_closed_loop_bit_identical_with_cross_tenant_fifo_ties(scheme):
+    """BERT and RNRS: V10 hands VE capacity to VE operators in creation
+    order across tenants, so its decisions here depend on the
+    fingerprint's creation-rank permutation, and a stale cached
+    permutation replays the wrong plan."""
+    models = (("BERT", 8), ("RNRS", 8))
+    runs = {}
+    for fast in (True, False):
+        sim = Simulator(
+            CORE,
+            make_scheduler(scheme),
+            _closed_loop_tenants(scheme, target_requests=1, models=models),
             fast_path=fast,
         )
         runs[fast] = _stats_snapshot(sim.run())
@@ -264,3 +284,159 @@ def test_forced_plans_without_a_matching_hook_are_not_memoised(scheduler_cls):
             assert len(memo) > 0
             assert not any(entry[10] for entry in memo.values())
     assert runs[True] == runs[False]
+
+
+# ----------------------------------------------------------------------
+# Fingerprint state carried on the units: codes and the rank permutation
+# ----------------------------------------------------------------------
+def _reference_unit_key(sim):
+    """``unit_state_fingerprint``'s key, computed from scratch from each
+    unit's attributes, as the fingerprint did before units carried their
+    codes."""
+    from repro.sim.scheduler_base import UnitKind, UnitState
+
+    kinds = [UnitKind.ME_UTOP, UnitKind.VE_UTOP, UnitKind.VLIW_ME,
+             UnitKind.VLIW_VE]
+    states = [UnitState.READY, UnitState.RUNNING, UnitState.DONE]
+    flat = []
+    for tenant in sim.tenants:
+        flat.append(-1)
+        for u in tenant.active_units:
+            sc = states.index(u.state)
+            if u.tpl_id >= 0 and u.granted_me < 64:
+                flat.append(u.tpl_id * 256 + sc * 64 + u.granted_me)
+            else:
+                flat.append((kinds.index(u.kind), sc, u.me_engines_needed,
+                             u.granted_me, u.ve_rate, u.hbm_rate,
+                             u.parallelism))
+    rc = None
+    if sim.reclaims:
+        rc = tuple(sim.reclaiming_for(t.tenant_id) for t in sim.tenants)
+    ids = [u.unit_id for t in sim.tenants for u in t.active_units]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank_perm = () if order == list(range(len(ids))) else tuple(order)
+    return (rc, rank_perm, tuple(flat))
+
+
+def _assert_unit_codes(sim):
+    from repro.sim.scheduler_base import unit_code
+
+    for tenant in sim.tenants:
+        for u in tenant.active_units:
+            assert u.code == unit_code(u.tpl_id, u.state, u.granted_me)
+
+
+def _assert_rank_cache(sim):
+    """The cached rank permutation may be stale only while some tenant's
+    replaced units are still to be noticed by the frame."""
+    if sim._rank_perm is not None and not any(
+        t._units_mutated for t in sim.tenants
+    ):
+        assert sim._rank_perm == _reference_unit_key(sim)[1]
+
+
+def _guard_fingerprints(sim):
+    """Check, at every fingerprint ``sim``'s scheduler takes, each live
+    unit's code, the fingerprint key and the cached rank permutation
+    against a from-scratch computation.  Returns the fingerprint count."""
+    scheduler = sim.scheduler
+    original = scheduler.state_fingerprint
+    # PMT and V10 wrap the unit key with a policy token.
+    tokened = scheduler.memo_context() is None
+    count = [0]
+
+    def checked(s):
+        _assert_unit_codes(s)
+        fp = original(s)
+        if fp is not None:
+            count[0] += 1
+            key = fp[0][0] if tokened else fp[0]
+            assert key == _reference_unit_key(s)
+            assert s._rank_perm == key[1]
+            assert fp[1] == [u for t in s.tenants for u in t.active_units]
+        return fp
+
+    scheduler.state_fingerprint = checked
+    return count
+
+
+@pytest.fixture
+def cold_memos(monkeypatch):
+    """Start every plan memo cold, so fresh decisions write codes too."""
+    import repro.sim.engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "_PLAN_MEMOS", {})
+
+
+def _guarded_sim(scheme, kind, record_ops):
+    if kind == "closed":
+        return Simulator(CORE, make_scheduler(scheme),
+                         _closed_loop_tenants(scheme), record_ops=record_ops)
+    horizon = 1_500_000.0
+    return Simulator(CORE, make_scheduler(scheme),
+                     _open_loop_tenants(scheme, horizon),
+                     horizon_cycles=horizon, record_ops=record_ops)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("kind,record_ops", [("closed", True), ("open", False)])
+def test_unit_codes_and_rank_perm_hold_at_every_epoch(
+    scheme, kind, record_ops, cold_memos
+):
+    """Stepped one epoch per frame call, as the mega-batch engine's
+    object epochs are: after every epoch each live unit's code equals a
+    from-scratch packing, every fingerprint equals the from-scratch key,
+    and the run equals one ``Simulator.run()`` exactly."""
+    sim = _guarded_sim(scheme, kind, record_ops)
+    fingerprints = _guard_fingerprints(sim)
+    sim.start()
+    _assert_unit_codes(sim)
+    while not sim._finished() and sim.now < sim.horizon:
+        sim._step_epochs(1)
+        _assert_unit_codes(sim)
+        _assert_rank_cache(sim)
+    assert sim.epochs > 0
+    if scheme != SCHEME_TEMPORAL:
+        assert fingerprints[0] > 0
+    reference = _guarded_sim(scheme, kind, record_ops).run()
+    assert _stats_snapshot(sim._build_result()) == _stats_snapshot(reference)
+
+
+def test_unit_codes_hold_through_preemptions(cold_memos):
+    """Closed-loop Neu10 reclaims harvested engines: replayed and fresh
+    preemptions keep every code and fingerprint exact."""
+    sim = _guarded_sim("neu10", "closed", False)
+    fingerprints = _guard_fingerprints(sim)
+    result = sim.run()
+    assert result.stats.preemption_count > 0
+    assert fingerprints[0] > 0
+
+
+def test_unit_codes_hold_through_megabatch_materialisation(
+    monkeypatch, cold_memos
+):
+    """A mega-batch lane that leaves array mode stamps its units back
+    out with their codes and flags them as replaced, so the frame
+    recomputes the rank permutation before the next fingerprint."""
+    import repro.megabatch.engine as mb
+
+    materialised = []
+    real = mb._materialize
+
+    def counting(lane):
+        units = real(lane)
+        materialised.append(lane)
+        _assert_unit_codes(lane.sim)
+        _assert_rank_cache(lane.sim)
+        return units
+
+    monkeypatch.setattr(mb, "_materialize", counting)
+    sims = [_guarded_sim("neu10", kind, False) for kind in ("open", "closed")]
+    fingerprints = [_guard_fingerprints(sim) for sim in sims]
+    engine = mb.MegaBatchEngine(sims)
+    results = engine.run()
+    assert materialised and engine.group_stats["array_epochs"] > 0
+    assert all(count[0] > 0 for count in fingerprints)
+    for kind, result in zip(("open", "closed"), results):
+        reference = _guarded_sim("neu10", kind, False).run()
+        assert _stats_snapshot(result) == _stats_snapshot(reference)
