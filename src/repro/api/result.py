@@ -16,16 +16,44 @@ the tests apply to ``repro run --json`` output.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import ConfigError
 
 #: Bump when the RunResult envelope changes shape.
 RESULT_SCHEMA_VERSION = 1
+
+
+#: Leaf types :func:`_plain` returns as they are (immutable, so a
+#: deep copy would hand back the same object).
+_ATOMS = frozenset({str, int, float, bool, type(None)})
+
+
+def _plain(obj: Any) -> Any:
+    """A deep copy of ``obj`` as :func:`dataclasses.asdict` copies a
+    field: dicts, lists and tuples rebuilt with their type, dataclasses
+    turned into dicts, anything else deep-copied.  Atoms inside a
+    container are kept without a call, which is most of the work."""
+    kind = type(obj)
+    if kind is dict:
+        return {
+            key: value if type(value) in _ATOMS else _plain(value)
+            for key, value in obj.items()
+        }
+    if kind is list:
+        return [v if type(v) in _ATOMS else _plain(v) for v in obj]
+    if kind is tuple:
+        return tuple([v if type(v) in _ATOMS else _plain(v) for v in obj])
+    if kind in _ATOMS:
+        return obj
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    return copy.deepcopy(obj)
 
 
 def _json_default(obj: Any) -> Any:
@@ -98,7 +126,18 @@ class RunResult:
     schema_version: int = RESULT_SCHEMA_VERSION
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        """The envelope as plain data, sharing nothing mutable with
+        this result (what :func:`dataclasses.asdict` returns, built
+        directly)."""
+        return {
+            "scenario": self.scenario,
+            "kind": self.kind,
+            "scheme": self.scheme,
+            "metrics": _plain(self.metrics),
+            "metadata": _plain(self.metadata),
+            "provenance": _plain(self.provenance),
+            "schema_version": self.schema_version,
+        }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(

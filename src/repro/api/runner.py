@@ -64,6 +64,7 @@ def _to_traffic_spec(tenant: ScenarioTenant):
 
 
 def _slo_report_metrics(report) -> Dict[str, Any]:
+    p50, p95, p99 = report.latency_percentiles(50.0, 95.0, 99.0)
     return {
         "name": report.name,
         "offered": report.offered,
@@ -73,9 +74,9 @@ def _slo_report_metrics(report) -> Dict[str, Any]:
         "goodput_rps": report.goodput_rps,
         "throughput_rps": report.throughput_rps,
         "mean_latency_cycles": report.mean_latency,
-        "p50_latency_cycles": report.p50_latency,
-        "p95_latency_cycles": report.p95_latency,
-        "p99_latency_cycles": report.p99_latency,
+        "p50_latency_cycles": p50,
+        "p95_latency_cycles": p95,
+        "p99_latency_cycles": p99,
         "mean_queueing_cycles": report.mean_queueing_delay,
     }
 

@@ -19,6 +19,7 @@ from repro.core.mapper import MappingMode
 from repro.errors import AllocationError
 from repro.runtime.driver import VnpuDriver
 from repro.runtime.hypervisor import Hypervisor, VnpuHandle
+from repro.sim.stats import ordered_mean
 
 
 @dataclass
@@ -112,7 +113,7 @@ class Host:
         values = [h.m for h in self.resident.values() if h.m is not None]
         if not values:
             return 0.5
-        return sum(values) / len(values)
+        return ordered_mean(values)
 
     # ------------------------------------------------------------------
     # Placement plumbing (called by the orchestrator)

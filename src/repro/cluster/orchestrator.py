@@ -22,6 +22,7 @@ from repro.cluster.virt import (
     REJECT_VF_EXHAUSTED,
 )
 from repro.errors import AllocationError, HypercallError
+from repro.sim.stats import ordered_mean
 
 
 @dataclass
@@ -281,6 +282,4 @@ def complementarity_score(pairs: List[Tuple[float, float]]) -> float:
     """Mean |m1 + m2 - 1| over collocated pairs: 0 is perfectly
     complementary (one ME-heavy with one VE-heavy), 1 is worst.  Used to
     compare placement policies in tests and examples."""
-    if not pairs:
-        return 0.0
-    return sum(abs(m1 + m2 - 1.0) for m1, m2 in pairs) / len(pairs)
+    return ordered_mean([abs(m1 + m2 - 1.0) for m1, m2 in pairs])

@@ -22,6 +22,7 @@ from repro.compiler.cost_model import CostModel, OpCost
 from repro.compiler.graph import Graph
 from repro.config import NpuCoreConfig
 from repro.errors import CompileError
+from repro.sim.stats import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -45,15 +46,15 @@ class WorkloadProfile:
 
     @property
     def total_cycles(self) -> float:
-        return sum(op.duration_cycles for op in self.ops)
+        return ordered_sum(op.duration_cycles for op in self.ops)
 
     @property
     def total_me_cycles(self) -> float:
-        return sum(op.me_cycles for op in self.ops)
+        return ordered_sum(op.me_cycles for op in self.ops)
 
     @property
     def total_ve_cycles(self) -> float:
-        return sum(op.ve_cycles for op in self.ops)
+        return ordered_sum(op.ve_cycles for op in self.ops)
 
     @property
     def total_hbm_bytes(self) -> float:

@@ -14,6 +14,7 @@ from typing import List, Tuple
 from repro.compiler.cost_model import CostModel
 from repro.compiler.tiling import compiler_demanded_engines
 from repro.config import DEFAULT_CORE, NpuCoreConfig
+from repro.sim.stats import ordered_sum
 from repro.workloads.catalog import model_info
 
 #: Fig. 2's hardware: a real TPUv4 core with 4 MEs and 2 VEs.
@@ -54,8 +55,12 @@ class DemandTrace:
         total = self.duration_us
         if total <= 0:
             return 0.0, 0.0
-        me = sum((p.end_us - p.start_us) * p.demanded_mes for p in self.points)
-        ve = sum((p.end_us - p.start_us) * p.demanded_ves for p in self.points)
+        me = ordered_sum(
+            (p.end_us - p.start_us) * p.demanded_mes for p in self.points
+        )
+        ve = ordered_sum(
+            (p.end_us - p.start_us) * p.demanded_ves for p in self.points
+        )
         return me / total, ve / total
 
 

@@ -17,6 +17,7 @@ from repro.config import DEFAULT_CORE, NpuCoreConfig
 from repro.megabatch import run_simulators
 from repro.sim.engine import Simulator, Tenant
 from repro.sim.sched_static import StaticPartitionScheduler
+from repro.sim.stats import ordered_mean
 from repro.baselines.pmt import PmtScheduler
 from repro.workloads.catalog import model_names
 from repro.workloads.traces import build_trace
@@ -31,7 +32,7 @@ class OverheadResult:
 
     def average(self) -> float:
         values = [o for per in self.overhead.values() for o in per.values()]
-        return sum(values) / len(values) if values else 0.0
+        return ordered_mean(values)
 
     def maximum(self) -> float:
         values = [o for per in self.overhead.values() for o in per.values()]

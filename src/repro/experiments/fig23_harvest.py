@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments import expected
 from repro.experiments.common import DEFAULT_TARGET_REQUESTS, run_pair_cached
 from repro.serving.server import SCHEME_NEU10, SCHEME_NEU10_NH
+from repro.sim.stats import ordered_mean
 
 
 @dataclass
@@ -60,8 +61,8 @@ def run(
             neu_durations = neu_ops.get(op_name)
             if not neu_durations or not ref_durations:
                 continue
-            ref_mean = sum(ref_durations) / len(ref_durations)
-            neu_mean = sum(neu_durations) / len(neu_durations)
+            ref_mean = ordered_mean(ref_durations)
+            neu_mean = ordered_mean(neu_durations)
             if neu_mean > 0:
                 per_op.append(ref_mean / neu_mean)
         speedups[tenant_idx] = sorted(per_op)

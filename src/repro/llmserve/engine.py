@@ -39,6 +39,7 @@ from repro.llmserve.requests import (
     WAITING,
     LlmRequest,
 )
+from repro.sim.stats import ordered_mean
 
 #: Max KV-occupancy timeline points exported into result metrics.
 KV_TIMELINE_POINTS = 200
@@ -499,8 +500,8 @@ def run_llm_serving(
             generated_tokens=generated,
             swaps=sum(r.swaps for r in reqs),
             sacrifices=sum(r.sacrifices for r in reqs),
-            mean_ttft_cycles=sum(ttfts) / len(ttfts) if ttfts else 0.0,
-            mean_tpot_cycles=sum(tpots) / len(tpots) if tpots else 0.0,
+            mean_ttft_cycles=ordered_mean(ttfts),
+            mean_tpot_cycles=ordered_mean(tpots),
             ttft_target_cycles=ttft_target,
             tpot_target_cycles=tpot_target,
             # Offered accounting: requests still queued at the end

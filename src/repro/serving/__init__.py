@@ -9,7 +9,6 @@ ME/VE utilization, harvesting overhead).
 from repro.serving.metrics import (
     PairMetrics,
     TenantMetrics,
-    goodput_rps,
     percentile,
     slo_attainment,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "ServingConfig",
     "TenantMetrics",
     "closed_loop",
-    "goodput_rps",
     "make_scheduler",
     "percentile",
     "slo_attainment",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
 
@@ -17,13 +17,22 @@ def percentile(values: List[float], pct: float) -> float:
     sample, but out-of-range percentiles raise instead of silently
     clamping to min/max.
     """
-    if not 0.0 <= pct <= 100.0:
-        raise ConfigError(f"percentile must be in [0, 100], got {pct}")
+    return percentiles(values, (pct,))[0]
+
+
+def percentiles(values: List[float], pcts: Sequence[float]) -> List[float]:
+    """:func:`percentile` at each of ``pcts``, from one sort of ``values``."""
+    for pct in pcts:
+        if not 0.0 <= pct <= 100.0:
+            raise ConfigError(f"percentile must be in [0, 100], got {pct}")
     if not values:
-        return 0.0
+        return [0.0] * len(pcts)
     ordered = sorted(values)
-    idx = min(len(ordered) - 1, max(0, math.ceil(pct / 100.0 * len(ordered)) - 1))
-    return ordered[idx]
+    n = len(ordered)
+    return [
+        ordered[min(n - 1, max(0, math.ceil(pct / 100.0 * n) - 1))]
+        for pct in pcts
+    ]
 
 
 def slo_attainment(
@@ -41,17 +50,6 @@ def slo_attainment(
         return 1.0
     attained = sum(1 for lat in latencies if lat <= target_cycles)
     return attained / denom
-
-
-def goodput_rps(
-    latencies: List[float], target_cycles: float, duration_s: float
-) -> float:
-    """Requests per second that met their SLO (the open-loop figure of
-    merit: throughput stops counting once latency blows the target)."""
-    if duration_s <= 0:
-        raise ConfigError("duration must be positive")
-    attained = sum(1 for lat in latencies if lat <= target_cycles)
-    return attained / duration_s
 
 
 @dataclass

@@ -23,6 +23,7 @@ from repro.errors import ConfigError
 from repro.megabatch import run_simulators
 from repro.serving.server import SCHEME_NEU10, make_scheduler
 from repro.sim.engine import Simulator, Tenant
+from repro.sim.stats import ordered_mean
 from repro.workloads.catalog import model_info
 from repro.workloads.traces import build_trace
 
@@ -38,9 +39,7 @@ class ShardResult:
 
     @property
     def mean_latency(self) -> float:
-        if not self.latencies_cycles:
-            return 0.0
-        return sum(self.latencies_cycles) / len(self.latencies_cycles)
+        return ordered_mean(self.latencies_cycles)
 
 
 @dataclass
@@ -63,7 +62,7 @@ class DataParallelResult:
                 max(s.latencies_cycles[r] for s in self.shards)
                 + self.allgather_cycles
             )
-        return sum(per_request) / len(per_request) if per_request else 0.0
+        return ordered_mean(per_request)
 
     def throughput_rps(self, core: NpuCoreConfig) -> float:
         latency = self.request_latency_cycles

@@ -30,7 +30,7 @@ from repro.sim.hbm import (
     slowdown_factors,
 )
 from repro.sim.scheduler_base import Decision, ExecUnit, SchedulerBase, UnitKind, UnitState
-from repro.sim.stats import SimStats
+from repro.sim.stats import SimStats, ordered_mean
 
 #: Numerical tolerance for completion checks and capacity validation.
 EPS = 1e-6
@@ -494,15 +494,11 @@ class TenantResult:
 
     @property
     def mean_latency(self) -> float:
-        if not self.latencies_cycles:
-            return 0.0
-        return sum(self.latencies_cycles) / len(self.latencies_cycles)
+        return ordered_mean(self.latencies_cycles)
 
     @property
     def mean_queueing_delay(self) -> float:
-        if not self.queueing_cycles:
-            return 0.0
-        return sum(self.queueing_cycles) / len(self.queueing_cycles)
+        return ordered_mean(self.queueing_cycles)
 
 
 @dataclass

@@ -12,9 +12,33 @@ Tracks everything the paper's evaluation section reports:
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import reduce
+from operator import add
+from typing import Collection, Dict, Iterable, List, Optional, Tuple
+
+
+#: From Python 3.12 the builtin ``sum()`` compensates float rounding
+#: (Neumaier): ``sum([1e16, 1.0, -1e16])`` is 1.0 there and 0.0 before.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum, so a figure a result reports carries the
+    same bits on every Python version.  Before 3.12 that is the
+    builtin, six times faster than ``reduce``."""
+    if _COMPENSATED_SUM:
+        return reduce(add, values, 0.0)
+    return sum(values, 0.0)
+
+
+def ordered_mean(values: Collection[float]) -> float:
+    """:func:`ordered_sum` over ``len(values)``; 0.0 when empty."""
+    if not values:
+        return 0.0
+    return ordered_sum(values) / len(values)
 
 
 @dataclass
@@ -207,7 +231,9 @@ class SimStats:
         """Mean HBM bytes/cycle over the run (only when recorded)."""
         if not self.bandwidth_trace:
             return 0.0
-        total_bytes = sum((e - s) * bw for s, e, bw in self.bandwidth_trace)
+        total_bytes = ordered_sum(
+            (e - s) * bw for s, e, bw in self.bandwidth_trace
+        )
         span = self.bandwidth_trace[-1][1] - self.bandwidth_trace[0][0]
         if span <= 0:
             return 0.0

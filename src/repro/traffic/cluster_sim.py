@@ -84,6 +84,7 @@ from repro.megabatch import run_simulators
 from repro.api.registries import SCHEDULERS, scheme_isa
 from repro.serving.server import make_scheduler
 from repro.sim.engine import Simulator, Tenant
+from repro.sim.stats import ordered_mean
 from repro.traffic.stepper import (
     EVENT_CHURN,
     EVENT_FAULT,
@@ -247,17 +248,11 @@ class ClusterTrafficResult:
 
     @property
     def cluster_me_utilization(self) -> float:
-        if not self.host_me_utilization:
-            return 0.0
-        vals = self.host_me_utilization.values()
-        return sum(vals) / len(vals)
+        return ordered_mean(self.host_me_utilization.values())
 
     @property
     def cluster_ve_utilization(self) -> float:
-        if not self.host_ve_utilization:
-            return 0.0
-        vals = self.host_ve_utilization.values()
-        return sum(vals) / len(vals)
+        return ordered_mean(self.host_ve_utilization.values())
 
     @property
     def cluster_attainment(self) -> float:
@@ -721,6 +716,16 @@ class ClusterSimulation:
         events: Sequence[ChurnEvent],
         cfg: Optional[ClusterTrafficConfig] = None,
     ) -> None:
+        self._configure(events, cfg)
+        self._build_timeline()
+
+    def _configure(
+        self,
+        events: Sequence[ChurnEvent],
+        cfg: Optional[ClusterTrafficConfig],
+    ) -> None:
+        """Everything :meth:`__init__` sets up except the timeline,
+        which :meth:`restore` builds from the checkpoint's scripts."""
         cfg = cfg if cfg is not None else ClusterTrafficConfig()
         self.cfg = cfg
         #: Demand reference: arrival rates and SLO targets are calibrated
@@ -764,7 +769,7 @@ class ClusterSimulation:
         self.interval = (
             cfg.autoscale_interval_s if cfg.autoscaler is not None else None
         )
-        self._install_script(events, cfg.faults)
+        self._set_scripts(events, cfg.faults)
         self._log_window_faults(self.faults)
 
         self.segments = 0
@@ -829,12 +834,16 @@ class ClusterSimulation:
     def _install_script(
         self, churn: Sequence[ChurnEvent], faults: Sequence[FaultSpec]
     ) -> None:
-        """(Re)build the unified timeline from churn + fault scripts.
+        """(Re)build the unified timeline from churn + fault scripts."""
+        self._set_scripts(churn, faults)
+        self._build_timeline()
 
-        Both scripts are kept in their deterministic application order:
+    def _set_scripts(
+        self, churn: Sequence[ChurnEvent], faults: Sequence[FaultSpec]
+    ) -> None:
+        """Keep both scripts in their deterministic application order:
         churn by time, departs before arrives; faults by fire time,
-        then kind, then target.
-        """
+        then kind, then target."""
         self.churn = sorted(
             churn, key=lambda e: (e.time_s, e.action != ACTION_DEPART)
         )
@@ -845,6 +854,8 @@ class ClusterSimulation:
         self.spikes = [
             f for f in self.faults if f.kind == FAULT_HYPERCALL_SPIKE
         ]
+
+    def _build_timeline(self) -> None:
         self.timeline: Timeline = build_timeline(
             self.churn, self.faults, self.cfg.end_s, self.interval
         )
@@ -1291,11 +1302,10 @@ class ClusterSimulation:
             for name, report in host_reports:
                 seg_offered += report.offered
                 seg_attained += report.attained
-                self.reports[name] = (
-                    self.reports[name].merged_with(report)
-                    if name in self.reports
-                    else report
-                )
+                if name in self.reports:
+                    self.reports[name].extend(report)
+                else:
+                    self.reports[name] = report
         denom = max(1, len(active)) * seg_s
         observation = SegmentObservation(
             segment_index=seg_index,
@@ -1388,7 +1398,8 @@ class ClusterSimulation:
         """
         total_s = self.cfg.end_s
         return ClusterTrafficResult(
-            reports=self.reports,
+            # Copies: later segments extend the live reports in place.
+            reports={name: r.copy() for name, r in self.reports.items()},
             host_me_utilization={
                 h.name: self.busy.get(h.name, (0.0, 0.0))[0] / total_s
                 for h in self.fleet.ever_active
@@ -1449,9 +1460,11 @@ class ClusterSimulation:
         configuration the snapshot was taken under (enforced via the
         config digest).  The ids the run issues live in the restored
         fleet, so a restore never disturbs another live simulation in
-        the process.
+        the process.  The timeline is built once, from the scripts the
+        checkpoint carries (injected events included).
         """
-        sim = cls(events, cfg)
+        sim = cls.__new__(cls)
+        sim._configure(events, cfg)
         if sim.config_digest is None:
             raise CheckpointError(
                 "this configuration is not picklable (custom "

@@ -10,13 +10,13 @@ crosses saturation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from repro.errors import ConfigError
-from repro.serving import metrics
-from repro.serving.metrics import percentile
+from repro.serving.metrics import percentiles
 from repro.sim.engine import TenantResult
+from repro.sim.stats import ordered_mean
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,15 @@ class SloSpec:
 
 @dataclass
 class SloReport:
-    """One tenant's open-loop scorecard."""
+    """One tenant's open-loop scorecard.
+
+    ``attained`` counts the requests served within the SLO.  Cluster
+    aggregation (:meth:`extend`) adds each window's count, scored
+    against that window's own target, so a name that departs and
+    re-arrives with another SLO is judged per window (``target_cycles``
+    keeps the first window's).  Attainment and goodput derive from the
+    count, so reading them costs nothing per request.
+    """
 
     name: str
     scheme: str
@@ -60,18 +68,17 @@ class SloReport:
 
     @property
     def attainment(self) -> float:
-        """Fraction of *offered* requests served within the SLO."""
-        return metrics.slo_attainment(
-            self.latencies_cycles, self.target_cycles, offered=self.offered
-        )
+        """Fraction of *offered* requests served within the SLO (1.0
+        when nothing was offered)."""
+        if self.offered <= 0:
+            return 1.0
+        return self.attained / self.offered
 
     @property
     def goodput_rps(self) -> float:
         if self.duration_s <= 0:
             return 0.0
-        return metrics.goodput_rps(
-            self.latencies_cycles, self.target_cycles, self.duration_s
-        )
+        return self.attained / self.duration_s
 
     @property
     def throughput_rps(self) -> float:
@@ -81,44 +88,37 @@ class SloReport:
 
     @property
     def mean_latency(self) -> float:
-        if not self.latencies_cycles:
-            return 0.0
-        return sum(self.latencies_cycles) / len(self.latencies_cycles)
+        return ordered_mean(self.latencies_cycles)
 
-    @property
-    def p50_latency(self) -> float:
-        return percentile(self.latencies_cycles, 50.0)
-
-    @property
-    def p95_latency(self) -> float:
-        return percentile(self.latencies_cycles, 95.0)
-
-    @property
-    def p99_latency(self) -> float:
-        return percentile(self.latencies_cycles, 99.0)
+    def latency_percentiles(self, *pcts: float) -> List[float]:
+        """Nearest-rank latency percentiles, from one sort."""
+        return percentiles(self.latencies_cycles, pcts)
 
     @property
     def mean_queueing_delay(self) -> float:
-        if not self.queueing_cycles:
-            return 0.0
-        return sum(self.queueing_cycles) / len(self.queueing_cycles)
+        return ordered_mean(self.queueing_cycles)
 
-    def merged_with(self, other: "SloReport") -> "SloReport":
-        """Combine two windows of the same tenant (cluster aggregation)."""
+    def extend(self, other: "SloReport") -> None:
+        """Append a later window of the same tenant in place (cluster
+        aggregation): linear in ``other``, not in the run so far."""
         if other.name != self.name:
             raise ConfigError(
                 f"cannot merge reports for {self.name!r} and {other.name!r}"
             )
-        return SloReport(
-            name=self.name,
-            scheme=self.scheme,
-            target_cycles=self.target_cycles,
-            offered=self.offered + other.offered,
-            completed=self.completed + other.completed,
-            attained=self.attained + other.attained,
-            duration_s=self.duration_s + other.duration_s,
-            latencies_cycles=self.latencies_cycles + other.latencies_cycles,
-            queueing_cycles=self.queueing_cycles + other.queueing_cycles,
+        self.offered += other.offered
+        self.completed += other.completed
+        self.attained += other.attained
+        self.duration_s += other.duration_s
+        self.latencies_cycles.extend(other.latencies_cycles)
+        self.queueing_cycles.extend(other.queueing_cycles)
+
+    def copy(self) -> "SloReport":
+        """A report that later :meth:`extend` calls on this one leave
+        untouched."""
+        return replace(
+            self,
+            latencies_cycles=list(self.latencies_cycles),
+            queueing_cycles=list(self.queueing_cycles),
         )
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import pickle
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -108,7 +109,10 @@ def merge_boundaries(
             t = i * interval_s
             if t >= end_s - eps:
                 break
-            if all(abs(t - c) > eps for c in exact):
+            # Only the nearest cut on each side can lie within eps.
+            # Both exist: 0.0 < t < end_s, and both are cuts.
+            pos = bisect_left(exact, t)
+            if t - exact[pos - 1] > eps and exact[pos] - t > eps:
                 cuts.add(t)
             i += 1
     return sorted(cuts)

@@ -27,6 +27,7 @@ import pytest
 
 from repro.api.registries import scheme_isa
 from repro.config import NpuCoreConfig, spawn_rng
+import repro.megabatch.engine as mb
 from repro.megabatch import MEGABATCH_ENV, MegaBatchEngine, megabatch_default
 from repro.serving.server import (
     ALL_SCHEMES,
@@ -34,6 +35,7 @@ from repro.serving.server import (
     make_scheduler,
 )
 from repro.sim.engine import FAST_PATH_ENV, Simulator, Tenant
+from repro.sim.scheduler_base import _creation_rank_perm
 from repro.traffic.arrivals import PoissonProcess
 from repro.workloads.traces import build_trace
 
@@ -133,17 +135,45 @@ def _snapshot(result):
     }
 
 
+def _assert_rank_caches(sims):
+    """Each simulator's cached creation-rank permutation matches its
+    active units, unless a tenant's replaced units are still to be
+    noticed by the frame (which then clears the cache)."""
+    for sim in sims:
+        if sim._rank_perm is None or any(
+            t._units_mutated for t in sim.tenants
+        ):
+            continue
+        units = [u for t in sim.tenants for u in t.active_units]
+        assert sim._rank_perm == _creation_rank_perm(units)
+
+
 def _assert_batch_matches_scalar(specs):
     """Build each spec twice; batch run must equal per-sim runs exactly.
 
     ``specs`` is a list of ``(scheme, kind, seed, record_ops)`` tuples;
     the scalar reference preserves list order, so this also checks the
-    engine returns results in input order.
+    engine returns results in input order.  Every time a lane leaves
+    array mode, every lane's rank cache is checked against a
+    from-scratch permutation too: a stale one files plans in the shared
+    memo under the wrong fingerprint, which this batch's outputs need
+    not show.
     """
     scalar = [_snapshot(_make_sim(*spec).run()) for spec in specs]
     sims = [_make_sim(*spec) for spec in specs]
     engine = MegaBatchEngine(sims)
-    batched = [_snapshot(result) for result in engine.run()]
+    real = mb._materialize
+
+    def checked(lane):
+        units = real(lane)
+        _assert_rank_caches(sims)
+        return units
+
+    mb._materialize = checked
+    try:
+        batched = [_snapshot(result) for result in engine.run()]
+    finally:
+        mb._materialize = real
     assert batched == scalar
     return engine
 

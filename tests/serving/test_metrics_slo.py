@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.serving.metrics import goodput_rps, percentile, slo_attainment
+from repro.serving.metrics import percentile, slo_attainment
 
 
 # ----------------------------------------------------------------------
@@ -61,13 +61,6 @@ def test_slo_attainment_empty_is_perfect():
     assert slo_attainment([], 100.0, offered=0) == 1.0
 
 
-def test_goodput_counts_only_attained():
-    lats = [10.0, 20.0, 300.0]
-    assert goodput_rps(lats, 25.0, duration_s=2.0) == pytest.approx(1.0)
-
-
 def test_slo_validation():
     with pytest.raises(ConfigError):
         slo_attainment([1.0], 0.0)
-    with pytest.raises(ConfigError):
-        goodput_rps([1.0], 10.0, duration_s=0.0)

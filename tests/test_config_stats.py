@@ -1,5 +1,11 @@
 """Tests for the hardware config (Table II) and stats accounting."""
 
+import math
+import random
+import sys
+from functools import reduce
+from operator import add
+
 import pytest
 
 from repro.config import (
@@ -12,7 +18,7 @@ from repro.config import (
 )
 from repro.errors import ConfigError
 from repro.sim.hw_cost import scheduler_cost
-from repro.sim.stats import SimStats
+from repro.sim.stats import SimStats, ordered_mean, ordered_sum
 
 
 # ----------------------------------------------------------------------
@@ -113,6 +119,56 @@ def test_stats_bandwidth_average():
     stats.record_epoch(0.0, 10.0, {}, {}, hbm_bytes_per_cycle=100.0)
     stats.record_epoch(10.0, 10.0, {}, {}, hbm_bytes_per_cycle=300.0)
     assert stats.average_bandwidth() == pytest.approx(200.0)
+
+
+def test_ordered_sum_adds_left_to_right_on_every_python():
+    """Result means add in order.  From Python 3.12 the builtin sum()
+    compensates float rounding, so on this input it returns the exact
+    1.0 where a left-to-right sum returns 0.0."""
+    values = [1e16, 1.0, -1e16]
+    assert ordered_sum(values) == 0.0
+    assert math.fsum(values) == 1.0
+    assert sum(values) == (1.0 if sys.version_info >= (3, 12) else 0.0)
+    assert ordered_mean(values) == 0.0
+    assert ordered_mean([]) == 0.0
+
+
+def test_ordered_sum_matches_the_sequential_reference():
+    """Whichever implementation this interpreter gets, it adds exactly
+    as ``reduce(add, values, 0.0)`` does."""
+    rng = random.Random(5)
+    for _ in range(200):
+        values = [
+            rng.choice([rng.uniform(-1e16, 1e16), rng.random(),
+                        rng.randrange(-9, 9), -0.0])
+            for _ in range(rng.randrange(0, 40))
+        ]
+        expected = reduce(add, values, 0.0)
+        got = ordered_sum(values)
+        assert type(got) is float
+        assert repr(got) == repr(expected)
+        assert repr(ordered_sum(iter(values))) == repr(expected)
+
+
+def test_result_means_use_the_ordered_sum():
+    from repro.sim.engine import TenantResult
+    from repro.traffic.slo import SloReport
+
+    values = [1e16, 1.0, -1e16]
+    tenant = TenantResult(
+        tenant_id=0, name="t", latencies_cycles=values,
+        throughput_rps=0.0, me_utilization=0.0, ve_utilization=0.0,
+        blocked_fraction=0.0, completed_requests=3,
+        queueing_cycles=values,
+    )
+    report = SloReport(
+        name="t", scheme="neu10", target_cycles=1.0, offered=3,
+        completed=3, attained=0, duration_s=1.0,
+        latencies_cycles=values, queueing_cycles=values,
+    )
+    for holder in (tenant, report):
+        assert holder.mean_latency == 0.0
+        assert holder.mean_queueing_delay == 0.0
 
 
 # ----------------------------------------------------------------------

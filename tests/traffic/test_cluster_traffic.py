@@ -1,5 +1,7 @@
 """Cluster-scale open-loop simulation under tenant churn."""
 
+import copy
+
 import pytest
 
 from repro.cluster.autoscale import HostPoolSpec
@@ -125,6 +127,24 @@ def test_same_seed_reproduces_cluster_run():
     b = run_cluster_traffic(_script(cfg.end_s), cfg)
     for name in a.reports:
         assert a.reports[name].latencies_cycles == b.reports[name].latencies_cycles
+
+
+def test_mid_run_result_keeps_the_window_it_scored():
+    """Segments extend the live per-tenant reports in place, so a
+    result taken mid-run must hold copies that later segments leave
+    alone."""
+    cfg = ClusterTrafficConfig(load=0.8, end_s=0.001, seed=7)
+    sim = ClusterSimulation(_script(cfg.end_s), cfg)
+    sim.step_segment()
+    early = sim.result()
+    frozen = copy.deepcopy(early.reports)
+    while not sim.done:
+        sim.step_segment()
+    assert early.reports == frozen
+    final = sim.result().reports["dlrm-a"]
+    assert final.offered > frozen["dlrm-a"].offered
+    assert final.latencies_cycles[: len(frozen["dlrm-a"].latencies_cycles)] \
+        == frozen["dlrm-a"].latencies_cycles
 
 
 def test_churn_script_validation():

@@ -8,6 +8,8 @@ the segment end.  ``build_slo_report`` now accepts the generator-side
 ``offered`` count and takes the max.
 """
 
+import pytest
+
 from repro.api import run_scenario, sweep_scenario_report
 from repro.api.scenario import Scenario, ScenarioChurn, ScenarioTenant
 from repro.cluster.virt import VirtualizationSpec
@@ -95,6 +97,38 @@ def test_cluster_hypercall_hold_conserves():
     assert "late" in tenants
     for t in result.metrics["tenants"]:
         assert 0 <= t["attained"] <= t["completed"] <= t["offered"]
+
+
+def test_re_arriving_name_is_scored_per_window():
+    """A name that departs and re-arrives with another model brings
+    another SLO target.  Each window counts its own attained requests,
+    so attainment and goodput must follow that count, not a rescan of
+    every latency against the first window's target."""
+    from repro.fuzz.invariants import check_conservation
+
+    sc = Scenario(
+        name="cons-rearrive", kind="cluster", scheme="neu10",
+        load=1.2, duration_s=0.006, seed=1, hosts=2,
+        churn=(
+            ScenarioChurn(0.0, "arrive", "a", model="MNIST",
+                          slo_relative=3.0),
+            ScenarioChurn(0.0, "arrive", "b", model="NCF"),
+            ScenarioChurn(0.002, "depart", "a"),
+            ScenarioChurn(0.003, "arrive", "a", model="DLRM",
+                          slo_relative=3.0),
+        ),
+    )
+    result = run_scenario(sc)
+    assert check_conservation(sc, result) == []
+    tenants = {t["name"]: t for t in result.metrics["tenants"]}
+    a = tenants["a"]
+    assert (a["offered"], a["completed"], a["attained"]) == (242, 202, 27)
+    assert a["attainment"] == 27 / 242
+    for t in tenants.values():
+        assert t["attainment"] == t["attained"] / t["offered"]
+        # Goodput and throughput share the tenant's resident duration.
+        duration_s = t["completed"] / t["throughput_rps"]
+        assert t["goodput_rps"] == pytest.approx(t["attained"] / duration_s)
 
 
 def test_llm_drain_conserves_per_tenant_and_headline():

@@ -114,6 +114,44 @@ def test_boundaries_without_events_is_single_segment():
     assert merge_boundaries([], 0.5, None) == [0.0, 0.5]
 
 
+def _quadratic_boundaries(events, end_s, interval_s, extra_cuts=()):
+    """The reference merge: every autoscale tick tested against every
+    non-tick cut."""
+    cuts = {0.0, end_s}
+    cuts.update(ev.time_s for ev in events if ev.time_s < end_s)
+    cuts.update(t for t in extra_cuts if 0.0 < t < end_s)
+    eps = end_s * 1e-9
+    exact = sorted(cuts)
+    i = 1
+    while i * interval_s < end_s - eps:
+        t = i * interval_s
+        if all(abs(t - c) > eps for c in exact):
+            cuts.add(t)
+        i += 1
+    return sorted(cuts)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tick_filter_matches_the_quadratic_reference(seed):
+    """The bisected tick filter keeps exactly the ticks the all-cuts
+    scan keeps, including cuts placed at, inside and just outside the
+    float-jitter window around a tick."""
+    rng = random.Random(3000 + seed)
+    end_s = rng.choice([0.001, 0.004, 1.0, 37.5])
+    interval = end_s / rng.randrange(2, 60)
+    eps = end_s * 1e-9
+    churn, faults = _random_events(rng, end_s)
+    extra = [f.time_s for f in faults]
+    for _ in range(rng.randrange(0, 30)):
+        tick = rng.randrange(1, int(end_s / interval) + 1) * interval
+        offset = rng.choice([0.0, 0.5, 1.0, 1.5, 3.0, -0.5, -1.0, -2.0])
+        extra.append(tick + offset * eps)
+    extra += [rng.uniform(-end_s, end_s * 1.5) for _ in range(5)]
+    assert merge_boundaries(churn, end_s, interval, extra) == (
+        _quadratic_boundaries(churn, end_s, interval, extra)
+    )
+
+
 # ----------------------------------------------------------------------
 # build_timeline properties
 # ----------------------------------------------------------------------
