@@ -6,7 +6,8 @@ engines the bespoke entry points used to call directly:
 
 - ``serving``   -> :func:`repro.serving.server.run_collocation`
 - ``open_loop`` -> :func:`repro.traffic.openloop.run_open_loop`
-- ``cluster``   -> :func:`repro.traffic.cluster_sim.run_cluster_checkpointed`
+- ``cluster``   -> :func:`run_cluster_checkpointed` over
+  :class:`repro.traffic.cluster_sim.ClusterSimulation`
 - ``llm``       -> :func:`repro.llmserve.engine.run_llm_serving`
 - ``figure``    -> the :data:`repro.api.figures.FIGURES` registry
 
@@ -22,11 +23,22 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.api.result import RunResult, base_provenance, canonical_digest
 from repro.api.scenario import Scenario, ScenarioChurn, ScenarioTenant
-from repro.errors import ConfigError, ExecError
+from repro.errors import (
+    CheckpointError, ConfigError, ExecError, ValidationError,
+)
+
+if TYPE_CHECKING:
+    from repro.traffic.cluster_sim import (
+        ChurnEvent,
+        ClusterTrafficConfig,
+        ClusterTrafficResult,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +233,6 @@ def cluster_inputs(scenario: Scenario):
             else None
         ),
         virtualization=scenario.virtualization,
-        executor=scenario.executor,
         faults=scenario.faults,
     )
     return events, cfg
@@ -299,14 +310,7 @@ def _cluster_run_result(scenario: Scenario, cfg, result) -> RunResult:
             "pool_num_vfs": dict(virtualization.pool_num_vfs),
             "hypercall_cost_s": virtualization.hypercall_cost_s,
         }
-    wrapped = _wrap(scenario, metrics, metadata)
-    if scenario.executor is not None:
-        # Only stamped when the block is present, so executor-free runs
-        # stay bit-identical to pre-executor releases.
-        wrapped.provenance["executor"] = {
-            "backend": scenario.executor.backend
-        }
-    return wrapped
+    return _wrap(scenario, metrics, metadata)
 
 
 def _to_churn_event(event: ScenarioChurn):
@@ -415,6 +419,86 @@ def _wrap(
 # ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
+#: Progress callback for stepped cluster runs:
+#: ``(segments_completed, total_segments, observation)``; the
+#: observation is ``None`` for the initial resumed-count notification.
+SegmentHook = Callable[[int, int, Optional[Any]], None]
+
+
+def _segment_key(index: int) -> str:
+    """Journal shard key of the checkpoint after ``index`` segments."""
+    return f"segment-{index:06d}"
+
+
+def run_cluster_checkpointed(
+    events: Sequence["ChurnEvent"],
+    cfg: Optional["ClusterTrafficConfig"] = None,
+    *,
+    directory: Optional[str] = None,
+    resume: bool = False,
+    every: int = 1,
+    on_segment: Optional[SegmentHook] = None,
+) -> "ClusterTrafficResult":
+    """Run a cluster simulation with journaled segment checkpoints.
+
+    With ``directory`` set, a :class:`repro.exec.journal.SweepJournal`
+    under it records a
+    :class:`~repro.traffic.stepper.ClusterCheckpoint` every ``every``
+    completed segments (shard keys ``segment-NNNNNN``; the manifest
+    digest is the simulation's config digest, so a directory from a
+    different run is refused).  ``resume=True`` restores from the
+    furthest recorded checkpoint and continues: the completed run is
+    bit-identical to an uninterrupted one.  Without a directory this is
+    the plain stepped path, useful for ``on_segment`` progress alone.
+    """
+    from repro.exec.journal import SweepJournal
+    from repro.traffic.cluster_sim import ClusterSimulation
+    from repro.traffic.stepper import ClusterCheckpoint
+
+    if every < 1:
+        raise ValidationError(
+            "every", every, "checkpoint cadence must be >= 1"
+        )
+    if resume and directory is None:
+        raise ConfigError("resuming a cluster run needs a checkpoint directory")
+    sim = ClusterSimulation(events, cfg)
+    total = sim.total_segments
+    journal = None
+    if directory is not None:
+        if sim.config_digest is None:
+            raise CheckpointError(
+                "this configuration is not picklable (custom "
+                "autoscaler?); checkpointing is unavailable for it"
+            )
+        keys = [_segment_key(i) for i in range(1, total + 1)]
+        journal = SweepJournal(
+            directory, sim.config_digest, keys, resume=resume
+        )
+        if resume and journal.completed:
+            latest = max(
+                journal.completed,
+                key=lambda k: int(k.rsplit("-", 1)[1]),
+            )
+            cp = ClusterCheckpoint.from_dict(journal.completed[latest])
+            sim = ClusterSimulation.restore(cp, events, cfg)
+    try:
+        if on_segment is not None and sim.segments_completed:
+            on_segment(sim.segments_completed, total, None)
+        while not sim.done:
+            observation = sim.step_segment()
+            done_count = sim.segments_completed
+            if journal is not None and (done_count % every == 0 or sim.done):
+                key = _segment_key(done_count)
+                if key not in journal.completed:
+                    journal.record(key, sim.snapshot().to_dict())
+            if on_segment is not None:
+                on_segment(done_count, total, observation)
+        return sim.result()
+    finally:
+        if journal is not None:
+            journal.close()
+
+
 def run_scenario(
     scenario: Scenario,
     *,
@@ -456,8 +540,6 @@ def run_scenario(
     scenario.validate()
     block = checkpoint if checkpoint is not None else scenario.checkpoint
     if scenario.kind == "cluster":
-        from repro.traffic.cluster_sim import run_cluster_checkpointed
-
         # Without a directory, resume or hook this steps exactly what
         # ClusterSimulation.run() steps.
         events, cfg = cluster_inputs(scenario)

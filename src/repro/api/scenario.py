@@ -454,8 +454,7 @@ class Scenario:
     - ``figure``: ``figure`` (the experiment name) and ``params``.
 
     Any kind may carry an ``executor`` block (:class:`~repro.exec.ExecSpec`)
-    choosing how its sweep (or a cluster's host-segment fan-out) is
-    dispatched; results never depend on it.
+    choosing how its sweeps are dispatched; results never depend on it.
 
     Example::
 

@@ -15,8 +15,7 @@ observation stream plus its constructor parameters, hosts are activated
 and drained in a fixed order, and migrations re-place tenants through
 the same :class:`~repro.cluster.placement.PlacementPolicy` the
 orchestrator already uses.  Two runs of the same scenario therefore
-produce bit-identical action logs and metrics, for any executor
-backend or worker count.
+produce bit-identical action logs and metrics.
 
 Policies are registered by name in
 :data:`repro.api.registries.AUTOSCALERS`; a scenario file enables one

@@ -11,12 +11,14 @@ backends plug in by name, and :class:`SweepJournal` adds append-only
 checkpointing so a killed sweep resumes bit-identically instead of
 restarting.
 
-Every process fan-out goes through an executor: every sweep
+Every process fan-out goes through :meth:`Executor.map_tasks`, and
+only independent runs fan out: every sweep
 (:func:`~repro.api.runner.sweep_scenario_report`, and
 :func:`~repro.api.runner.sweep_scenario` over it) maps one journalled
-task per sweep point, and :func:`map_chunks` serves the cluster
-host-segment fan-out of :mod:`repro.traffic.cluster_sim` and
-:func:`repro.experiments.common.run_all_pairs`.  See
+task per sweep point, and
+:func:`repro.experiments.common.run_all_pairs` maps one task per
+(pair, scheme).  A cluster segment's hosts are parts of one answer and
+step in-process (:mod:`repro.traffic.cluster_sim`).  See
 ``docs/sweeps.md`` for the how-to.
 """
 
@@ -30,7 +32,6 @@ from repro.exec.base import (
     Executor,
     TaskFailure,
     TaskOutcome,
-    map_chunks,
     summarize_failures,
 )
 from repro.exec.journal import JOURNAL_SCHEMA_VERSION, SweepJournal
@@ -53,6 +54,5 @@ __all__ = [
     "SweepJournal",
     "TaskFailure",
     "TaskOutcome",
-    "map_chunks",
     "summarize_failures",
 ]

@@ -29,16 +29,16 @@ the ``--keep-going`` per-item fault isolation mode.
 
 Third-party backends plug in by name through
 :data:`repro.api.registries.EXECUTORS`, exactly like schedulers and
-preemption policies.  :func:`map_chunks` is the fan-out for jobs that
-are parts of one answer (cluster host segments, figure pairs): it cuts
-a job list into chunks and maps them through the registry.
+preemption policies.  Only independent runs fan out: sweep points, and
+the (pair, scheme) runs of the paper figures.  The parts of one answer
+(a cluster segment's hosts) step together in-process.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigError, ExecError
 
@@ -236,43 +236,10 @@ def summarize_failures(failures: Sequence[TaskFailure]) -> str:
     return "\n".join(lines)
 
 
-#: Items per task when the caller does not choose (the cluster host
-#: segments): enough mega-batch lanes to amortise the batch engine's
-#: round overhead, few enough that a big fan-out still spreads across
-#: the pool.  A sweep that names no backend or width runs one pool
-#: worker per ``CHUNK`` points for the same reason.
+#: Sweep points per pool worker when a sweep names no backend or
+#: width: a short sweep stays in-process, a long one spreads across
+#: the pool.
 CHUNK = 64
-
-
-def map_chunks(
-    fn: Callable[[List[Any]], List[Any]],
-    items: Sequence[Any],
-    spec: Optional[ExecSpec] = None,
-    size: Optional[int] = None,
-) -> List[Any]:
-    """Map a chunk function over ``items`` through an executor backend.
-
-    ``items`` are cut into tasks of ``size`` items (default
-    :data:`CHUNK`) and run by ``make_executor(spec or ExecSpec())``;
-    ``fn`` takes one chunk and returns one result per item.  Results
-    come back flattened in item order, so a deterministic ``fn`` gives
-    the same list for every backend, worker count and chunk size.
-    ``keep_going`` is forced off: a chunk is a partial product of one
-    answer, so a permanently failed chunk raises
-    :class:`~repro.errors.ExecError` rather than leave a hole.
-    """
-    from repro.api.registries import make_executor
-
-    size = CHUNK if size is None else size
-    if size < 1:
-        raise ConfigError(f"chunk size must be >= 1, got {size}")
-    spec = replace(spec or ExecSpec(), keep_going=False)
-    tasks = [
-        ExecTask(key=f"chunk-{i // size}", payload=items[i : i + size])
-        for i in range(0, len(items), size)
-    ]
-    outcomes = make_executor(spec).map_tasks(fn, tasks)
-    return [value for outcome in outcomes for value in outcome.value]
 
 
 __all__ = [
@@ -287,6 +254,5 @@ __all__ = [
     "TaskFailure",
     "TaskOutcome",
     "failure_from_exception",
-    "map_chunks",
     "summarize_failures",
 ]

@@ -120,12 +120,10 @@ def run_pair_cached(
     return run
 
 
-def _run_scheme_jobs(jobs: Sequence[Tuple]) -> List[PairMetrics]:
-    """Picklable worker for a chunk of (w1, w2, scheme, target) runs."""
-    return [
-        run_pair(w1, w2, (scheme,), target).results[scheme]
-        for w1, w2, scheme, target in jobs
-    ]
+def _run_scheme_job(job: Tuple[str, str, str, int]) -> PairMetrics:
+    """Picklable worker for one (w1, w2, scheme, target) run."""
+    w1, w2, scheme, target = job
+    return run_pair(w1, w2, (scheme,), target).results[scheme]
 
 
 def run_all_pairs(
@@ -136,15 +134,16 @@ def run_all_pairs(
     """All collocation pairs, fanned out over a process pool.
 
     Every (pair, scheme) run is an independent closed-loop simulation,
-    so the uncached pairs go out as one task per (pair, scheme) through
-    :func:`repro.exec.map_chunks`, pair-major in the given pair order
-    (results identical for any worker count).  Per-scheme tasks keep the
-    slowest pair from holding one worker for all of its schemes.  The
-    parent assembles each :class:`PairRun`, with ``results`` in
+    so the uncached pairs go out as one executor task per (pair,
+    scheme) on the default backend, pair-major in the given pair order
+    (results identical for any worker count).  Per-scheme tasks keep
+    the slowest pair from holding one worker for all of its schemes.
+    The parent assembles each :class:`PairRun`, with ``results`` in
     ``schemes`` order, and feeds it into the shared pair cache that
     Figs. 19-23 and Table III draw from.
     """
-    from repro.exec import map_chunks
+    from repro.api.registries import make_executor
+    from repro.exec import ExecSpec, ExecTask
 
     pairs = pairs if pairs is not None else expected.ALL_PAIRS
     key_schemes = tuple(schemes)
@@ -155,19 +154,21 @@ def run_all_pairs(
         not in _pair_cache
     ]
     if missing:
-        fresh = iter(map_chunks(
-            _run_scheme_jobs,
-            [
-                (w1, w2, scheme, target_requests)
-                for w1, w2 in missing
-                for scheme in key_schemes
-            ],
-            size=1,
-        ))
+        tasks = [
+            ExecTask(
+                key=f"{w1}+{w2}/{scheme}",
+                payload=(w1, w2, scheme, target_requests),
+            )
+            for w1, w2 in missing
+            for scheme in key_schemes
+        ]
+        fresh = iter(
+            make_executor(ExecSpec()).map_tasks(_run_scheme_job, tasks)
+        )
         for w1, w2 in missing:
             run = PairRun(w1=w1, w2=w2)
             for scheme in key_schemes:
-                run.results[scheme] = next(fresh)
+                run.results[scheme] = next(fresh).value
             key = _pair_cache_key(
                 w1, w2, key_schemes, target_requests, DEFAULT_CORE
             )

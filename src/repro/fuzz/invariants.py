@@ -250,12 +250,12 @@ def check_megabatch(
 ) -> List[Violation]:
     """REPRO_SIM_MEGABATCH=0 and =1 agree bit for bit.
 
-    Cluster scenarios exercise the toggle through their host-segment
-    fan-out on a plain run, which co-steps several hosts as lanes of
-    one batch.  Other kinds go through a 2-point single-worker sweep,
-    and each swept point must also equal a plain ``run_scenario`` of
-    its variant; every sweep point is its own batch of one, so this
-    checks the toggle on single runs only.  Lane mixing of open-loop
+    Cluster scenarios exercise the toggle through a plain run, whose
+    segments co-step their busy hosts as lanes of one batch.  Other
+    kinds go through a 2-point single-worker sweep, and each swept
+    point must also equal a plain ``run_scenario`` of its variant;
+    every sweep point is its own batch of one, so this checks the
+    toggle on single runs only.  Lane mixing of open-loop
     and serving simulators is covered by ``tests/megabatch`` alone.
     """
     out: List[Violation] = []

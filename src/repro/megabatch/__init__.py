@@ -9,9 +9,8 @@ bit-identical to running each simulator alone.
 
 :func:`run_simulators` is the one driver for every simulation the
 library runs: a single run -- and so every sweep point, which runs as
-its own executor shard -- is a batch of one, and every
-:func:`repro.exec.map_chunks` task of the cluster host-segment fan-out
-is a batch of up to 64 lanes.
+its own executor shard -- is a batch of one, and each cluster segment
+steps all of its busy hosts as one batch.
 Simulators that can never bind to a chain node (fast path off, a
 scheduler without a memo context, op/assignment/bandwidth recording)
 run alone through ``Simulator.run()``.  ``REPRO_SIM_MEGABATCH=0`` makes

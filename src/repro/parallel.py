@@ -1,8 +1,8 @@
 """Default fan-out width for the process-pool executors.
 
-Every process fan-out goes through :func:`repro.exec.map_chunks` or an
-executor from the :data:`repro.api.registries.EXECUTORS` registry;
-this module only decides how wide a pool is by default.  Override the
+Every process fan-out goes through an executor from the
+:data:`repro.api.registries.EXECUTORS` registry; this module only
+decides how wide a pool is by default.  Override the
 width with the ``REPRO_PARALLEL_WORKERS`` environment variable (``1``
 forces serial execution).
 """

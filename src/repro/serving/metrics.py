@@ -66,25 +66,6 @@ class TenantMetrics:
     blocked_fraction: float
     completed_requests: int
 
-    def normalized_to(self, baseline: "TenantMetrics") -> "TenantMetrics":
-        """Latency/throughput relative to a baseline run (PMT in the
-        paper's figures).  Latencies are ratios (>1 is worse), throughput
-        is a ratio (>1 is better)."""
-        def ratio(a: float, b: float) -> float:
-            return a / b if b > 0 else 0.0
-
-        return TenantMetrics(
-            name=self.name,
-            scheme=self.scheme,
-            p95_latency_cycles=ratio(self.p95_latency_cycles, baseline.p95_latency_cycles),
-            mean_latency_cycles=ratio(self.mean_latency_cycles, baseline.mean_latency_cycles),
-            throughput_rps=ratio(self.throughput_rps, baseline.throughput_rps),
-            me_utilization=self.me_utilization,
-            ve_utilization=self.ve_utilization,
-            blocked_fraction=self.blocked_fraction,
-            completed_requests=self.completed_requests,
-        )
-
 
 @dataclass
 class PairMetrics:

@@ -58,8 +58,6 @@ class ServingConfig:
     target_requests: int = 8
     record_assignment: bool = False
     record_ops: bool = True
-    record_bandwidth: bool = False
-    horizon_cycles: float = float("inf")
 
 
 def _build_tenants(
@@ -140,10 +138,8 @@ def prepare_collocation(
         cfg.core,
         make_scheduler(scheme),
         tenants,
-        horizon_cycles=cfg.horizon_cycles,
         record_assignment=cfg.record_assignment,
         record_ops=cfg.record_ops,
-        record_bandwidth=cfg.record_bandwidth,
     )
     pair_label = "+".join(t.name for t in tenants)
     return PreparedCollocation(sim=sim, scheme=scheme, pair_label=pair_label)
@@ -190,10 +186,8 @@ def run_solo(
         cfg.core,
         make_scheduler(scheme),
         [tenant],
-        horizon_cycles=cfg.horizon_cycles,
         record_assignment=cfg.record_assignment,
         record_ops=cfg.record_ops,
-        record_bandwidth=cfg.record_bandwidth,
     )
     result = run_simulators([sim])[0]
     return _to_metrics(result, scheme, trace.abbrev)

@@ -6,7 +6,10 @@ KubeVirt stand-in), then simulates every host's resident tenants with
 one :class:`Simulator` per host per stable interval.  The timeline is
 cut at churn events; within each segment the tenant population is fixed,
 so the per-host fluid simulation is exact, and the per-tenant metrics
-are merged across segments into one :class:`SloReport` each.
+are merged across segments into one :class:`SloReport` each.  A
+segment's host simulations are parts of one answer: they step together,
+in this process, through one :func:`repro.megabatch.run_simulators`
+call and merge in host order.
 
 Tenant admission, departure and migration go through each host's real
 virtualization control plane (:mod:`repro.runtime`): placement opens a
@@ -45,8 +48,8 @@ from __future__ import annotations
 import copy
 import hashlib
 import pickle
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.autoscale import (
     ACTION_ADD,
@@ -178,14 +181,6 @@ class ClusterTrafficConfig:
     #: free hypercalls, no control-plane telemetry on the result --
     #: the exact pre-virtualization code path).
     virtualization: Optional[VirtualizationSpec] = None
-    #: How independent hosts of one segment fan out: an
-    #: :class:`repro.exec.ExecSpec` for :func:`repro.exec.map_chunks`
-    #: (None = ``ExecSpec()``, the default ``pool`` backend).  Results
-    #: are identical for any backend or worker count: every stochastic
-    #: input is drawn before dispatch and merged in host order.
-    #: ``keep_going`` is forced off: host segments are partial products
-    #: of one simulation, so a dropped segment must abort, not skew.
-    executor: Optional[object] = None
     #: Injected failures (host crashes, VF loss, hypercall spikes,
     #: traffic burst storms); empty = the exact fault-free code path,
     #: bit-identical to releases without fault injection.
@@ -273,104 +268,9 @@ class _Resident:
     num_ves: int
 
 
-@dataclass(frozen=True)
-class _TenantJob:
-    """Picklable description of one tenant of a host-segment job."""
-
-    name: str
-    model: str
-    batch: int
-    alloc_mes: int
-    alloc_ves: int
-    priority: float
-    target_cycles: float
-    arrivals: Tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class _HostSegmentJob:
-    """One host's simulation work for one stable churn segment.
-
-    Fully self-contained and picklable so host segments can be simulated
-    in worker processes; the arrival streams are drawn in the parent
-    (seeded per tenant and segment) to keep results independent of the
-    worker count.
-    """
-
-    host_name: str
-    host_core: NpuCoreConfig
-    scheme: str
-    seg_s: float
-    seg_cycles: float
-    tenants: Tuple[_TenantJob, ...]
-
-
-def _build_host_segment(job: _HostSegmentJob) -> Simulator:
-    """Construct the one-host simulator for a segment job."""
-    isa = scheme_isa(job.scheme)
-    tenants: List[Tenant] = []
-    for idx, tj in enumerate(job.tenants):
-        trace = build_trace(tj.model, tj.batch, core=job.host_core)
-        tenants.append(
-            Tenant(
-                tenant_id=idx,
-                name=tj.name,
-                graph=trace.compiled(isa),
-                alloc_mes=tj.alloc_mes,
-                alloc_ves=tj.alloc_ves,
-                target_requests=None,
-                priority=tj.priority,
-                arrivals=list(tj.arrivals),
-            )
-        )
-    return Simulator(
-        job.host_core,
-        make_scheduler(job.scheme),
-        tenants,
-        horizon_cycles=job.seg_cycles,
-        record_ops=False,
-    )
-
-
-def _finalize_host_segment(
-    job: _HostSegmentJob, result
-) -> Tuple[str, float, float, float, List[Tuple[str, SloReport]]]:
-    """Score a finished segment simulation into the merge tuple."""
-    # Drain can end the simulation before the segment boundary;
-    # utilization only covers the cycles actually simulated.
-    simulated_s = min(
-        job.seg_s, job.host_core.cycles_to_seconds(result.total_cycles)
-    )
-    reports = [
-        (
-            tj.name,
-            build_slo_report(
-                tj.name, job.scheme, tj.target_cycles,
-                result.tenant(idx), job.seg_s,
-                offered=len(tj.arrivals),
-            ),
-        )
-        for idx, tj in enumerate(job.tenants)
-    ]
-    return (
-        job.host_name,
-        result.stats.me_utilization() * simulated_s,
-        result.stats.ve_utilization() * simulated_s,
-        min(result.total_cycles, job.seg_cycles),
-        reports,
-    )
-
-
-def _simulate_host_segment_batch(
-    jobs: Sequence[_HostSegmentJob],
-) -> List[Tuple[str, float, float, float, List[Tuple[str, SloReport]]]]:
-    """Worker entry point: simulate one chunk of host-segment jobs
-    through :func:`repro.megabatch.run_simulators`."""
-    results = run_simulators([_build_host_segment(job) for job in jobs])
-    return [
-        _finalize_host_segment(job, result)
-        for job, result in zip(jobs, results)
-    ]
+def _sorted_churn(churn: Sequence[ChurnEvent]) -> List[ChurnEvent]:
+    """Churn in application order: by time, departs before arrives."""
+    return sorted(churn, key=lambda e: (e.time_s, e.action != ACTION_DEPART))
 
 
 class _Fleet:
@@ -643,11 +543,6 @@ def run_cluster_traffic(
     return ClusterSimulation(events, cfg).run()
 
 
-#: Progress callback for stepped cluster runs:
-#: ``(segments_completed, total_segments, observation)``; the
-#: observation is ``None`` for the initial resumed-count notification.
-SegmentHook = Callable[[int, int, Optional[SegmentObservation]], None]
-
 #: Every mutable attribute a checkpoint captures, pickled as one dict so
 #: shared object identity (a resident's ``host`` *is* the fleet's host,
 #: which *is* an orchestrator entry) survives the round trip.
@@ -717,6 +612,7 @@ class ClusterSimulation:
         cfg: Optional[ClusterTrafficConfig] = None,
     ) -> None:
         self._configure(events, cfg)
+        self._start(events)
         self._build_timeline()
 
     def _configure(
@@ -724,8 +620,8 @@ class ClusterSimulation:
         events: Sequence[ChurnEvent],
         cfg: Optional[ClusterTrafficConfig],
     ) -> None:
-        """Everything :meth:`__init__` sets up except the timeline,
-        which :meth:`restore` builds from the checkpoint's scripts."""
+        """What derives from ``(events, cfg)`` alone -- the only part
+        :meth:`restore` builds, since the checkpoint holds the rest."""
         cfg = cfg if cfg is not None else ClusterTrafficConfig()
         self.cfg = cfg
         #: Demand reference: arrival rates and SLO targets are calibrated
@@ -745,7 +641,34 @@ class ClusterSimulation:
                 )
         self.virt = virt
         self.virt_cost = virt.hypercall_cost_s if virt is not None else 0.0
-        self.fleet = _Fleet(cfg.pools, cfg.core, cfg.policy, virt)
+        SCHEDULERS.get(cfg.scheme)  # helpful unknown-scheme error up front
+        self.interval = (
+            cfg.autoscale_interval_s if cfg.autoscaler is not None else None
+        )
+        self.first_pool = cfg.pools[0].name
+        #: Control-plane telemetry is only consumed by the virtualization
+        #: summary and the autoscaler's observations; skip the per-segment
+        #: fleet walks entirely on the plain path.
+        self.track_control_plane = virt is not None or cfg.autoscaler is not None
+        #: Identity of this (events, config) pair, stamped into every
+        #: checkpoint.  It hashes the caller's script, never a restored
+        #: one (which may hold injected events).  The run steps its own
+        #: copy of the autoscaler, so ``cfg`` -- and with it the digest
+        #: -- stays as configured.  ``None`` when the configuration is
+        #: not picklable (e.g. an ad-hoc local autoscaler class): such
+        #: runs simulate fine, they just cannot be checkpointed.
+        try:
+            self.config_digest: Optional[str] = hashlib.sha256(
+                pickle.dumps((_sorted_churn(events), cfg), protocol=4)
+            ).hexdigest()
+        except (AttributeError, TypeError, pickle.PicklingError):
+            self.config_digest = None
+
+    def _start(self, events: Sequence[ChurnEvent]) -> None:
+        """The fresh run state a checkpoint replaces: the fleet, the
+        scripts and every accumulator, at t=0."""
+        cfg = self.cfg
+        self.fleet = _Fleet(cfg.pools, cfg.core, cfg.policy, self.virt)
         self.orch = self.fleet.orch
 
         self.fault_events: List[Dict[str, object]] = []
@@ -760,15 +683,11 @@ class ClusterSimulation:
         self.busy: Dict[str, Tuple[float, float]] = {
             h.name: (0.0, 0.0) for h in self.fleet.ever_active
         }
-        SCHEDULERS.get(cfg.scheme)  # helpful unknown-scheme error up front
 
         #: The policy this run drives: a private copy, because policies
         #: keep state between observations and the caller's config must
         #: not carry it into another run (or into a restore's digest).
         self.autoscaler = copy.deepcopy(cfg.autoscaler)
-        self.interval = (
-            cfg.autoscale_interval_s if cfg.autoscaler is not None else None
-        )
         self._set_scripts(events, cfg.faults)
         self._log_window_faults(self.faults)
 
@@ -778,11 +697,6 @@ class ClusterSimulation:
         self.host_count_timeline: List[Tuple[float, int]] = []
         self.host_seconds = 0.0
         self.rejected_before_segment = 0
-        self.first_pool = next(iter(self.fleet.pools))
-        #: Control-plane telemetry is only consumed by the virtualization
-        #: summary and the autoscaler's observations; skip the per-segment
-        #: fleet walks entirely on the plain path.
-        self.track_control_plane = virt is not None or cfg.autoscaler is not None
         #: Fleet-wide hypercall reading at the previous segment start, for
         #: per-segment deltas (boundary churn is attributed to the segment
         #: it opens).
@@ -792,21 +706,6 @@ class ClusterSimulation:
         #: the latest at the next boundary.
         self.segment_log: List[SegmentObservation] = []
         self._next = 0
-        #: Identity of this (events, config) pair, stamped into every
-        #: checkpoint.  The executor is left out: it decides where host
-        #: segments run, never what they compute, so a checkpoint
-        #: restores under any backend.  The run steps its own copy of
-        #: the autoscaler, so ``cfg`` -- and with it the digest -- stays
-        #: as configured.  ``None`` when the configuration is not
-        #: picklable (e.g. an ad-hoc local autoscaler class): such runs
-        #: simulate fine, they just cannot be checkpointed.
-        try:
-            identity = replace(cfg, executor=None)
-            self.config_digest: Optional[str] = hashlib.sha256(
-                pickle.dumps((self.churn, identity), protocol=4)
-            ).hexdigest()
-        except (AttributeError, TypeError, pickle.PicklingError):
-            self.config_digest = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -844,9 +743,7 @@ class ClusterSimulation:
         """Keep both scripts in their deterministic application order:
         churn by time, departs before arrives; faults by fire time,
         then kind, then target."""
-        self.churn = sorted(
-            churn, key=lambda e: (e.time_s, e.action != ACTION_DEPART)
-        )
+        self.churn = _sorted_churn(churn)
         self.faults = sorted(
             faults, key=lambda f: (f.time_s, f.kind, f.host or "", f.count)
         )
@@ -1237,12 +1134,16 @@ class ClusterSimulation:
             arrival=cfg.arrival,
             seed=cfg.seed,
         )
-        jobs: List[_HostSegmentJob] = []
+        isa = scheme_isa(cfg.scheme)
+        sims: List[Simulator] = []
+        # Per simulated host, what scoring needs: its name and each
+        # tenant's (name, SLO target, offered requests) by tenant id.
+        scoring: List[Tuple[str, List[Tuple[str, float, int]]]] = []
         for host in active:
-            group = by_host.get(host.name, [])
+            group = by_host.get(host.name)
             if not group:
                 continue
-            tenant_jobs: List[_TenantJob] = []
+            drawn: List[Tuple[str, _Resident, float, List[float]]] = []
             for name, resident in sorted(group):
                 spec = resident.spec
                 svc = _calibrate_cached(
@@ -1261,45 +1162,63 @@ class ClusterSimulation:
                     hold_cycles = cfg.core.seconds_to_cycles(hold_s)
                     arrivals = [max(a, hold_cycles) for a in arrivals]
                     self.onboarding_delay_s += hold_s
-                tenant_jobs.append(
-                    _TenantJob(
-                        name=name,
-                        model=spec.model,
-                        batch=spec.batch,
-                        alloc_mes=resident.num_mes,
-                        alloc_ves=resident.num_ves,
-                        priority=spec.priority,
-                        target_cycles=spec.slo.resolve(svc),
-                        arrivals=tuple(arrivals),
-                    )
-                )
-            if all(not tj.arrivals for tj in tenant_jobs):
+                drawn.append((name, resident, spec.slo.resolve(svc), arrivals))
+            if all(not arrivals for *_, arrivals in drawn):
                 continue
-            jobs.append(
-                _HostSegmentJob(
-                    host_name=host.name,
-                    host_core=fleet.host_core[host.name],
-                    scheme=cfg.scheme,
-                    seg_s=seg_s,
-                    seg_cycles=seg_cycles,
-                    tenants=tuple(tenant_jobs),
+            host_core = fleet.host_core[host.name]
+            tenants = [
+                Tenant(
+                    tenant_id=idx,
+                    name=name,
+                    graph=build_trace(
+                        resident.spec.model, resident.spec.batch,
+                        core=host_core,
+                    ).compiled(isa),
+                    alloc_mes=resident.num_mes,
+                    alloc_ves=resident.num_ves,
+                    target_requests=None,
+                    priority=resident.spec.priority,
+                    arrivals=arrivals,
                 )
-            )
+                for idx, (name, resident, _, arrivals) in enumerate(drawn)
+            ]
+            sims.append(Simulator(
+                host_core,
+                make_scheduler(cfg.scheme),
+                tenants,
+                horizon_cycles=seg_cycles,
+                record_ops=False,
+            ))
+            scoring.append((host.name, [
+                (name, target, len(arrivals))
+                for name, _, target, arrivals in drawn
+            ]))
 
-        # Hosts are independent within a stable segment: fan out in
-        # mega-batch chunks, then merge in deterministic host order.
-        from repro.exec import map_chunks
-
-        outcomes = map_chunks(_simulate_host_segment_batch, jobs, cfg.executor)
+        # Hosts are independent within a stable segment: they step as
+        # one batch, and merge in deterministic host order.
         seg_me = seg_ve = 0.0
         seg_offered = seg_attained = 0
-        for host_name, me_seconds, ve_seconds, cycles, host_reports in outcomes:
+        for (host_name, host_tenants), result in zip(
+            scoring, run_simulators(sims)
+        ):
+            # Drain can end the simulation before the segment boundary;
+            # utilization only covers the cycles actually simulated.
+            host_core = fleet.host_core[host_name]
+            simulated_s = min(
+                seg_s, host_core.cycles_to_seconds(result.total_cycles)
+            )
+            me_seconds = result.stats.me_utilization() * simulated_s
+            ve_seconds = result.stats.ve_utilization() * simulated_s
             me_s, ve_s = self.busy.get(host_name, (0.0, 0.0))
             self.busy[host_name] = (me_s + me_seconds, ve_s + ve_seconds)
-            self.simulated_cycles += cycles
+            self.simulated_cycles += min(result.total_cycles, seg_cycles)
             seg_me += me_seconds
             seg_ve += ve_seconds
-            for name, report in host_reports:
+            for idx, (name, target, offered) in enumerate(host_tenants):
+                report = build_slo_report(
+                    name, cfg.scheme, target, result.tenant(idx), seg_s,
+                    offered=offered,
+                )
                 seg_offered += report.offered
                 seg_attained += report.attained
                 if name in self.reports:
@@ -1460,7 +1379,8 @@ class ClusterSimulation:
         configuration the snapshot was taken under (enforced via the
         config digest).  The ids the run issues live in the restored
         fleet, so a restore never disturbs another live simulation in
-        the process.  The timeline is built once, from the scripts the
+        the process.  No fresh fleet is built: the checkpoint's replaces
+        it whole.  The timeline is built once, from the scripts the
         checkpoint carries (injected events included).
         """
         sim = cls.__new__(cls)
@@ -1499,75 +1419,3 @@ class ClusterSimulation:
             )
         sim._next = index
         return sim
-
-
-def _segment_key(index: int) -> str:
-    """Journal shard key of the checkpoint after ``index`` segments."""
-    return f"segment-{index:06d}"
-
-
-def run_cluster_checkpointed(
-    events: Sequence[ChurnEvent],
-    cfg: Optional[ClusterTrafficConfig] = None,
-    *,
-    directory: Optional[str] = None,
-    resume: bool = False,
-    every: int = 1,
-    on_segment: Optional[SegmentHook] = None,
-) -> ClusterTrafficResult:
-    """Run a cluster simulation with journaled segment checkpoints.
-
-    With ``directory`` set, a :class:`repro.exec.journal.SweepJournal`
-    under it records a :class:`ClusterCheckpoint` every ``every``
-    completed segments (shard keys ``segment-NNNNNN``; the manifest
-    digest is the simulation's config digest, so a directory from a
-    different run is refused).  ``resume=True`` restores from the
-    furthest recorded checkpoint and continues: the completed run is
-    bit-identical to an uninterrupted one.  Without a directory this is
-    the plain stepped path, useful for ``on_segment`` progress alone.
-    """
-    cfg = cfg if cfg is not None else ClusterTrafficConfig()
-    if every < 1:
-        raise ValidationError(
-            "every", every, "checkpoint cadence must be >= 1"
-        )
-    if resume and directory is None:
-        raise ConfigError("resuming a cluster run needs a checkpoint directory")
-    sim = ClusterSimulation(events, cfg)
-    total = sim.total_segments
-    journal = None
-    if directory is not None:
-        if sim.config_digest is None:
-            raise CheckpointError(
-                "this configuration is not picklable (custom "
-                "autoscaler?); checkpointing is unavailable for it"
-            )
-        from repro.exec.journal import SweepJournal
-
-        keys = [_segment_key(i) for i in range(1, total + 1)]
-        journal = SweepJournal(
-            directory, sim.config_digest, keys, resume=resume
-        )
-        if resume and journal.completed:
-            latest = max(
-                journal.completed,
-                key=lambda k: int(k.rsplit("-", 1)[1]),
-            )
-            cp = ClusterCheckpoint.from_dict(journal.completed[latest])
-            sim = ClusterSimulation.restore(cp, events, cfg)
-    try:
-        if on_segment is not None and sim.segments_completed:
-            on_segment(sim.segments_completed, total, None)
-        while not sim.done:
-            observation = sim.step_segment()
-            done_count = sim.segments_completed
-            if journal is not None and (done_count % every == 0 or sim.done):
-                key = _segment_key(done_count)
-                if key not in journal.completed:
-                    journal.record(key, sim.snapshot().to_dict())
-            if on_segment is not None:
-                on_segment(done_count, total, observation)
-        return sim.result()
-    finally:
-        if journal is not None:
-            journal.close()

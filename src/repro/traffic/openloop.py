@@ -58,7 +58,6 @@ class OpenLoopConfig:
     #: served (latency-complete); otherwise the horizon cuts queues off
     #: and unfinished requests count as SLO misses.
     drain: bool = False
-    record_ops: bool = False
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -238,7 +237,7 @@ def prepare_open_loop(
         make_scheduler(scheme),
         tenants,
         horizon_cycles=float("inf") if cfg.drain else duration_cycles,
-        record_ops=cfg.record_ops,
+        record_ops=False,
     )
     return PreparedOpenLoop(
         sim=sim, scheme=scheme, cfg=cfg, tenants=tenants, targets=targets,

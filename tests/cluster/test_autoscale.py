@@ -16,7 +16,6 @@ from repro.cluster.host import Host
 from repro.cluster.orchestrator import ClusterOrchestrator, PlacementRequest
 from repro.config import DEFAULT_CORE
 from repro.errors import AllocationError, ConfigError
-from repro.exec import ExecSpec
 from repro.traffic.cluster_sim import (
     ChurnEvent,
     ClusterTrafficConfig,
@@ -315,31 +314,6 @@ def test_drain_migrates_residents_and_retires_host():
     drains = [e for e in result.autoscale_events if e.action == "drain"]
     assert drains, "idle hosts must be drained"
     assert min(n for _, n in result.host_count_timeline) < 3
-
-
-def test_autoscaled_run_is_deterministic_across_worker_counts(spawned_pools):
-    events = _arrivals(5)
-
-    def run(workers):
-        return run_cluster_traffic(
-            events,
-            _cfg(
-                executor=ExecSpec(max_workers=workers),
-                autoscaler=make_autoscaler(
-                    "slo-burn-rate", slo_target=0.75
-                ),
-            ),
-        )
-
-    serial, pooled = run(1), run(3)
-    assert spawned_pools, "the pooled run never left this process"
-    assert [e.to_dict() for e in serial.autoscale_events] == \
-        [e.to_dict() for e in pooled.autoscale_events]
-    assert serial.host_count_timeline == pooled.host_count_timeline
-    for name in serial.reports:
-        assert serial.reports[name].latencies_cycles == \
-            pooled.reports[name].latencies_cycles
-    assert serial.host_me_utilization == pooled.host_me_utilization
 
 
 def test_same_seed_reproduces_autoscaled_run():

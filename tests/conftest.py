@@ -12,12 +12,14 @@ from repro.sim.engine import Simulator, Tenant
 
 @pytest.fixture
 def spawned_pools(monkeypatch):
-    """One fan-out item per task, and a log of the process pools spawned.
+    """One pool worker per default-sweep point, and a log of the
+    process pools spawned.
 
-    The default chunk packs up to 64 items into one task, so a small
-    test fan-out is a single task and runs in-process.  With a chunk of
-    one, a pooled map over two or more items really spans processes;
-    tests assert the returned list is non-empty to prove it.
+    ``CHUNK`` only sizes sweeps that name no backend or width: one pool
+    worker per 64 points, so a small test sweep runs in-process.  With
+    a chunk of one, such a sweep over two or more points really spans
+    processes.  Tests assert the returned list is non-empty to prove
+    that a fan-out left this process, or empty to prove it did not.
     """
     import repro.exec.base
     import repro.exec.pool

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+import repro.exec.pool
 from repro.errors import ConfigError, ExecError
 from repro.exec import (
     ExecSpec,
@@ -213,6 +214,24 @@ def test_pool_worker_death_raises_exec_error(tmp_path):
     ]
     with pytest.raises(ExecError, match="local-queue"):
         executor.map_tasks(crashing_task, tasks_for(payloads))
+
+
+def test_pool_fallback_warns_once_and_runs_serially(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise OSError("no semaphores here")
+
+    monkeypatch.setattr(repro.exec.pool, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(repro.exec.pool, "_pool_fallback_warned", False)
+    executor = make("pool", max_workers=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = executor.map_tasks(echo_task, tasks_for([1, 2, 3]))
+        second = executor.map_tasks(echo_task, tasks_for(["a", "b"]))
+    assert [o.value for o in first] == [1, 2, 3]
+    assert [o.value for o in second] == ["a", "b"]
+    fallbacks = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(fallbacks) == 1
+    assert "no semaphores here" in str(fallbacks[0].message)
 
 
 # ----------------------------------------------------------------------

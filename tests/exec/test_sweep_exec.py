@@ -314,7 +314,7 @@ def test_registry_lists_builtin_backends():
 
 
 # ----------------------------------------------------------------------
-# Cluster fan-out
+# Cluster runs: the block picks a sweep's backend, nothing else
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def cluster():
@@ -336,6 +336,9 @@ def test_cluster_executor_metrics_identical(cluster, backend):
     got = run_scenario(
         cluster.replaced(executor=ExecSpec(backend=backend))
     ).to_dict()
-    assert got["provenance"].pop("executor") == {"backend": backend}
-    assert got["metrics"] == want["metrics"]
-    assert got["metadata"] == want["metadata"]
+    # One cluster run dispatches nothing, so it stamps no backend; only
+    # the scenario digest, which covers the block, differs.
+    assert "executor" not in got["provenance"]
+    got["provenance"].pop("scenario_digest")
+    want["provenance"].pop("scenario_digest")
+    assert got == want

@@ -9,7 +9,7 @@ the benchmark's read-back) draw from.
 
 import pytest
 
-import repro.exec
+from repro.exec import PoolExecutor
 from repro.experiments import common
 from repro.parallel import WORKERS_ENV
 
@@ -26,18 +26,18 @@ def test_one_task_per_pair_scheme_equal_to_serial(
     monkeypatch.setattr(common, "_pair_cache", {})
     monkeypatch.setenv(WORKERS_ENV, str(workers))
     calls = []
-    real_map_chunks = repro.exec.map_chunks
+    real_map_tasks = PoolExecutor.map_tasks
 
-    def spy(fn, items, *args, **kwargs):
-        calls.append((list(items), kwargs.get("size")))
-        return real_map_chunks(fn, items, *args, **kwargs)
+    def spy(self, fn, tasks, *args, **kwargs):
+        calls.append([task.payload for task in tasks])
+        return real_map_tasks(self, fn, tasks, *args, **kwargs)
 
-    monkeypatch.setattr(repro.exec, "map_chunks", spy)
+    monkeypatch.setattr(PoolExecutor, "map_tasks", spy)
     runs = common.run_all_pairs(SCHEMES, TARGET, PAIRS)
 
-    assert calls == [(
-        [(w1, w2, s, TARGET) for w1, w2 in PAIRS for s in SCHEMES], 1,
-    )]
+    assert calls == [
+        [(w1, w2, s, TARGET) for w1, w2 in PAIRS for s in SCHEMES]
+    ]
     assert bool(spawned_pools) == (workers > 1)
     serial = [common.run_pair(w1, w2, SCHEMES, TARGET) for w1, w2 in PAIRS]
     assert runs == serial

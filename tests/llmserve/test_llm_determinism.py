@@ -7,7 +7,7 @@ workers, and across victim policies sharing one seed.
 """
 
 from repro.api import Scenario, run_scenario
-from repro.exec import ExecSpec, map_chunks
+from repro.exec import ExecSpec, ExecTask, PoolExecutor
 from repro.llmserve import LlmServeConfig, LlmTenantSpec, run_llm_serving
 
 SPECS = (
@@ -59,10 +59,6 @@ def _run_payload(payload):
     return run_scenario(Scenario.from_dict(payload)).metrics
 
 
-def _run_payloads(chunk):
-    return [_run_payload(payload) for payload in chunk]
-
-
 def test_same_seed_same_event_log():
     a = run_llm_serving(SPECS, _cfg())
     b = run_llm_serving(SPECS, _cfg())
@@ -82,12 +78,11 @@ def test_pool_workers_match_in_process():
     the preemption event log -- the property sweeps rely on."""
     reference = _run_payload(SCENARIO_PAYLOAD)
     assert reference["preemption"]["count"] > 0
-    fanned = map_chunks(
-        _run_payloads, [SCENARIO_PAYLOAD, SCENARIO_PAYLOAD],
-        ExecSpec(max_workers=2), size=1,
+    fanned = PoolExecutor(ExecSpec(max_workers=2)).map_tasks(
+        _run_payload,
+        [ExecTask(key, SCENARIO_PAYLOAD) for key in ("a", "b")],
     )
-    assert fanned[0] == reference
-    assert fanned[1] == reference
+    assert [outcome.value for outcome in fanned] == [reference, reference]
 
 
 def test_victim_policies_share_one_arrival_history():

@@ -61,14 +61,6 @@ def test_percentile_nearest_rank():
     assert percentile([], 95) == 0.0
 
 
-def test_tenant_metrics_normalisation():
-    a = TenantMetrics("w", "neu10", 50.0, 40.0, 200.0, 0.5, 0.2, 0.01, 10)
-    base = TenantMetrics("w", "pmt", 100.0, 80.0, 100.0, 0.3, 0.1, 0.0, 10)
-    norm = a.normalized_to(base)
-    assert norm.p95_latency_cycles == pytest.approx(0.5)
-    assert norm.throughput_rps == pytest.approx(2.0)
-
-
 def test_pair_metrics_lookup():
     pair = PairMetrics(pair="a+b", scheme="neu10", tenants=[
         TenantMetrics("a", "neu10", 1, 1, 1, 0, 0, 0, 1),

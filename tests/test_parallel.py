@@ -1,20 +1,19 @@
-"""Fan-out width and worker-count determinism.
+"""Fan-out width, and what fans out.
 
-:func:`repro.parallel.default_workers` sizes every process pool, and
-the simulation layers built on :func:`repro.exec.map_chunks` (cluster
-churn here) produce identical metrics whether hosts are simulated
-serially or in a pool.
+:func:`repro.parallel.default_workers` sizes every process pool.  Only
+independent runs fan out; a cluster segment's hosts are parts of one
+answer and step in this process whatever the pool width.
 """
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.exec import ExecSpec
 from repro.parallel import WORKERS_ENV, default_workers
 from repro.traffic import (
     ChurnEvent,
     ClusterTrafficConfig,
     TrafficTenantSpec,
+    cluster_sim,
     run_cluster_traffic,
 )
 
@@ -32,7 +31,8 @@ def test_default_workers_env_override(monkeypatch):
     assert default_workers() >= 1
 
 
-def _churn_metrics(max_workers):
+def test_cluster_run_starts_no_pool(monkeypatch, spawned_pools):
+    monkeypatch.setenv(WORKERS_ENV, "2")
     specs = [
         TrafficTenantSpec(model="MNIST", batch=8),
         TrafficTenantSpec(model="DLRM", batch=8),
@@ -43,26 +43,18 @@ def _churn_metrics(max_workers):
         ChurnEvent(0.0005, "arrive", "c", spec=specs[0]),
         ChurnEvent(0.00075, "depart", "b"),
     ]
-    cfg = ClusterTrafficConfig(
-        scheme="neu10", load=0.9, end_s=0.001, seed=17,
-        executor=ExecSpec(max_workers=max_workers),
-    )
-    result = run_cluster_traffic(events, cfg)
-    return (
-        result.host_me_utilization,
-        result.host_ve_utilization,
-        result.admission_rate,
-        result.segments,
-        {
-            name: (rep.offered, rep.completed, rep.attained,
-                   rep.latencies_cycles)
-            for name, rep in result.reports.items()
-        },
-    )
+    batches = []
+    real = cluster_sim.run_simulators
 
+    def spy(sims):
+        batches.append(len(sims))
+        return real(sims)
 
-def test_cluster_traffic_identical_for_any_worker_count(spawned_pools):
-    serial = _churn_metrics(1)
-    assert _churn_metrics(2) == serial
-    assert _churn_metrics(4) == serial
-    assert spawned_pools, "the pooled runs never left this process"
+    monkeypatch.setattr(cluster_sim, "run_simulators", spy)
+    run_cluster_traffic(
+        events,
+        ClusterTrafficConfig(scheme="neu10", load=0.9, end_s=0.001, seed=17),
+    )
+    assert spawned_pools == []
+    # Both hosts of a segment stepped as one batch, in this process.
+    assert max(batches) == 2

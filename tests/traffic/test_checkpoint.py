@@ -20,15 +20,12 @@ from repro.api import (
     run_scenario,
 )
 from repro.api.result import canonical_digest
-from repro.api.runner import cluster_inputs
-from repro.cluster.virt import VirtualizationSpec
+from repro.api.runner import cluster_inputs, run_cluster_checkpointed
+from repro.cluster.host import Host
+from repro.cluster.virt import FaultSpec, VirtualizationSpec
 from repro.errors import CheckpointError, ConfigError, ValidationError
 from repro.exec import ExecSpec
-from repro.traffic.cluster_sim import (
-    ClusterSimulation,
-    run_cluster_checkpointed,
-    run_cluster_traffic,
-)
+from repro.traffic.cluster_sim import ClusterSimulation, run_cluster_traffic
 from repro.traffic.stepper import ClusterCheckpoint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -229,8 +226,9 @@ def test_restore_under_the_config_that_ran():
 
 
 def test_restore_ignores_the_executor():
-    """The executor decides where host segments run, never what they
-    compute, so a checkpoint restores under any backend or none."""
+    """The ``executor:`` block only picks a sweep's backend and is no
+    part of a cluster run's configuration, so a checkpoint restores
+    under any block or none."""
     scenario = _adversarial("burst_storm")
     reference = _result_digest(
         run_cluster_traffic(*cluster_inputs(scenario))
@@ -243,6 +241,35 @@ def test_restore_ignores_the_executor():
             checkpoint, *cluster_inputs(scenario.replaced(executor=executor))
         )
         assert _result_digest(restored.run()) == reference
+
+
+def test_restore_builds_no_fresh_fleet(monkeypatch):
+    """The checkpoint's fleet replaces any fresh one, so a restore
+    constructs no host.  The config digest still comes from the
+    caller's script, while the scripts come from the checkpoint, which
+    here holds an injected storm."""
+    events, cfg = cluster_inputs(_adversarial("crash_mid_segment"))
+    sim = ClusterSimulation(events, cfg)
+    sim.step_segment()
+    sim.inject_fault(FaultSpec(
+        kind="burst-storm", time_s=sim.boundaries[2], duration_s=0.0004,
+        factor=3.0,
+    ))
+    checkpoint = sim.snapshot()
+    reference = _result_digest(sim.run())
+    built = []
+    real_init = Host.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Host, "__init__", counting_init)
+    restored = ClusterSimulation.restore(checkpoint, events, cfg)
+    assert built == []
+    assert _result_digest(restored.run()) == reference
+    ClusterSimulation(events, cfg)
+    assert built, "the spy never saw a host being built"
 
 
 def test_restore_refuses_tampered_payload():

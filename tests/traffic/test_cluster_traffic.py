@@ -5,12 +5,13 @@ import copy
 import pytest
 
 from repro.cluster.autoscale import HostPoolSpec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.traffic import (
     ChurnEvent,
     ClusterTrafficConfig,
     SloSpec,
     TrafficTenantSpec,
+    cluster_sim,
     run_cluster_traffic,
 )
 
@@ -145,6 +146,22 @@ def test_mid_run_result_keeps_the_window_it_scored():
     assert final.offered > frozen["dlrm-a"].offered
     assert final.latencies_cycles[: len(frozen["dlrm-a"].latencies_cycles)] \
         == frozen["dlrm-a"].latencies_cycles
+
+
+def test_host_segment_failure_surfaces_as_itself_after_one_call(monkeypatch):
+    """A segment's hosts step in this process: a failing step raises
+    its own typed error at once, with no retries and no wrapping."""
+    calls = []
+
+    def failing(sims):
+        calls.append(sims)
+        raise SimulationError("host segment diverged")
+
+    monkeypatch.setattr(cluster_sim, "run_simulators", failing)
+    cfg = ClusterTrafficConfig(load=0.5, end_s=0.001, seed=1)
+    with pytest.raises(SimulationError, match="host segment diverged"):
+        run_cluster_traffic(_script(cfg.end_s), cfg)
+    assert len(calls) == 1
 
 
 def test_churn_script_validation():

@@ -6,7 +6,6 @@ import pytest
 from repro.cluster.autoscale import Autoscaler, HostPoolSpec
 from repro.cluster.virt import REJECT_VF_EXHAUSTED, VirtualizationSpec
 from repro.errors import ConfigError
-from repro.exec import ExecSpec
 from repro.traffic import (
     ChurnEvent,
     ClusterTrafficConfig,
@@ -188,19 +187,6 @@ def test_virtualized_run_is_deterministic_in_process():
     second = run_cluster_traffic(events, _virt_cfg())
     assert _result_key(first) == _result_key(second)
     assert first.virtualization.to_dict() == second.virtualization.to_dict()
-
-
-def test_virtualized_run_identical_across_worker_counts(spawned_pools):
-    events = _wave(6, 0.001)
-    serial = run_cluster_traffic(
-        events, _virt_cfg(executor=ExecSpec(max_workers=1))
-    )
-    parallel = run_cluster_traffic(
-        events, _virt_cfg(executor=ExecSpec(max_workers=2))
-    )
-    assert spawned_pools, "the pooled run never left this process"
-    assert _result_key(serial) == _result_key(parallel)
-    assert serial.virtualization.to_dict() == parallel.virtualization.to_dict()
 
 
 def test_unvirtualized_run_is_deterministic_and_reports_nothing():

@@ -167,7 +167,7 @@ def generate() -> str:
 
     lines.append("\n## Executor backends (`executor.backend`, "
                  "`sweep --executor`)\n")
-    lines.append("Sweeps and cluster host fan-out run through a "
+    lines.append("Sweeps of every kind run through a "
                  "pluggable executor (`repro.exec`); the backend only "
                  "changes *how* points run (parallelism, timeouts, crash "
                  "isolation), never the simulated results (see "
