@@ -238,7 +238,9 @@ def cluster_inputs(scenario: Scenario):
     return events, cfg
 
 
-def _cluster_run_result(scenario: Scenario, cfg, result) -> RunResult:
+def _cluster_run_result(
+    scenario: Scenario, cfg, result, digest: Optional[str] = None
+) -> RunResult:
     autoscaler = cfg.autoscaler
     virtualization = cfg.virtualization
     metrics: Dict[str, Any] = {
@@ -310,7 +312,7 @@ def _cluster_run_result(scenario: Scenario, cfg, result) -> RunResult:
             "pool_num_vfs": dict(virtualization.pool_num_vfs),
             "hypercall_cost_s": virtualization.hypercall_cost_s,
         }
-    return _wrap(scenario, metrics, metadata)
+    return _wrap(scenario, metrics, metadata, digest)
 
 
 def _to_churn_event(event: ScenarioChurn):
@@ -397,8 +399,13 @@ _KIND_RUNNERS = {
 
 
 def _wrap(
-    scenario: Scenario, metrics: Dict[str, Any], metadata: Dict[str, Any]
+    scenario: Scenario,
+    metrics: Dict[str, Any],
+    metadata: Dict[str, Any],
+    digest: Optional[str] = None,
 ) -> RunResult:
+    """The scenario's RunResult; ``digest`` is ``scenario.digest()``
+    when the caller holds it already."""
     metadata = dict(metadata)
     if scenario.description:
         metadata["description"] = scenario.description
@@ -411,7 +418,8 @@ def _wrap(
         metrics=metrics,
         metadata=metadata,
         provenance=base_provenance(
-            seed=scenario.seed, scenario_digest=scenario.digest()
+            seed=scenario.seed,
+            scenario_digest=digest if digest is not None else scenario.digest(),
         ),
     )
 

@@ -18,7 +18,11 @@ that sit on a node through plain remaining-work arrays:
   process-wide plan memo the scalar fast path uses.  Known transitions
   are cached per node -- the hops that complete no request in a table
   keyed by the epoch's winner bitmask -- so recurring steady-state
-  cycles never touch a unit object.
+  cycles never touch a unit object;
+- a transition that carries no slot over leaves the lane on work fixed
+  by the successor node, so the node precomputes the epoch such a lane
+  steps next (its *entry epoch*), and the lane adds only what depends
+  on it: its clock, its stats and its arrival and horizon checks.
 
 Lanes step in rounds, in input order.  A round gives each lane one
 scalar-engine epoch; when that epoch's plan came out of the decision
@@ -145,9 +149,22 @@ def _scope_for(sim: Simulator) -> Optional[_ChainScope]:
 #: carries over, and the base vectors are the successor's remaining
 #: work with every fresh value (template work for spawns, zeros for
 #: lingering DONE winners) pre-filled -- copy them, then overwrite the
-#: carry slots.  A plain tuple, so the burst loop unpacks it at once.
+#: carry slots.  With nothing carried the base vectors are the lane's
+#: work as they stand, and the successor's entry epoch applies (see
+#: :attr:`_ChainNode.entry`); the burst then reads them without a copy.
+#: A plain tuple, so the burst loop unpacks it at once.
 _Transition = Tuple[
     "_ChainNode", Tuple[Tuple[int, int], ...], List[float], List[float]
+]
+
+#: A node's entry epoch, ``(best, delta, mask, me_after, ve_after,
+#: me_acc, ve_acc)``: the slot-only delta candidate and the step it
+#: clamps to, the winner bitmask, the work left after the step, and each
+#: owner's ``mes * delta`` and ``ves * delta`` in the plan's order.  The
+#: lists are shared by every lane that steps the entry: read-only.
+_Entry = Tuple[
+    float, float, int, List[float], List[float],
+    Tuple[Tuple[int, float], ...], Tuple[Tuple[int, float], ...],
 ]
 
 
@@ -161,6 +178,12 @@ class _ChainNode:
     tenant's active units are exactly its current template group in
     template order -- the invariant that lets cursors plus the compiled
     graph reconstruct every unit attribute.
+
+    ``entry`` is the epoch a lane steps when it enters the node with
+    nothing carried over.  Then every slot is a fresh spawn holding its
+    template work, so that epoch's slot part -- delta, advance, winners
+    and busy products -- is a constant of the node, computed once here
+    (:meth:`_entry_epoch`).  A hop that carries a slot never steps it.
     """
 
     __slots__ = (
@@ -168,7 +191,8 @@ class _ChainNode:
         "slot_tenant", "slot_templates", "slot_tpl_ids", "dense",
         "dense_codes", "creation_order", "me_adv", "me_ve_adv", "ve_adv",
         "delta_me", "delta_ve", "blocked_tids", "me_busy_items",
-        "ve_busy_items", "hops", "trans", "start_trans", "completers_cache",
+        "ve_busy_items", "entry", "hops", "trans", "start_trans",
+        "completers_cache",
     )
 
     @classmethod
@@ -257,11 +281,57 @@ class _ChainNode:
         # engine bitwise), minus the dict-view overhead per epoch.
         node.me_busy_items = tuple(me_busy.items())
         node.ve_busy_items = tuple(ve_busy.items())
+        node.entry = node._entry_epoch()
         node.hops = {}
         node.trans = {}
         node.start_trans = {}
         node.completers_cache = {}
         return node
+
+    def _entry_epoch(self) -> Optional[_Entry]:
+        """One epoch stepped from the template work of every slot, with
+        the burst's own delta scan (slots only: arrivals and the horizon
+        belong to the lane), advance and busy products.  None when no
+        slot runs or the step completes nothing, so that an entry epoch
+        always hops and no lane carries the shared lists past it."""
+        rem_me = [tpl[3] for tpl in self.slot_templates]
+        rem_ve = [tpl[4] for tpl in self.slot_templates]
+        best = math.inf
+        for i, rate in self.delta_me:
+            c = rem_me[i] / rate
+            if EPS < c < best:
+                best = c
+        for i, rate in self.delta_ve:
+            c = rem_ve[i] / rate
+            if EPS < c < best:
+                best = c
+        if best == math.inf:
+            return None
+        delta = best if best > MIN_DELTA else MIN_DELTA
+        mask = 0
+        for i, rate, bit in self.me_adv:
+            remaining = rem_me[i] - rate * delta
+            rem_me[i] = remaining if remaining > 0.0 else 0.0
+            if remaining <= EPS:
+                mask |= bit
+        for i, rate, ve_rate, granted, bit in self.me_ve_adv:
+            progress = rate * delta
+            remaining = rem_me[i] - progress
+            rem_me[i] = remaining if remaining > 0.0 else 0.0
+            if remaining <= EPS:
+                mask |= bit
+            remaining = rem_ve[i] - progress * ve_rate * granted
+            rem_ve[i] = remaining if remaining > 0.0 else 0.0
+        for i, rate, bit in self.ve_adv:
+            remaining = rem_ve[i] - rate * delta
+            rem_ve[i] = remaining if remaining > 0.0 else 0.0
+            if remaining <= EPS:
+                mask |= bit
+        if not mask:
+            return None
+        me_acc = tuple((owner, mes * delta) for owner, mes in self.me_busy_items)
+        ve_acc = tuple((owner, ves * delta) for owner, ves in self.ve_busy_items)
+        return (best, delta, mask, rem_me, rem_ve, me_acc, ve_acc)
 
     # ------------------------------------------------------------------
     # Transitions.  Winners are a bitmask over the node's slots.
@@ -477,7 +547,8 @@ class _Lane:
 
     __slots__ = (
         "sim", "scope", "node", "rem_me", "rem_ve", "epochs",
-        "check_finish", "done", "result", "array_epochs", "object_epochs",
+        "check_finish", "done", "result", "array_epochs", "entry_epochs",
+        "object_epochs",
     )
 
     def __init__(self, sim: Simulator, scope: _ChainScope) -> None:
@@ -491,6 +562,7 @@ class _Lane:
         self.done = False
         self.result: Optional[SimResult] = None
         self.array_epochs = 0
+        self.entry_epochs = 0
         self.object_epochs = 0
 
     def finish(self) -> None:
@@ -589,6 +661,7 @@ class MegaBatchEngine:
         self.group_stats = {
             "lanes": len(self.sims),
             "array_epochs": sum(l.array_epochs for l in lanes),
+            "entry_epochs": sum(l.entry_epochs for l in lanes),
             "object_epochs": sum(l.object_epochs for l in lanes),
         }
         chained = iter(lanes)
@@ -658,7 +731,17 @@ def _burst(lane: _Lane) -> None:
     in place.  Every float expression replicates the scalar engine's
     grouping and accumulation order exactly (see the delta scan and the
     advance in ``Simulator._step_epochs``, and ``on_unit_done``), so
-    results are bit-identical."""
+    results are bit-identical.
+
+    A hop that carries nothing leaves the lane on the successor's base
+    work, which is that node's constant, so the next epoch is the node's
+    precomputed entry (:attr:`_ChainNode.entry`): the burst scans the
+    arrivals and the horizon, and when neither comes strictly sooner it
+    only adds the entry's delta and busy products and hops.  Otherwise
+    the epoch steps on the lane's own copy of the base work.  So the
+    remaining-work locals may hold a node's shared lists; nothing
+    writes them, and at the exits only :func:`_materialize` reads
+    them."""
     sim = lane.sim
     stats = sim.stats
     tenants = sim.tenants
@@ -674,6 +757,7 @@ def _burst(lane: _Lane) -> None:
     now = sim.now
     epochs = lane.epochs
     array_epochs = lane.array_epochs
+    entry_epochs = lane.entry_epochs
     total_cycles = stats.total_cycles
     me_integral = stats.me_busy_integral
     ve_integral = stats.ve_busy_integral
@@ -684,17 +768,25 @@ def _burst(lane: _Lane) -> None:
     # deque is non-empty at the delta scan.
     watched = [(tpos, t) for tpos, t in enumerate(tenants) if t.pending_arrivals]
     watch = [t.pending_arrivals for _tpos, t in watched]
+    # The node's entry epoch while the lane holds the node's base work,
+    # read-only, because the last hop carried nothing; None otherwise.
+    entry = None
     while True:
         # -- delta: exactly the scalar delta scan over the node's plan --
-        best = inf
-        for i, rate in node.delta_me:
-            c = rem_me[i] / rate
-            if EPS < c < best:
-                best = c
-        for i, rate in node.delta_ve:
-            c = rem_ve[i] / rate
-            if EPS < c < best:
-                best = c
+        # (An entry epoch's slot part is the node's; the arrivals and
+        # the horizon are the lane's.)
+        if entry is None:
+            best = inf
+            for i, rate in node.delta_me:
+                c = rem_me[i] / rate
+                if EPS < c < best:
+                    best = c
+            for i, rate in node.delta_ve:
+                c = rem_ve[i] / rate
+                if EPS < c < best:
+                    best = c
+        else:
+            best = entry[0]
         next_arr = inf
         for pending in watch:
             a = pending[0]
@@ -706,47 +798,70 @@ def _burst(lane: _Lane) -> None:
         c = horizon - now  # inf without a horizon: never a candidate
         if EPS < c < best:
             best = c
-        if best == inf:
-            stop = "deadlock"
-            break
-        delta = best if best > MIN_DELTA else MIN_DELTA
 
-        # -- advance: exactly the scalar advance's work updates ---------
-        # (``rate * delta`` is the scalar ``progress``.)  Slots are
-        # independent, so splitting the ME loop by VE stream keeps
-        # every per-slot result.
-        mask = 0
-        for i, rate, bit in node.me_adv:
-            remaining = rem_me[i] - rate * delta
-            rem_me[i] = remaining if remaining > 0.0 else 0.0
-            if remaining <= EPS:
-                mask |= bit
-        for i, rate, ve_rate, granted, bit in node.me_ve_adv:
-            progress = rate * delta
-            remaining = rem_me[i] - progress
-            rem_me[i] = remaining if remaining > 0.0 else 0.0
-            if remaining <= EPS:
-                mask |= bit
-            remaining = rem_ve[i] - progress * ve_rate * granted
-            rem_ve[i] = remaining if remaining > 0.0 else 0.0
-        for i, rate, bit in node.ve_adv:
-            remaining = rem_ve[i] - rate * delta
-            rem_ve[i] = remaining if remaining > 0.0 else 0.0
-            if remaining <= EPS:
-                mask |= bit
+        if entry is not None and best == entry[0]:
+            # -- an entry epoch that nothing cut short: only the adds ---
+            # (A tie with an arrival or the horizon keeps the entry, as
+            # the scan's strict ``<`` does.)
+            _best, delta, mask, rem_me, rem_ve, me_acc, ve_acc = entry
+            for tid in node.blocked_tids:
+                blocked_map[tid] += delta
+            total_cycles += delta
+            for owner, v in me_acc:
+                me_integral += v
+                me_map[owner] += v
+            for owner, v in ve_acc:
+                ve_integral += v
+                ve_map[owner] += v
+            entry_epochs += 1
+        else:
+            if entry is not None:
+                # An arrival or the horizon cuts the entry epoch short:
+                # step it on the lane's own copy of the base work.
+                entry = None
+                rem_me = rem_me.copy()
+                rem_ve = rem_ve.copy()
+            if best == inf:
+                stop = "deadlock"
+                break
+            delta = best if best > MIN_DELTA else MIN_DELTA
 
-        # -- accounting: the scalar advance's record-flags-off branch ---
-        for tid in node.blocked_tids:
-            blocked_map[tid] += delta
-        total_cycles += delta
-        for owner, mes in node.me_busy_items:
-            v = mes * delta
-            me_integral += v
-            me_map[owner] += v
-        for owner, ves in node.ve_busy_items:
-            v = ves * delta
-            ve_integral += v
-            ve_map[owner] += v
+            # -- advance: exactly the scalar advance's work updates -----
+            # (``rate * delta`` is the scalar ``progress``.)  Slots are
+            # independent, so splitting the ME loop by VE stream keeps
+            # every per-slot result.
+            mask = 0
+            for i, rate, bit in node.me_adv:
+                remaining = rem_me[i] - rate * delta
+                rem_me[i] = remaining if remaining > 0.0 else 0.0
+                if remaining <= EPS:
+                    mask |= bit
+            for i, rate, ve_rate, granted, bit in node.me_ve_adv:
+                progress = rate * delta
+                remaining = rem_me[i] - progress
+                rem_me[i] = remaining if remaining > 0.0 else 0.0
+                if remaining <= EPS:
+                    mask |= bit
+                remaining = rem_ve[i] - progress * ve_rate * granted
+                rem_ve[i] = remaining if remaining > 0.0 else 0.0
+            for i, rate, bit in node.ve_adv:
+                remaining = rem_ve[i] - rate * delta
+                rem_ve[i] = remaining if remaining > 0.0 else 0.0
+                if remaining <= EPS:
+                    mask |= bit
+
+            # -- accounting: the scalar advance's record-flags-off branch
+            for tid in node.blocked_tids:
+                blocked_map[tid] += delta
+            total_cycles += delta
+            for owner, mes in node.me_busy_items:
+                v = mes * delta
+                me_integral += v
+                me_map[owner] += v
+            for owner, ves in node.ve_busy_items:
+                v = ves * delta
+                ve_integral += v
+                ve_map[owner] += v
         now += delta
         array_epochs += 1
 
@@ -783,13 +898,18 @@ def _burst(lane: _Lane) -> None:
                         tenant.current_request = nxt
                     check_finish = True
             node, carry, me_base, ve_base = trans
-            new_me = me_base.copy()
-            new_ve = ve_base.copy()
-            for new_slot, old_slot in carry:
-                new_me[new_slot] = rem_me[old_slot]
-                new_ve[new_slot] = rem_ve[old_slot]
-            rem_me = new_me
-            rem_ve = new_ve
+            entry = None if carry else node.entry
+            if entry is None:
+                new_me = me_base.copy()
+                new_ve = ve_base.copy()
+                for new_slot, old_slot in carry:
+                    new_me[new_slot] = rem_me[old_slot]
+                    new_ve[new_slot] = rem_ve[old_slot]
+                rem_me = new_me
+                rem_ve = new_ve
+            else:
+                rem_me = me_base
+                rem_ve = ve_base
 
         # -- arrivals: the scalar frame's admission at the same clock ---
         # Gated on the minimum arrival time read during the delta scan,
@@ -831,13 +951,18 @@ def _burst(lane: _Lane) -> None:
                     request.start_cycle = now
                     tenant.current_request = request
                 node, carry, me_base, ve_base = trans
-                new_me = me_base.copy()
-                new_ve = ve_base.copy()
-                for new_slot, old_slot in carry:
-                    new_me[new_slot] = rem_me[old_slot]
-                    new_ve[new_slot] = rem_ve[old_slot]
-                rem_me = new_me
-                rem_ve = new_ve
+                entry = None if carry else node.entry
+                if entry is None:
+                    new_me = me_base.copy()
+                    new_ve = ve_base.copy()
+                    for new_slot, old_slot in carry:
+                        new_me[new_slot] = rem_me[old_slot]
+                        new_ve[new_slot] = rem_ve[old_slot]
+                    rem_me = new_me
+                    rem_ve = new_ve
+                else:
+                    rem_me = me_base
+                    rem_ve = ve_base
 
         # -- next epoch: the scalar frame's stop check and guard --------
         if check_finish:
@@ -858,6 +983,7 @@ def _burst(lane: _Lane) -> None:
     lane.rem_ve = rem_ve
     lane.epochs = epochs
     lane.array_epochs = array_epochs
+    lane.entry_epochs = entry_epochs
     sim.now = now
     stats.total_cycles = total_cycles
     stats.me_busy_integral = me_integral

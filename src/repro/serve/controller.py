@@ -115,6 +115,9 @@ class ServeController:
             )
         scenario.validate()
         self.scenario = scenario
+        #: The scenario never changes, so neither does its digest, which
+        #: every ``metrics()`` result stamps.
+        self._digest = scenario.digest()
         self._lock = threading.RLock()
         self._events, self._cfg = cluster_inputs(scenario)
         self.sim = ClusterSimulation(self._events, self._cfg)
@@ -253,7 +256,7 @@ class ServeController:
         with self._lock:
             result = self.sim.result()
             return _cluster_run_result(
-                self.scenario, self._cfg, result
+                self.scenario, self._cfg, result, self._digest
             ).to_dict()
 
     # ------------------------------------------------------------------

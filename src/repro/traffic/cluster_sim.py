@@ -606,6 +606,10 @@ class ClusterSimulation:
     injection onto these).
     """
 
+    #: Index of the segment whose step raised after its boundary was
+    #: applied; a run with one set cannot step, score or checkpoint.
+    failed_segment: Optional[int] = None
+
     def __init__(
         self,
         events: Sequence[ChurnEvent],
@@ -1050,6 +1054,13 @@ class ClusterSimulation:
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
+    def _check_intact(self) -> None:
+        if self.failed_segment is not None:
+            raise SimulationError(
+                f"segment {self.failed_segment} failed part-way, so this "
+                "run is half-stepped; restore a checkpoint to go on"
+            )
+
     def step_segment(self) -> Optional[SegmentObservation]:
         """Simulate the next segment; return its observation.
 
@@ -1059,20 +1070,35 @@ class ClusterSimulation:
         ``None`` only for a (defensively handled) zero-width segment;
         raises :class:`~repro.errors.SimulationError` past the horizon
         -- check :attr:`done` first.
+
+        A boundary that cannot apply raises before it touches any state,
+        so the run stays retryable.  Anything that raises later leaves
+        the run half-stepped: it is marked failed, and every later
+        step, :meth:`result` and :meth:`snapshot` raises a
+        :class:`~repro.errors.SimulationError` naming the segment.
         """
+        self._check_intact()
         if self.done:
             raise SimulationError(
                 "cluster simulation already reached its horizon"
             )
-        cfg = self.cfg
-        fleet = self.fleet
         seg_index = self._next
-        t0 = self.boundaries[seg_index]
-        t1 = self.boundaries[seg_index + 1]
         # All-or-nothing boundary application: reject a bad boundary
         # before the autoscaler or any of its events touch state, so a
         # caller observing the error holds an intact, retryable run.
-        self._check_boundary_churn(t0)
+        self._check_boundary_churn(self.boundaries[seg_index])
+        try:
+            return self._step(seg_index)
+        except BaseException:
+            self.failed_segment = seg_index
+            raise
+
+    def _step(self, seg_index: int) -> Optional[SegmentObservation]:
+        """The part of :meth:`step_segment` that changes the run."""
+        cfg = self.cfg
+        fleet = self.fleet
+        t0 = self.boundaries[seg_index]
+        t1 = self.boundaries[seg_index + 1]
         if self.autoscaler is not None and self.segment_log:
             # The previous segment's logged observation: residents and
             # rejections change only inside this method, so it still
@@ -1248,6 +1274,7 @@ class ClusterSimulation:
 
     def advance(self, until_s: float) -> List[SegmentObservation]:
         """Step every segment that ends at or before ``until_s``."""
+        self._check_intact()
         out: List[SegmentObservation] = []
         while not self.done and self.boundaries[self._next + 1] <= until_s:
             observation = self.step_segment()
@@ -1315,6 +1342,7 @@ class ClusterSimulation:
         reports consistent partial metrics.  After the final segment
         the result is bit-identical to the one-shot path's.
         """
+        self._check_intact()
         total_s = self.cfg.end_s
         return ClusterTrafficResult(
             # Copies: later segments extend the live reports in place.
@@ -1354,6 +1382,7 @@ class ClusterSimulation:
         Per-(tenant, segment) RNG streams are derived from the seed and
         need no state here.
         """
+        self._check_intact()
         if self.config_digest is None:
             raise CheckpointError(
                 "this configuration is not picklable (custom "

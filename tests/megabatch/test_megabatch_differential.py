@@ -19,9 +19,16 @@ co-stepped in one batch).
 routing tests below pin who steps what: a lone chainable simulation
 enters the chain path, and lanes that can never bind to a chain node
 run through ``Simulator.run()``, never through the engine's loop.
+
+Disabling a node's entry epoch (the precomputed epoch after a hop that
+carries nothing) keeps every output the same, so the entry tests pin it
+directly: it carries most epochs where hosts hold one tenant, an
+arrival or a horizon that cuts it falls back bit-identically, and every
+stored entry equals the general epoch from the node's base work.
 """
 
 import json
+import math
 
 import pytest
 
@@ -34,7 +41,7 @@ from repro.serving.server import (
     SCHEME_TEMPORAL,
     make_scheduler,
 )
-from repro.sim.engine import FAST_PATH_ENV, Simulator, Tenant
+from repro.sim.engine import FAST_PATH_ENV, MIN_DELTA, Simulator, Tenant
 from repro.sim.scheduler_base import _creation_rank_perm
 from repro.traffic.arrivals import PoissonProcess
 from repro.workloads.traces import build_trace
@@ -553,3 +560,205 @@ def test_run_scenario_identical_across_toggles(monkeypatch, make_scenario):
     fast_path = [side["provenance"].pop("fast_path") for side in sides]
     assert fast_path == [True, True, False]
     assert sides[0] == sides[1] == sides[2]
+
+
+# ----------------------------------------------------------------------
+# Entry epochs: a hop that carries nothing steps the node's entry
+# ----------------------------------------------------------------------
+def _one_tenant_per_host_scenario():
+    """Two hosts, one tenant each: like serve_session, where most hops
+    retire a lone tenant's group and spawn the next with nothing
+    carried."""
+    from repro.api import Scenario, ScenarioChurn
+
+    return Scenario(
+        name="mb-entry",
+        kind="cluster",
+        scheme="neu10",
+        arrival="poisson",
+        load=0.8,
+        duration_s=0.002,
+        seed=11,
+        hosts=2,
+        churn=(
+            ScenarioChurn(0.0, "arrive", "a", model="MNIST", batch=8),
+            ScenarioChurn(0.0, "arrive", "b", model="DLRM", batch=8),
+        ),
+    )
+
+
+def test_entry_epochs_carry_a_one_tenant_per_host_cluster(
+    engine_spy, monkeypatch
+):
+    """The entry path fires: in a cluster whose hosts hold one tenant
+    each, at least half of the array epochs are entry epochs, and the
+    result is the lane-by-lane one."""
+    from repro.api import run_scenario
+
+    on = run_scenario(_one_tenant_per_host_scenario())
+    stats = [e.group_stats for e in engine_spy["engines"]]
+    array = sum(s["array_epochs"] for s in stats)
+    entry = sum(s["entry_epochs"] for s in stats)
+    assert array > 0 and 2 * entry >= array
+    monkeypatch.setenv(MEGABATCH_ENV, "0")
+    off = run_scenario(_one_tenant_per_host_scenario())
+    assert _run_result_dicts([on]) == _run_result_dicts([off])
+
+
+def _lane(arrivals, horizon=math.inf):
+    """One neu10 core serving MNIST and DLRM open loop, each fed its
+    own arrival times (cycles)."""
+    isa = scheme_isa("neu10")
+    tenants = [
+        Tenant(
+            tenant_id=idx,
+            name=model,
+            graph=build_trace(model, 8, core=CORE).compiled(isa),
+            alloc_mes=2,
+            alloc_ves=2,
+            target_requests=None,
+            arrivals=list(times),
+        )
+        for idx, (model, times) in enumerate(zip(("MNIST", "DLRM"), arrivals))
+    ]
+    return Simulator(
+        CORE, make_scheduler("neu10"), tenants,
+        horizon_cycles=horizon, record_ops=False,
+    )
+
+
+def _entry_starts(sim):
+    """``(clock, entry)`` of every epoch of ``sim``'s scalar run that
+    starts on a chain node with an entry and holds that node's base work
+    (each slot's template work): where a lane that hopped there with
+    nothing carried steps the entry.  The run fills the plan memo, so a
+    lane that repeats its history finds every transition warm."""
+    sim.start()
+    scope = mb._scope_for(sim)
+    starts = []
+
+    def offer(plan_key, units):
+        node = scope.node(plan_key, mb._cursors_of(sim))
+        if node is not None and node.entry is not None and all(
+            u.remaining_me == tpl[3] and u.remaining_ve == tpl[4]
+            for u, tpl in zip(units, node.slot_templates)
+        ):
+            starts.append((sim.now, node.entry))
+        return False  # the scalar frame steps every epoch itself
+
+    sim._step_epochs(None, offer)
+    return starts
+
+
+def _mnist_entries():
+    """``(clock, slot-only delta)`` of the entry epochs of MNIST's only
+    request while DLRM idles, past the first epoch, which promotes the
+    lane and so steps generally: the rest a hop reaches in the burst."""
+    starts = _entry_starts(_lane([[0.0], []]))
+    assert len(starts) > 2 and starts[0][0] == 0.0
+    return [(now, entry[0]) for now, entry in starts[1:]]
+
+
+def _exactly_after(now, gap):
+    """A clock value ``t`` with ``t - now == gap`` exactly, or None when
+    floats hold no such value."""
+    t = now + gap
+    while t - now < gap:
+        t = math.nextafter(t, math.inf)
+    while t - now > gap:
+        t = math.nextafter(t, -math.inf)
+    return t if t - now == gap else None
+
+
+@pytest.mark.parametrize(
+    "case", ["arrival-inside", "arrival-at-delta", "horizon-inside"]
+)
+def test_hand_built_entry_epoch_cuts(case):
+    """A lane on an entry epoch matches ``Simulator.run()`` bit for bit
+    when an arrival lands strictly inside it (the epoch is cut there),
+    exactly at its delta (the scan's strict ``<`` keeps the entry), and
+    when the horizon cuts it.  The arrival is DLRM's, onto an idle
+    tenant, so an entry stepped past it would start that request late."""
+    entries = _mnist_entries()
+    now, best = entries[0]
+    arrivals, horizon = [[0.0], []], math.inf
+    if case == "arrival-inside":
+        arrivals[1] = [now + best * 0.37]
+    elif case == "arrival-at-delta":
+        ties = [_exactly_after(*entry) for entry in entries]
+        arrivals[1] = [next(t for t in ties if t is not None)]
+    else:
+        now, best = entries[-1]  # so that entries before it step
+        horizon = now + best * 0.37
+    reference = _snapshot(_lane(arrivals, horizon).run())
+    engine = MegaBatchEngine([_lane(arrivals, horizon)])
+    (result,) = engine.run()
+    assert _snapshot(result) == reference
+    assert engine.group_stats["entry_epochs"] > 0
+    if case != "horizon-inside":
+        assert reference["tenants"][1][2] == 1  # DLRM served its request
+
+
+def _general_epoch(node, monkeypatch):
+    """One general burst epoch from ``node``'s base work: a lane
+    promoted there with a copy of every slot's template work, no
+    arrivals and no horizon, whose hop is cold, so the burst exits after
+    that epoch with its results in place."""
+    from collections import deque
+    from types import SimpleNamespace
+
+    from repro.sim.stats import SimStats
+
+    tenants = [
+        SimpleNamespace(
+            pending_arrivals=deque(), queued_requests=deque(),
+            closed_loop=closed,
+        )
+        for closed in node.scope.closed
+    ]
+    sim = SimpleNamespace(
+        stats=SimStats(1, 1, record_assignment=False, record_ops=False),
+        tenants=tenants, horizon=math.inf, max_epochs=10, now=0.0,
+    )
+    lane = mb._Lane(sim, node.scope)
+    lane.node = node
+    lane.rem_me = [tpl[3] for tpl in node.slot_templates]
+    lane.rem_ve = [tpl[4] for tpl in node.slot_templates]
+    exits = []
+    monkeypatch.setattr(node, "hops", {})
+    monkeypatch.setattr(mb._ChainNode, "transition", lambda *args: None)
+    monkeypatch.setattr(
+        mb, "_fallback_complete", lambda lane, mask: exits.append(mask)
+    )
+    mb._burst(lane)
+    monkeypatch.undo()
+    (mask,) = exits
+    return sim, lane, mask
+
+
+def test_every_stored_entry_is_one_general_epoch(monkeypatch):
+    """For every node a serve_session-like run caches, the stored entry
+    equals the general burst epoch stepped from the node's base work:
+    its delta, winners, work left and busy products, bit for bit."""
+    from repro.api import run_scenario
+
+    monkeypatch.setattr(mb, "_CHAIN_SCOPES", {})
+    run_scenario(_one_tenant_per_host_scenario())
+    nodes = [
+        node
+        for scope in mb._CHAIN_SCOPES.values()
+        for node in scope.nodes.values()
+        if node is not None and node.entry is not None
+    ]
+    assert len(nodes) > 10
+    with monkeypatch.context() as patch:
+        for node in nodes:
+            best, delta, mask, me_after, ve_after, me_acc, ve_acc = node.entry
+            sim, lane, general_mask = _general_epoch(node, patch)
+            assert sim.now == delta == max(best, MIN_DELTA)
+            assert general_mask == mask
+            assert lane.rem_me == me_after and lane.rem_ve == ve_after
+            stats = sim.stats
+            assert dict(stats.me_busy_per_tenant) == dict(me_acc)
+            assert dict(stats.ve_busy_per_tenant) == dict(ve_acc)
+            assert stats.total_cycles == delta

@@ -129,6 +129,36 @@ def test_failed_restore_leaves_the_live_run_untouched():
     assert controller.metrics() == before
 
 
+def test_metrics_compute_the_scenario_digest_once(monkeypatch):
+    """The scenario never changes, so the controller hashes it once, and
+    each ``metrics()`` dict is byte for byte the one built with the
+    digest computed per call."""
+    import json
+
+    from repro.api.runner import _cluster_run_result
+
+    scenario = _scenario()
+    real = Scenario.digest
+    calls = []
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Scenario, "digest", spy)
+    controller = ServeController(scenario)
+    assert len(calls) == 1
+    for _ in range(3):
+        controller.advance(segments=1)
+        served = json.dumps(controller.metrics(), sort_keys=True)
+        assert len(calls) == 1
+        rebuilt = _cluster_run_result(
+            scenario, controller._cfg, controller.sim.result()
+        ).to_dict()
+        del calls[1:]  # the rebuild's own digest
+        assert served == json.dumps(rebuilt, sort_keys=True)
+
+
 def test_tick_respects_pause_and_done():
     controller = ServeController(_scenario())
     assert controller.tick() in (True, False)

@@ -164,6 +164,51 @@ def test_host_segment_failure_surfaces_as_itself_after_one_call(monkeypatch):
     assert len(calls) == 1
 
 
+def test_failed_host_step_leaves_no_half_stepped_run(monkeypatch):
+    """A host step that raises after its boundary applied has advanced
+    the run and admitted its tenants, but simulated nothing.  Going on
+    from there would drop that segment's requests without a word, so
+    every later step, score and checkpoint refuses, naming the segment;
+    a restore from an earlier checkpoint recovers the run exactly."""
+    events = [
+        ChurnEvent(0.0, "arrive", "a", spec=MNIST),
+        ChurnEvent(0.0005, "arrive", "b", spec=MNIST),
+    ]
+    cfg = ClusterTrafficConfig(load=0.5, end_s=0.001, seed=1)
+    clean = ClusterSimulation(events, cfg)
+    checkpoint = clean.snapshot()
+    reference = clean.run()
+    assert reference.segments == 2
+
+    real = cluster_sim.run_simulators
+    calls = []
+
+    def fail_once(sims):
+        calls.append(sims)
+        if len(calls) == 1:
+            raise SimulationError("host segment diverged")
+        return real(sims)
+
+    monkeypatch.setattr(cluster_sim, "run_simulators", fail_once)
+    sim = ClusterSimulation(events, cfg)
+    with pytest.raises(SimulationError, match="host segment diverged"):
+        sim.step_segment()
+    for call in (
+        sim.step_segment,
+        lambda: sim.advance(cfg.end_s),
+        sim.run,
+        sim.result,
+        sim.snapshot,
+    ):
+        with pytest.raises(SimulationError, match="segment 0 failed"):
+            call()
+    assert len(calls) == 1 and sim.failed_segment == 0
+
+    restored = ClusterSimulation.restore(checkpoint, events, cfg).run()
+    assert restored.segments == reference.segments
+    assert restored.reports == reference.reports
+
+
 def test_churn_script_validation():
     with pytest.raises(ConfigError):
         ChurnEvent(-1.0, "arrive", "a", spec=MNIST)
