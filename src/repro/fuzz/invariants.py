@@ -251,7 +251,7 @@ def check_megabatch(
     """REPRO_SIM_MEGABATCH=0 and =1 agree bit for bit.
 
     Cluster scenarios exercise the toggle through a plain run, whose
-    segments co-step their busy hosts as lanes of one batch.  Other
+    segments run their busy hosts as lanes of one batch.  Other
     kinds go through a 2-point single-worker sweep, and each swept
     point must also equal a plain ``run_scenario`` of its variant;
     every sweep point is its own batch of one, so this checks the

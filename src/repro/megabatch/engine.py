@@ -24,23 +24,22 @@ that sit on a node through plain remaining-work arrays:
   steps next (its *entry epoch*), and the lane adds only what depends
   on it: its clock, its stats and its arrival and horizon checks.
 
-Lanes step in rounds, in input order.  A round gives each lane one
-scalar-engine epoch; when that epoch's plan came out of the decision
-memo, the lane is *promoted* onto the plan's node and bursts there in
-one frame (:func:`_burst`), epoch after epoch and hop after hop, until
-it finishes, reaches its horizon or leaves array mode.  So no lane is
-in array mode when a round starts.  The burst keeps the lane's node,
-remaining work, clock, epoch counters and stats accumulators in
-locals and writes them back before every call that reads them --
-result build, materialisation, the scalar frame's completion retire,
-the livelock and deadlock raises -- all of which happen at its exits.
+Each lane steps in one ``Simulator.run()`` frame, lane after lane in
+input order.  Whenever an epoch's plan comes out of the decision memo,
+the frame offers it to the lane's promotion hook (:meth:`_Lane.promote`),
+which binds the lane to the plan's node and bursts it there
+(:func:`_burst`), epoch after epoch and hop after hop, until it
+finishes, reaches its horizon or leaves array mode.  The burst keeps
+the lane's node, remaining work, clock, epoch counters and stats
+accumulators in locals and writes them back when it exits.
 
 Anything the chain representation does not model -- preemptions,
 reclaim timers, a cold memo for a successor -- *materialises* the lane
-back into ordinary unit objects and falls back to the scalar engine's
-own epoch frame (``Simulator._step_epochs``); a simulator that can
-never bind to a node (op recording, the reference path, a scheduler
-without a memo context) runs through ``Simulator.run()`` instead.
+back into ordinary unit objects, and the hook hands the frame the units
+it retires next, so the frame steps on where the burst stopped; a
+simulator that can never bind to a node (op recording, the reference
+path, a scheduler without a memo context) runs through
+``Simulator.run()`` without a hook.
 Every float operation on the array path replicates the scalar
 expression grouping (``rate * delta``, ``remaining - progress``,
 ``(progress * ve_rate) * granted``) and the scalar accumulation order,
@@ -49,17 +48,15 @@ so results are bit-identical, not approximately equal.
 
 from __future__ import annotations
 
-import gc
 import math
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import SimulationError
 from repro.sim.engine import EPS, MIN_DELTA, Request, Simulator, SimResult
 from repro.sim.scheduler_base import ExecUnit, UnitState
 
 #: Differential toggle: with REPRO_SIM_MEGABATCH=0, :func:`run_simulators`
-#: steps its lanes one by one through ``Simulator.run()``.
+#: runs every simulator through ``Simulator.run()`` without a hook.
 MEGABATCH_ENV = "REPRO_SIM_MEGABATCH"
 
 #: Safety valves for the process-wide chain caches.
@@ -73,7 +70,7 @@ _STATE_CODE = {_READY: 0, _RUNNING: 1, _DONE: 2}
 
 
 def megabatch_default() -> bool:
-    """Whether :func:`run_simulators` co-steps its lanes (default: yes)."""
+    """Whether :func:`run_simulators` steps chain lanes (default: yes)."""
     return os.environ.get(MEGABATCH_ENV, "1").lower() not in ("0", "false", "off")
 
 
@@ -541,14 +538,13 @@ class _ChainNode:
 # Lanes
 # ----------------------------------------------------------------------
 class _Lane:
-    """One simulator threaded through the batch loop.  While the lane
-    bursts, its node, remaining-work lists and counters live in the
-    burst frame's locals; these fields hold them between bursts."""
+    """One chainable simulator and its promotion hook.  While the lane
+    bursts, its node and remaining-work lists live in the burst frame's
+    locals; these fields hold them at its exits."""
 
     __slots__ = (
-        "sim", "scope", "node", "rem_me", "rem_ve", "epochs",
-        "check_finish", "done", "result", "array_epochs", "entry_epochs",
-        "object_epochs",
+        "sim", "scope", "node", "rem_me", "rem_ve", "array_epochs",
+        "entry_epochs",
     )
 
     def __init__(self, sim: Simulator, scope: _ChainScope) -> None:
@@ -557,32 +553,37 @@ class _Lane:
         self.node: Optional[_ChainNode] = None
         self.rem_me: List[float] = []
         self.rem_ve: List[float] = []
-        self.epochs = 0
-        self.check_finish = True
-        self.done = False
-        self.result: Optional[SimResult] = None
         self.array_epochs = 0
         self.entry_epochs = 0
-        self.object_epochs = 0
 
-    def finish(self) -> None:
-        # No materialisation needed: stats and request bookkeeping are
-        # maintained on the real objects in both modes.
-        self.result = self.sim._build_result()
-        self.done = True
-
-    def promote(self, plan_key: Tuple, units: List[ExecUnit]) -> bool:
+    def promote(
+        self, plan_key: Tuple, units: List[ExecUnit]
+    ) -> Optional[List[ExecUnit]]:
         """The scalar frame's promotion hook: bind the lane to the chain
-        node of this memoised plan and burst it there, or return False
-        when the state has no node, so the frame steps the epoch."""
+        node of this memoised plan and burst it there.  Returns None
+        when the state has no node, so the frame steps the epoch;
+        otherwise the units the frame retires next: the winners of the
+        last epoch after a cold successor, none after a finish, an
+        arrival-start materialise or the livelock bound (where the
+        frame's own guard raises)."""
         node = self.scope.node(plan_key, _cursors_of(self.sim))
         if node is None or len(units) != node.n_slots:
-            return False
+            return None
         self.node = node
         self.rem_me = [u.remaining_me for u in units]
         self.rem_ve = [u.remaining_ve for u in units]
-        _burst(self)
-        return True
+        stop, mask = _burst(self)
+        if stop == "finish":
+            # Stats and request bookkeeping live on the real objects in
+            # both modes, so the frame's stop check and result build
+            # need no unit objects.
+            return []
+        units = _materialize(self)
+        if stop == "deadlock":
+            self.sim._raise_deadlock()
+        if stop == "cold":
+            return [unit for slot, unit in enumerate(units) if mask >> slot & 1]
+        return []
 
 
 def _chain_scope(sim: Simulator) -> Optional[_ChainScope]:
@@ -594,9 +595,9 @@ def _chain_scope(sim: Simulator) -> Optional[_ChainScope]:
     PMT and V10 have no memo context.  Their memo keys carry a policy
     token that only the run's own scheduler can compute, and most of
     their plans force a re-decision whose time comes from that
-    scheduler, which :meth:`_ChainNode.build` refuses; so their lanes
-    run through ``Simulator.run()``, memo and all.  Neu10-temporal
-    does not fingerprint at all."""
+    scheduler, which :meth:`_ChainNode.build` refuses; so they run
+    through ``Simulator.run()`` without a hook, memo and all.
+    Neu10-temporal does not fingerprint at all."""
     stats = sim.stats
     if (
         sim.fast_path
@@ -619,17 +620,16 @@ def _cursors_of(sim: Simulator) -> Tuple:
 # The batch engine
 # ----------------------------------------------------------------------
 class MegaBatchEngine:
-    """Co-step a batch of independent simulators to completion.
+    """Run a batch of independent simulators to completion.
 
     ``run()`` returns one :class:`SimResult` per input simulator, in
     input order, each bit-identical to what ``sim.run()`` would have
-    produced.  A simulator that can never bind to a chain node (see
-    :func:`_chain_scope`) runs alone through ``sim.run()`` before the
-    loop starts, because stepping it one epoch per round is slower.
-    The rest co-step in rounds and leave the batch as they finish; a
-    lane whose current state the chain representation cannot express
-    steps through the scalar engine's own epoch frame -- correctness
-    never depends on a lane being accelerated.
+    produced.  Each simulator steps in its own ``Simulator.run()``
+    frame, one after another: a chainable one with its lane's
+    promotion hook, one that can never bind to a chain node (see
+    :func:`_chain_scope`) without.  A lane whose current state the
+    chain representation cannot express steps on unit objects in that
+    frame -- correctness never depends on a lane being accelerated.
     """
 
     def __init__(self, sims: Sequence[Simulator]) -> None:
@@ -637,7 +637,7 @@ class MegaBatchEngine:
         self.group_stats: Dict[str, int] = {}
 
     def run(self) -> List[SimResult]:
-        results: List[Optional[SimResult]] = []
+        results: List[SimResult] = []
         lanes: List[_Lane] = []
         for sim in self.sims:
             scope = _chain_scope(sim)
@@ -646,89 +646,39 @@ class MegaBatchEngine:
             else:
                 lane = _Lane(sim, scope)
                 lanes.append(lane)
-                results.append(None)
-                sim.start()
-        active = list(lanes)
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            while active:
-                active = self._round(active)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+                results.append(sim.run(lane.promote))
         self.group_stats = {
             "lanes": len(self.sims),
             "array_epochs": sum(l.array_epochs for l in lanes),
             "entry_epochs": sum(l.entry_epochs for l in lanes),
-            "object_epochs": sum(l.object_epochs for l in lanes),
+            "object_epochs": sum(l.sim.epochs - l.array_epochs for l in lanes),
         }
-        chained = iter(lanes)
-        return [r if r is not None else next(chained).result for r in results]
-
-    # ------------------------------------------------------------------
-    def _round(self, active: List[_Lane]) -> List[_Lane]:
-        """Advance every active lane, in input order, by one object-mode
-        epoch -- and, when that epoch promotes the lane onto a chain
-        node, by the whole burst that follows -- so no lane is in array
-        mode between rounds."""
-        for lane in active:
-            if self._check(lane):
-                self._object_epoch(lane)
-        return [lane for lane in active if not lane.done]
-
-    def _check(self, lane: _Lane) -> bool:
-        """Pre-epoch stop check, mirroring Simulator.run's loop
-        condition.  Returns False (and finishes the lane) when the lane
-        is done; the per-epoch livelock guard lives in the steppers."""
-        sim = lane.sim
-        if lane.check_finish and sim._finished():
-            lane.finish()
-            return False
-        lane.check_finish = False
-        if sim.now >= sim.horizon:
-            lane.finish()
-            return False
-        return True
-
-    def _object_epoch(self, lane: _Lane) -> None:
-        """One epoch through the scalar engine's frame, which promotes
-        the lane onto a chain node -- and bursts it there -- whenever
-        the plan has a memo key (see :meth:`_Lane.promote`)."""
-        sim = lane.sim
-        lane.epochs += 1
-        if lane.epochs > sim.max_epochs:
-            raise SimulationError(
-                f"exceeded {sim.max_epochs} epochs at cycle "
-                f"{sim.now:.0f}; likely a scheduling livelock"
-            )
-        lane.check_finish = True
-        if not sim._step_epochs(1, lane.promote):
-            lane.object_epochs += 1
+        return results
 
 
 # ----------------------------------------------------------------------
 # Array mode: one burst frame per promotion
 # ----------------------------------------------------------------------
-def _burst(lane: _Lane) -> None:
+def _burst(lane: _Lane) -> Tuple[str, int]:
     """Step a lane that was just promoted onto a chain node, epoch after
     epoch and hop after hop, until it finishes, reaches the horizon, or
-    leaves array mode.  The promoting object-mode epoch has already
-    counted and vetted the first epoch.
+    leaves array mode; return the exit and the last epoch's winner mask.
+    The scalar frame has already counted and vetted the first epoch.
 
     Fully fused -- delta scan, work advance, accounting, completion
     transition, and arrival admission in one frame -- because this is
     the per-epoch cost everything else amortises down to.  The lane's
     node, remaining-work lists, clock, epoch counters and the three
-    ``SimStats`` accumulators live in locals.  Every exit -- finish,
-    horizon, cold-successor fallback, arrival-start materialise,
-    livelock and deadlock -- breaks out of the loop to one write-back,
-    which runs before the exit's call out.  The calls inside the loop
-    read only node structure and the tenants' request bookkeeping
-    (``Simulator._finished``, transition building, request ids), and
-    the burst updates that bookkeeping and the per-tenant stats dicts
-    in place.  Every float expression replicates the scalar engine's
+    ``SimStats`` accumulators live in locals.  Every exit -- ``finish``
+    (every tenant done or the horizon reached), ``cold`` (the successor
+    of the mask's winners is not in the memo yet), ``materialize`` (an
+    arrival-start successor is not), ``livelock`` (``max_epochs``
+    stepped, and the next epoch due) and ``deadlock`` -- breaks out of
+    the loop to one write-back, after which :meth:`_Lane.promote` acts
+    on it.  The calls inside the loop read only node structure and the
+    tenants' request bookkeeping (``Simulator._finished``, transition
+    building, request ids), and the burst updates that bookkeeping and
+    the per-tenant stats dicts in place.  Every float expression replicates the scalar engine's
     grouping and accumulation order exactly (see the delta scan and the
     advance in ``Simulator._step_epochs``, and ``on_unit_done``), so
     results are bit-identical.
@@ -755,13 +705,14 @@ def _burst(lane: _Lane) -> None:
     rem_me = lane.rem_me
     rem_ve = lane.rem_ve
     now = sim.now
-    epochs = lane.epochs
+    epochs = sim.epochs
     array_epochs = lane.array_epochs
     entry_epochs = lane.entry_epochs
     total_cycles = stats.total_cycles
     me_integral = stats.me_busy_integral
     ve_integral = stats.ve_busy_integral
     check_finish = False
+    mask = 0
     # (position, tenant) pairs that still hold undelivered arrivals, and
     # their deques.  Deques only drain, and only through the admission
     # below, which reloads both lists when one runs dry: every watched
@@ -973,47 +924,22 @@ def _burst(lane: _Lane) -> None:
         if now >= horizon:
             stop = "finish"
             break
-        epochs += 1
-        if epochs > max_epochs:
+        if epochs >= max_epochs:
             stop = "livelock"
             break
+        epochs += 1
 
     lane.node = node
     lane.rem_me = rem_me
     lane.rem_ve = rem_ve
-    lane.epochs = epochs
     lane.array_epochs = array_epochs
     lane.entry_epochs = entry_epochs
     sim.now = now
+    sim.epochs = epochs
     stats.total_cycles = total_cycles
     stats.me_busy_integral = me_integral
     stats.ve_busy_integral = ve_integral
-    if stop == "finish":
-        lane.finish()
-    elif stop == "cold":
-        _fallback_complete(lane, mask)
-    elif stop == "materialize":
-        _materialize(lane)
-    elif stop == "livelock":
-        _materialize(lane)
-        raise SimulationError(
-            f"exceeded {max_epochs} epochs at cycle "
-            f"{now:.0f}; likely a scheduling livelock"
-        )
-    else:
-        _materialize(lane)
-        sim._raise_deadlock()
-
-
-def _fallback_complete(lane: _Lane, mask: int) -> None:
-    """Unknown transition (cold memo for the successor): rebuild unit
-    objects and retire the winners through the scalar frame, whose next
-    epochs also repopulate the memo for the next time this transition
-    occurs."""
-    units = _materialize(lane)
-    lane.sim._step_epochs(
-        0, retire=[unit for slot, unit in enumerate(units) if mask >> slot & 1]
-    )
+    return stop, mask
 
 
 def _materialize(lane: _Lane) -> List[ExecUnit]:
@@ -1062,10 +988,6 @@ def _materialize(lane: _Lane) -> List[ExecUnit]:
             tenant.op_cursor = 0
             tenant.group_cursor = 0
         tenant._units_mutated = True
-    lane.node = None
-    lane.rem_me = []
-    lane.rem_ve = []
-    lane.check_finish = True
     return units
 
 
@@ -1077,9 +999,11 @@ def run_simulators(sims: Sequence[Simulator]) -> List[SimResult]:
 
     Every library call site steps its simulators here; a single run is
     a batch of one.  The batch goes through one
-    :class:`MegaBatchEngine`, or, under ``REPRO_SIM_MEGABATCH=0``, each
-    simulator steps alone through ``Simulator.run()``.  Results come
-    back in input order and are bit-identical either way."""
+    :class:`MegaBatchEngine`, which steps each chainable simulator with
+    its lane's promotion hook, or, under ``REPRO_SIM_MEGABATCH=0``,
+    each simulator steps through ``Simulator.run()`` without one.
+    Results come back in input order and are bit-identical either
+    way."""
     if megabatch_default():
         return MegaBatchEngine(sims).run()
     return [sim.run() for sim in sims]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import threading
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -151,13 +152,21 @@ class ServeServer(ThreadingHTTPServer):
 
     # ------------------------------------------------------------------
     def start_ticker(self) -> None:
-        """Start the auto-tick thread (no-op without a cadence)."""
+        """Start the auto-tick thread (no-op without a cadence).
+
+        A tick that raises pauses the session and prints the traceback
+        on stderr; the thread lives on, so ``POST /restore`` of an
+        earlier snapshot and ``POST /start`` resume ticking."""
         if self._tick_s is None or self._ticker is not None:
             return
 
         def _run() -> None:
             while not self._stop.wait(self._tick_s):
-                self.controller.tick()
+                try:
+                    self.controller.tick()
+                except Exception:
+                    traceback.print_exc()
+                    self.controller.pause()
 
         self._ticker = threading.Thread(
             target=_run, name="repro-serve-tick", daemon=True

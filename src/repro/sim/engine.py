@@ -413,6 +413,13 @@ def _graph_unit_templates(
 #: replay asks :meth:`SchedulerBase.forced_decision_at` for it).
 PlanEntry = Tuple
 
+#: A promotion hook, ``promote(plan_key, units)``, as the mega-batch
+#: engine's chain lanes pass to :meth:`Simulator.run`.  It returns None
+#: when it does not take the epoch, which the frame then steps itself;
+#: otherwise it has stepped the run from that epoch on, written back
+#: ``now`` and ``epochs``, and returns the units the frame retires next.
+Promote = Callable[[Hashable, List[ExecUnit]], Optional[List[ExecUnit]]]
+
 
 def _aggregate_rate_dicts(
     units: List[ExecUnit],
@@ -592,17 +599,6 @@ class Simulator:
         self._memo_ctx = ctx if memo_ctx is not None else None
         #: Epochs stepped so far (the livelock guard's count).
         self.epochs = 0
-        # Epoch-frame state carried between calls of _step_epochs: the
-        # current plan ``(entry, units, next_at)``, its memo key (None
-        # when it was neither replayed from nor stored into the memo),
-        # whether a discrete event happened since it was selected, and
-        # whether it may be reused verbatim while none does.
-        self._plan: Tuple[
-            Optional[PlanEntry], List[ExecUnit], Optional[float]
-        ] = (None, [], None)
-        self._plan_key = None
-        self._dirty = True
-        self._reusable = False
         #: Cached creation-rank permutation of the fingerprint's units
         #: (see unit_state_fingerprint); None once a tenant replaced its
         #: active units.
@@ -623,16 +619,16 @@ class Simulator:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Bootstrap every tenant's request stream (idempotent prefix of
-        :meth:`run`; the mega-batch engine calls it separately so it can
-        own the epoch loop)."""
+    def run(self, promote: Optional[Promote] = None) -> SimResult:
+        """Bootstrap every tenant's request stream and step the whole run
+        in one epoch frame (:meth:`_step_epochs`).
+
+        ``promote`` is the mega-batch engine's promotion hook, offered
+        to the frame (see :meth:`_step_epochs`); without it every epoch
+        steps on unit objects."""
         for tenant in self.tenants:
             tenant.bootstrap(self.now)
             tenant.start_pending_work(self.now, self.stats)
-
-    def run(self) -> SimResult:
-        self.start()
         # The epoch loop allocates heavily but acyclically (tuples,
         # pair lists, pooled units); pausing the cycle collector keeps
         # its periodic scans out of the hot loop.
@@ -640,7 +636,7 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            self._step_epochs()
+            self._step_epochs(promote)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -661,23 +657,12 @@ class Simulator:
                 return False
         return True
 
-    def _step_epochs(
-        self,
-        limit: Optional[int] = None,
-        promote: Optional[Callable[[Hashable, List[ExecUnit]], bool]] = None,
-        retire: Sequence[ExecUnit] = (),
-    ) -> bool:
-        """Step epochs in one frame; every epoch of every run goes here.
+    def _step_epochs(self, promote: Optional[Promote]) -> None:
+        """Step every epoch of the run in one frame.
 
-        Without ``limit`` this is the whole run: it stops when every
-        tenant is done or the clock reaches the horizon, and raises once
-        ``max_epochs`` epochs have not sufficed (a livelock).  With
-        ``limit`` it steps exactly that many epochs and leaves the stop
-        check and the livelock count to the caller -- the mega-batch
-        engine, whose object epochs step one and whose cold-transition
-        fallback steps none after retiring the units in ``retire``.
-
-        Each epoch runs, in order:
+        The frame stops when every tenant is done or the clock reaches
+        the horizon, and raises once ``max_epochs`` epochs have not
+        sufficed (a livelock).  Each epoch runs, in order:
 
         1. the stop check and the livelock guard;
         2. reclaim expiry, arrivals and pending work;
@@ -696,18 +681,18 @@ class Simulator:
            forced re-decision, arrival or the horizon;
         5. the advance of every unit's remaining work, plus accounting;
         6. completion retire: units driven to zero become DONE and their
-           tenants advance (retire runs at the top of the loop, so the
-           units handed in as ``retire`` retire before any epoch).
+           tenants advance (retire runs at the top of the loop).
 
         A plan is a memo entry applied to the units in fingerprint order
         (see :data:`PlanEntry`).  The clock, the epoch count, the stats
         maps and the scheduler's bound methods live in locals;
-        ``self.now`` is written after every advance and the carried plan
-        state before every return and every call of ``promote``.
+        ``self.now`` is written after every advance and ``self.epochs``
+        before every call of ``promote`` and at the end.
         ``promote(plan_key, units)`` is offered each epoch whose plan has
-        a memo key, preempted nothing and runs without reclaim timers;
-        when it returns True it has stepped that epoch itself, and the
-        frame returns True at once.
+        a memo key, preempted nothing and runs without reclaim timers
+        (see :data:`Promote`).  When it takes the epoch, the frame
+        reloads the clock and the epoch count, retires the units it
+        returns, and re-checks and re-plans before the next epoch.
         """
         tenants = self.tenants
         stats = self.stats
@@ -727,12 +712,13 @@ class Simulator:
         done = UnitState.DONE
         now = self.now
         epochs = self.epochs
-        last = None if limit is None else epochs + limit
-        entry, units, next_at = self._plan
-        plan_key = self._plan_key
-        dirty = self._dirty
-        reusable = self._reusable
-        finished = list(retire)
+        # Plan state: the plan ``(entry, units, next_at)``, its memo key
+        # (None when it was neither replayed from nor stored into the
+        # memo), whether a discrete event happened since it was selected,
+        # and whether it may be reused verbatim while none does.  The
+        # first epoch plans, since ``dirty`` starts set.
+        dirty = True
+        finished: List[ExecUnit] = []
         win = finished.append
         check = True
         while True:
@@ -758,24 +744,21 @@ class Simulator:
                         if tenant.on_unit_done(now, stats, self):
                             check = True
                 dirty = True
-            if epochs == last:
-                break
 
             # -- 1. stop check and livelock guard ------------------------
             # Only a request completion can finish a tenant, so the
             # tenants are re-checked after completions alone.
-            if last is None:
-                if check:
-                    if self._finished():
-                        break
-                    check = False
-                if now >= horizon:
+            if check:
+                if self._finished():
                     break
-                if epochs >= max_epochs:
-                    raise SimulationError(
-                        f"exceeded {max_epochs} epochs at cycle "
-                        f"{now:.0f}; likely a scheduling livelock"
-                    )
+                check = False
+            if now >= horizon:
+                break
+            if epochs >= max_epochs:
+                raise SimulationError(
+                    f"exceeded {max_epochs} epochs at cycle "
+                    f"{now:.0f}; likely a scheduling livelock"
+                )
             epochs += 1
 
             # -- 2. reclaim expiry, arrivals and pending work ------------
@@ -843,12 +826,13 @@ class Simulator:
                 and not reclaims
             ):
                 self.epochs = epochs
-                self._plan = (entry, units, next_at)
-                self._plan_key = plan_key
-                self._dirty = dirty
-                self._reusable = reusable
-                if promote(plan_key, units):
-                    return True
+                retired = promote(plan_key, units)
+                if retired is not None:
+                    finished.extend(retired)
+                    now = self.now
+                    epochs = self.epochs
+                    check = dirty = True
+                    continue
             # A preemption epoch leaves fresh reclaim timers behind: the
             # next decision must see them, so it is never reused.
             dirty = had_preempt
@@ -948,11 +932,6 @@ class Simulator:
             self.now = now
 
         self.epochs = epochs
-        self._plan = (entry, units, next_at)
-        self._plan_key = plan_key
-        self._dirty = dirty
-        self._reusable = reusable
-        return False
 
     def _decide(
         self, fp: Optional[Tuple[Hashable, List[ExecUnit]]]

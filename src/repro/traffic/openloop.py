@@ -170,7 +170,7 @@ class PreparedOpenLoop:
     structural (calibration, arrival streams, tenant construction) so
     the simulator can be stepped through
     :func:`repro.megabatch.run_simulators` -- as a batch of one, or
-    co-stepped with other windows -- and scored afterwards with
+    batched with other windows -- and scored afterwards with
     :func:`finalize_open_loop`.  Results are identical either way.
     """
 

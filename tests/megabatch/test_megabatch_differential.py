@@ -3,7 +3,7 @@ stepping each simulator alone.
 
 Every test builds the *same* simulator configurations twice -- once run
 individually through ``Simulator.run()`` (itself already differentially
-tested against ``fast_path=False``) and once co-stepped through
+tested against ``fast_path=False``) and once run through
 ``MegaBatchEngine`` -- and compares every observable exactly: stats
 integrals, counters, per-request latencies, queueing delays, op
 records.  No tolerance anywhere: the batch engine only replays memoised
@@ -12,13 +12,15 @@ epochs the scalar engine planned, so any drift is a bug.
 The engine must be order-insensitive (a lane's result does not
 depend on its position or its neighbours), size-insensitive (a batch
 of one, a batch that is mostly one scheme plus a straggler, a 64-lane
-batch), and mix-insensitive (open-loop and closed-loop lanes
-co-stepped in one batch).
+batch), and mix-insensitive (open-loop and closed-loop lanes of
+several schemes in one batch).
 
 ``run_simulators`` is the driver of every library simulation, so the
 routing tests below pin who steps what: a lone chainable simulation
-enters the chain path, and lanes that can never bind to a chain node
-run through ``Simulator.run()``, never through the engine's loop.
+enters the chain path, lanes that can never bind to a chain node run
+through ``Simulator.run()`` without a promotion hook, and every
+simulation steps in exactly one epoch frame, however often its lane
+leaves array mode.
 
 Disabling a node's entry epoch (the precomputed epoch after a hop that
 carries nothing) keeps every output the same, so the entry tests pin it
@@ -209,7 +211,7 @@ def test_large_batch_bit_identical():
 
 
 def test_mixed_schemes_and_kinds_in_one_batch():
-    """Open- and closed-loop lanes of different schemes co-stepped."""
+    """Open- and closed-loop lanes of different schemes in one batch."""
     specs = [
         ("neu10", "open", 1, False),
         ("v10", "closed", 33, False),
@@ -272,8 +274,11 @@ def _scalar_epochs(scheme, kind):
 
 @pytest.mark.parametrize("scheme,kind", EPOCH_LANES)
 def test_group_stats_count_every_epoch_once(scheme, kind):
-    """For a batch of one, array plus object epochs is the scalar epoch
-    count: perfbench's ``megabatch.array_epoch_share`` divides by it."""
+    """For a batch of one, array plus object epochs is the epoch count
+    of a separately run scalar simulator: perfbench's
+    ``megabatch.array_epoch_share`` divides by it.  ``object_epochs`` is
+    the lane's own ``Simulator.epochs`` less its array epochs, so only
+    the separate run shows that a burst counts each epoch once."""
     epochs = _scalar_epochs(scheme, kind)
     engine = MegaBatchEngine([_make_sim(scheme, kind)])
     engine.run()
@@ -347,29 +352,24 @@ def _serving_scenario():
 # ----------------------------------------------------------------------
 @pytest.fixture
 def engine_spy(monkeypatch):
-    """Record every engine run, every ``Simulator.run()`` call and the
-    simulator of every object-mode epoch, with both toggles unset."""
+    """Record every engine run and every ``Simulator.run()`` call, with
+    a promotion hook (``chained``) or without (``scalar``), with both
+    toggles unset."""
     monkeypatch.delenv(MEGABATCH_ENV, raising=False)
     monkeypatch.delenv(FAST_PATH_ENV, raising=False)
-    seen = {"engines": [], "scalar": [], "object_epoch_sims": set()}
+    seen = {"engines": [], "scalar": [], "chained": []}
     engine_run = MegaBatchEngine.run
-    object_epoch = MegaBatchEngine._object_epoch
     sim_run = Simulator.run
 
     def spy_engine_run(self):
         seen["engines"].append(self)
         return engine_run(self)
 
-    def spy_object_epoch(self, lane):
-        seen["object_epoch_sims"].add(id(lane.sim))
-        return object_epoch(self, lane)
-
-    def spy_sim_run(self):
-        seen["scalar"].append(id(self))
-        return sim_run(self)
+    def spy_sim_run(self, promote=None):
+        seen["scalar" if promote is None else "chained"].append(id(self))
+        return sim_run(self, promote)
 
     monkeypatch.setattr(MegaBatchEngine, "run", spy_engine_run)
-    monkeypatch.setattr(MegaBatchEngine, "_object_epoch", spy_object_epoch)
     monkeypatch.setattr(Simulator, "run", spy_sim_run)
     return seen
 
@@ -410,16 +410,16 @@ def test_single_chainable_run_enters_the_chain_path(engine_spy, entry):
     steps it, and its steady-state epochs replay through chain nodes."""
     entry()
     assert engine_spy["scalar"] == []
+    assert engine_spy["chained"]
     assert engine_spy["engines"]
     assert max(e.group_stats["array_epochs"] for e in engine_spy["engines"]) > 0
 
 
 def test_unbindable_lanes_run_through_simulator_run(engine_spy):
     """Lanes that can never bind to a chain node -- op recording, the
-    reference path, a scheduler without a memo context -- run alone
-    through ``Simulator.run()`` and never take an object-mode epoch;
-    a chainable lane in the same batch still co-steps, and results
-    keep input order."""
+    reference path, a scheduler without a memo context -- run through
+    ``Simulator.run()`` without a promotion hook; a chainable lane in
+    the same batch still gets one, and results keep input order."""
     from repro.megabatch import run_simulators
 
     builders = [
@@ -435,10 +435,50 @@ def test_unbindable_lanes_run_through_simulator_run(engine_spy):
     results = run_simulators(sims)
     unbindable = [id(sim) for sim in sims[:3]]
     assert engine_spy["scalar"] == unbindable
-    assert not engine_spy["object_epoch_sims"] & set(unbindable)
+    assert engine_spy["chained"] == [id(sims[3])]
     assert engine_spy["engines"][0].group_stats["array_epochs"] > 0
     reference = [_snapshot(build().run()) for build in builders]
     assert [_snapshot(r) for r in results] == reference
+
+
+def test_each_simulation_enters_the_epoch_frame_once(monkeypatch):
+    """Under ``run_simulators`` every simulator steps in one epoch
+    frame: a lane that leaves array mode -- its successor cold in the
+    plan memo, or an arrival starting a request onto a cold state --
+    hands the frame the units to retire and the frame steps on, instead
+    of being re-entered per object epoch.  Cold memos make both exits
+    happen; the results are the lane-by-lane ones."""
+    import repro.sim.engine as engine_mod
+    from repro.megabatch import run_simulators
+
+    monkeypatch.setattr(engine_mod, "_PLAN_MEMOS", {})
+    monkeypatch.setattr(mb, "_CHAIN_SCOPES", {})
+    specs = [("neu10", "open", seed, False) for seed in (1, 2)]
+    specs += [("neu10", "closed", 33, False), ("neu10-nh", "open", 3, False)]
+    specs += [("pmt", "open", 4, False)]
+    frames = []
+    exits = []
+    step = Simulator._step_epochs
+    burst = mb._burst
+
+    def spy_step(self, *args, **kwargs):
+        frames.append(id(self))
+        return step(self, *args, **kwargs)
+
+    def spy_burst(lane):
+        out = burst(lane)
+        exits.append(out)
+        return out
+
+    monkeypatch.setattr(Simulator, "_step_epochs", spy_step)
+    monkeypatch.setattr(mb, "_burst", spy_burst)
+    sims = [_make_sim(*spec) for spec in specs]
+    results = run_simulators(sims)
+    assert frames == [id(sim) for sim in sims]
+    assert {"cold", "materialize"} <= {stop for stop, _mask in exits}
+    monkeypatch.setenv(MEGABATCH_ENV, "0")
+    reference = run_simulators([_make_sim(*spec) for spec in specs])
+    assert [_snapshot(r) for r in results] == [_snapshot(r) for r in reference]
 
 
 # ----------------------------------------------------------------------
@@ -633,7 +673,6 @@ def _entry_starts(sim):
     (each slot's template work): where a lane that hopped there with
     nothing carried steps the entry.  The run fills the plan memo, so a
     lane that repeats its history finds every transition warm."""
-    sim.start()
     scope = mb._scope_for(sim)
     starts = []
 
@@ -644,9 +683,9 @@ def _entry_starts(sim):
             for u, tpl in zip(units, node.slot_templates)
         ):
             starts.append((sim.now, node.entry))
-        return False  # the scalar frame steps every epoch itself
+        return None  # the scalar frame steps every epoch itself
 
-    sim._step_epochs(None, offer)
+    sim.run(offer)
     return starts
 
 
@@ -703,7 +742,7 @@ def _general_epoch(node, monkeypatch):
     """One general burst epoch from ``node``'s base work: a lane
     promoted there with a copy of every slot's template work, no
     arrivals and no horizon, whose hop is cold, so the burst exits after
-    that epoch with its results in place."""
+    that epoch with its results in place and returns its winners."""
     from collections import deque
     from types import SimpleNamespace
 
@@ -719,20 +758,17 @@ def _general_epoch(node, monkeypatch):
     sim = SimpleNamespace(
         stats=SimStats(1, 1, record_assignment=False, record_ops=False),
         tenants=tenants, horizon=math.inf, max_epochs=10, now=0.0,
+        epochs=1,
     )
     lane = mb._Lane(sim, node.scope)
     lane.node = node
     lane.rem_me = [tpl[3] for tpl in node.slot_templates]
     lane.rem_ve = [tpl[4] for tpl in node.slot_templates]
-    exits = []
     monkeypatch.setattr(node, "hops", {})
     monkeypatch.setattr(mb._ChainNode, "transition", lambda *args: None)
-    monkeypatch.setattr(
-        mb, "_fallback_complete", lambda lane, mask: exits.append(mask)
-    )
-    mb._burst(lane)
+    stop, mask = mb._burst(lane)
     monkeypatch.undo()
-    (mask,) = exits
+    assert stop == "cold" and sim.epochs == 1 and lane.array_epochs == 1
     return sim, lane, mask
 
 

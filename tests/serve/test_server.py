@@ -63,6 +63,18 @@ def _post(server, path, body=None):
         return json.load(resp)
 
 
+def _wait_for(srv, key, deadline_s=10.0):
+    """Poll ``/status`` until ``key`` reads true or the deadline passes;
+    return the last status."""
+    deadline = time.time() + deadline_s
+    while time.time() < deadline:
+        status = _get(srv, "/status")
+        if status[key]:
+            return status
+        time.sleep(0.02)
+    return _get(srv, "/status")
+
+
 def test_status_advance_metrics_round_trip(server):
     status = _get(server, "/status")
     assert status["scenario"] == "serve-http-under-test"
@@ -155,13 +167,47 @@ def test_auto_tick_starts_paused_then_runs():
         time.sleep(0.1)
         assert _get(srv, "/status")["segments_completed"] == 0  # paused
         _post(srv, "/start")
-        deadline = time.time() + 10
-        while time.time() < deadline:
-            if _get(srv, "/status")["done"]:
-                break
-            time.sleep(0.05)
-        assert _get(srv, "/status")["done"] is True
+        assert _wait_for(srv, "done")["done"] is True
     finally:
         srv.shutdown()
         srv.server_close()
         thread.join(timeout=5)
+
+
+def test_failing_tick_pauses_and_restore_resumes_ticking(monkeypatch):
+    """A segment that raises under the auto-tick pauses the session (the
+    tick thread lives on); restoring a snapshot taken before the failure
+    and starting again runs to the uninterrupted run's metrics."""
+    from repro.errors import SimulationError
+    from repro.traffic import cluster_sim
+
+    reference = run_scenario(_scenario()).to_dict()
+    real = cluster_sim.run_simulators
+    calls = []
+
+    def fails_once(sims):
+        calls.append(len(sims))
+        if len(calls) == 3:
+            raise SimulationError("injected host failure")
+        return real(sims)
+
+    srv = make_server(_scenario(), tick_s=0.01)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    srv.start_ticker()
+    try:
+        snapshot = _get(srv, "/snapshot")
+        monkeypatch.setattr(cluster_sim, "run_simulators", fails_once)
+        _post(srv, "/start")
+        status = _wait_for(srv, "paused")
+        assert status["paused"] is True and status["done"] is False
+        assert len(calls) == 3
+        _post(srv, "/restore", snapshot)
+        _post(srv, "/start")
+        assert _wait_for(srv, "done")["done"] is True
+        assert _get(srv, "/metrics") == reference
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()

@@ -383,23 +383,28 @@ def _guarded_sim(scheme, kind, record_ops):
 def test_unit_codes_and_rank_perm_hold_at_every_epoch(
     scheme, kind, record_ops, cold_memos
 ):
-    """Stepped one epoch per frame call, as the mega-batch engine's
-    object epochs are: after every epoch each live unit's code equals a
-    from-scratch packing, every fingerprint equals the from-scratch key,
-    and the run equals one ``Simulator.run()`` exactly."""
+    """At every epoch the frame offers a promotion hook -- where a
+    mega-batch lane binds to a chain node -- each live unit's code
+    equals a from-scratch packing and the cached rank permutation the
+    from-scratch one; every fingerprint equals the from-scratch key, and
+    a run whose hook declines every epoch equals a plain run exactly."""
     sim = _guarded_sim(scheme, kind, record_ops)
     fingerprints = _guard_fingerprints(sim)
-    sim.start()
-    _assert_unit_codes(sim)
-    while not sim._finished() and sim.now < sim.horizon:
-        sim._step_epochs(1)
+    offers = []
+
+    def offer(plan_key, units):
         _assert_unit_codes(sim)
         _assert_rank_cache(sim)
+        assert units == [u for t in sim.tenants for u in t.active_units]
+        offers.append(plan_key)
+        return None  # the frame steps the epoch itself
+
+    result = sim.run(offer)
     assert sim.epochs > 0
     if scheme != SCHEME_TEMPORAL:
-        assert fingerprints[0] > 0
+        assert fingerprints[0] > 0 and offers
     reference = _guarded_sim(scheme, kind, record_ops).run()
-    assert _stats_snapshot(sim._build_result()) == _stats_snapshot(reference)
+    assert _stats_snapshot(result) == _stats_snapshot(reference)
 
 
 def test_unit_codes_hold_through_preemptions(cold_memos):

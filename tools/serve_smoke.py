@@ -7,8 +7,9 @@ story through the real CLI, across a hard process death:
 1. an uninterrupted ``repro run --json`` (the reference);
 2. a ``repro serve`` server advanced part-way over HTTP, snapshotted,
    then SIGKILLed -- the snapshot JSON is all that survives;
-3. a *fresh* ``repro serve`` process that restores the snapshot over
-   HTTP and advances to completion.
+3. a *fresh* ``repro serve --tick 0.01`` process, which starts
+   paused, restores the snapshot over HTTP, takes ``POST /start`` and
+   finishes on its auto-tick thread while the tool polls ``/status``.
 
 The restored run's ``/metrics`` must be **bit-identical** to the
 reference.  Exit 0 on success, 1 with a diagnostic on any mismatch.
@@ -32,6 +33,9 @@ import urllib.request
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+
+#: Auto-tick cadence of the restoring server, seconds per segment.
+TICK_S = 0.01
 
 SCENARIO = {
     "name": "serve-smoke",
@@ -65,17 +69,20 @@ def _env() -> dict:
     return env
 
 
-def _start_server(scenario_file: Path, env: dict, restore_key=None):
+def _start_server(scenario_file: Path, env: dict, restore_key=None,
+                  tick_s=None):
     """Start ``repro serve``; return (proc, base_url, restore_key).
 
     ``restore_key`` lets a replacement server accept snapshots signed
     by a dead one; without it the server mints (and announces) a fresh
-    key.
+    key.  ``tick_s`` starts the auto-tick thread at that cadence.
     """
     command = [sys.executable, "-m", "repro.cli", "serve",
                str(scenario_file), "--port", "0"]
     if restore_key is not None:
         command += ["--restore-key", restore_key]
+    if tick_s is not None:
+        command += ["--tick", str(tick_s)]
     proc = subprocess.Popen(
         command,
         env=env, cwd=REPO, start_new_session=True,
@@ -152,20 +159,30 @@ def main(argv=None) -> int:
         _kill(proc)
     print(f"SIGKILLed the server at segment {snapshot['segment_index']}")
 
-    # 3. Fresh server sharing the dead one's restore key (the snapshot
-    # is signed with it), restore, finish, diff.
-    proc, base, _ = _start_server(scenario_file, env, restore_key)
+    # 3. Fresh ticking server sharing the dead one's restore key (the
+    # snapshot is signed with it): restore while paused, start, let the
+    # auto-tick finish, diff.
+    proc, base, _ = _start_server(scenario_file, env, restore_key,
+                                  tick_s=TICK_S)
     try:
         restored = _post(base, "/restore", snapshot)
         if restored["segments_completed"] != snapshot["segment_index"]:
             print("FAIL: restore did not land on the snapshot segment",
                   file=sys.stderr)
             return 1
-        _post(base, "/advance", {"until_s": SCENARIO["duration_s"]})
-        if not _get(base, "/status")["done"]:
-            print("FAIL: run not done after advancing to the horizon",
+        _post(base, "/start")
+        deadline = time.monotonic() + 600
+        status = _get(base, "/status")
+        while not status["done"] and not status["paused"]:
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+            status = _get(base, "/status")
+        if not status["done"]:
+            print(f"FAIL: the auto-tick did not finish the run: {status}",
                   file=sys.stderr)
             return 1
+        print(f"auto-tick finished segment {status['segments_completed']}")
         metrics = _get(base, "/metrics")
     finally:
         _kill(proc)
