@@ -47,15 +47,18 @@ so the benchmark measures exactly what users run.  Each record reports
 wall time (best of ``repeats`` runs, warm caches), the *simulated*
 duration, and headline ``*_per_wall_s`` rates in the mode's own unit:
 ``simulated_cycles_per_wall_s`` for the cycle-level modes,
-``steps_per_wall_s`` and ``tokens_per_wall_s`` for ``llm_kv``.  Results
-land in ``BENCH_serving.json`` next to this file so successive PRs
-leave a benchmark trajectory.
+``steps_per_wall_s`` and ``tokens_per_wall_s`` for ``llm_kv``.  A full
+run's results land in ``BENCH_serving.json`` next to this file, so
+successive changes leave a benchmark trajectory; a ``--quick`` smoke run
+writes its record only where ``--output`` says, and leaves the
+checked-in trajectory alone.
 
 Run:          python benchmarks/bench_serving.py
 CI smoke:     python benchmarks/bench_serving.py --quick --check-floor
               (fails if any scenario drops below a checked-in floor in
               BENCH_floor.json, i.e. a >30%-class regression; each floor
-              names the rate it bounds)
+              names the rate it bounds; add --output FILE to keep the
+              quick record)
 """
 
 from __future__ import annotations
@@ -714,13 +717,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--check-floor", action="store_true",
                         help="fail if any scenario regresses below "
                              "BENCH_floor.json")
-    parser.add_argument("--output", type=Path, default=RESULT_PATH)
+    parser.add_argument("--output", type=Path, default=None,
+                        help="write the record here (default: "
+                             "BENCH_serving.json next to this script for "
+                             "a full run, nowhere for --quick)")
     args = parser.parse_args(argv)
 
     record = run_suite(quick=args.quick, repeats=args.repeats)
-    args.output.write_text(json.dumps(record, indent=2) + "\n",
-                           encoding="utf-8")
-    print(f"wrote {args.output}")
+    output = args.output
+    if output is None and not args.quick:
+        output = RESULT_PATH
+    if output is not None:
+        output.write_text(json.dumps(record, indent=2) + "\n",
+                          encoding="utf-8")
+        print(f"wrote {output}")
 
     if args.check_floor:
         failures = check_floor(record)

@@ -74,3 +74,32 @@ def test_checked_in_floor_gates_mega_batch_on_its_speedup():
     floors = json.loads(FLOOR_PATH.read_text(encoding="utf-8"))["floors"]
     assert list(floors["mega_batch"]) == ["speedup_vs_per_point"]
     assert 1.0 < floors["mega_batch"]["speedup_vs_per_point"]
+
+
+def _stub_suite(quick=False, repeats=3):
+    return {"suite_version": 2, "quick": quick, "repeats": repeats,
+            "fast_path": True, "scenarios": {}}
+
+
+def test_quick_run_leaves_the_trajectory_alone(tmp_path, monkeypatch):
+    import bench_serving
+
+    result_path = tmp_path / "BENCH_serving.json"
+    monkeypatch.setattr(bench_serving, "RESULT_PATH", result_path)
+    monkeypatch.setattr(bench_serving, "run_suite", _stub_suite)
+    assert bench_serving.main(["--quick"]) == 0
+    assert not result_path.exists()
+    smoke = tmp_path / "smoke.json"
+    assert bench_serving.main(["--quick", "--output", str(smoke)]) == 0
+    assert json.loads(smoke.read_text(encoding="utf-8"))["quick"] is True
+    assert not result_path.exists()
+
+
+def test_full_run_writes_the_trajectory(tmp_path, monkeypatch):
+    import bench_serving
+
+    result_path = tmp_path / "BENCH_serving.json"
+    monkeypatch.setattr(bench_serving, "RESULT_PATH", result_path)
+    monkeypatch.setattr(bench_serving, "run_suite", _stub_suite)
+    assert bench_serving.main([]) == 0
+    assert json.loads(result_path.read_text(encoding="utf-8"))["quick"] is False

@@ -29,7 +29,15 @@ DEFAULT_QUANTUM = 50_000.0
 
 
 class PmtScheduler(SchedulerBase):
-    """Whole-core preemptive temporal sharing."""
+    """Whole-core preemptive temporal sharing.
+
+    The policy state is the current owner and its quantum end.  Every
+    epoch with work fingerprints, owner switches included: a switch's
+    key names the next owner, and :meth:`replay_policy` moves the state
+    on a memo hit as :meth:`decide` does on a fresh decision.  The key
+    is meaningful only against this run's service history, so the memo
+    stays private to the run (no :meth:`memo_context`).
+    """
 
     name = "pmt"
 
@@ -40,22 +48,37 @@ class PmtScheduler(SchedulerBase):
 
     # ------------------------------------------------------------------
     def state_fingerprint(self, sim: "Simulator"):
-        """Unit fingerprint plus the current owner, or None on a switch.
+        """Unit fingerprint plus the current owner, and on a switch the
+        next one.
 
-        An epoch that switches owner (no current owner, an idle one, or
-        an expired quantum with someone else waiting) reads the service
-        counters and moves ``_current`` and ``_quantum_end``, so it
-        decides fresh.  Every other epoch is a pure function of the unit
-        state and ``_current``; the quantum end only times the forced
-        re-decision, which :meth:`forced_decision_at` supplies.
+        An epoch that keeps its owner is a pure function of the unit
+        state and ``_current``, so its key is ``(unit key, current
+        owner)``; the quantum end only times the forced re-decision,
+        which :meth:`forced_decision_at` supplies.  An epoch that
+        switches owner (no current owner, an idle one, or an expired
+        quantum with someone else waiting) also moves ``_current`` and
+        ``_quantum_end``: its key is ``(unit key, current owner, next
+        owner)``, the next owner being the least-service pick
+        :meth:`decide` makes, and :meth:`replay_policy` performs the
+        move when the key replays.  An epoch with no work anywhere
+        returns None.
         """
         candidates = [t for t in sim.tenants if self._has_work(t)]
-        if not candidates or self._must_switch(
-            sim, candidates, self._tenant_by_id(sim, self._current)
-        ):
+        if not candidates:
             return None
         key, units = unit_state_fingerprint(sim)
+        current = self._tenant_by_id(sim, self._current)
+        if self._must_switch(sim, candidates, current):
+            nxt = self._pick_next(sim, candidates, current)
+            return (key, self._current, nxt.tenant_id), units
         return (key, self._current), units
+
+    def replay_policy(self, sim: "Simulator", key) -> None:
+        """On a replayed switch, hand the core to the key's next owner
+        for a fresh quantum, as :meth:`decide` does."""
+        if len(key) == 3:
+            self._current = key[2]
+            self._quantum_end = sim.now + self.quantum_cycles
 
     def forced_decision_at(self, sim: "Simulator") -> float:
         return self._quantum_end

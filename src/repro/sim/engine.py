@@ -671,12 +671,14 @@ class Simulator:
            fingerprinted and which forced no re-decision, so its plan
            holds verbatim.  *Memo replay*: a structurally identical
            state was planned before, so its entry is re-applied without
-           the scheduler or the HBM waterfill.  *Fresh decision*: run
-           the scheduler, validate, derive rates, and memoise the entry
-           when the scheduler fingerprinted the epoch (a plan that
-           forces a re-decision only when ``forced_decision_at`` returns
-           exactly its time).  With the fast path off, every epoch
-           decides fresh;
+           the scheduler's decision or the HBM waterfill; the
+           scheduler's ``replay_policy`` hook, when it has one, first
+           re-applies the policy-state change the key carries.  *Fresh
+           decision*: run the scheduler, validate, derive rates, and
+           memoise the entry when the scheduler fingerprinted the epoch
+           (a plan that forces a re-decision only when
+           ``forced_decision_at`` returns exactly its time).  With the
+           fast path off, every epoch decides fresh;
         4. the delta scan: the next unit completion, reclaim expiry,
            forced re-decision, arrival or the horizon;
         5. the advance of every unit's remaining work, plus accounting;
@@ -703,6 +705,11 @@ class Simulator:
         scheduler = self.scheduler
         fingerprint = scheduler.state_fingerprint
         forced_at = scheduler.forced_decision_at
+        replay_policy = (
+            scheduler.replay_policy
+            if type(scheduler).replay_policy is not SchedulerBase.replay_policy
+            else None
+        )
         memo = self._decision_memo
         memo_get = memo.get
         fast_path = self.fast_path
@@ -792,6 +799,8 @@ class Simulator:
                     entry = memo_get(key)
                 if entry is not None:
                     plan_key = key
+                    if replay_policy is not None:
+                        replay_policy(self, key)
                     pre = entry[0]
                     if pre:
                         self._replay_preemptions(pre, units)

@@ -288,14 +288,35 @@ class SchedulerBase:
         - History-dependent policies (PMT, V10) append a small *policy
           token*: the discrete outcome of the service counters and
           policy state :meth:`decide` reads, such as the current owner
-          or the tenant a preemption benefits.  Epochs in which
-          :meth:`decide` would mutate policy state return ``None``.
+          or the tenant a preemption benefits.  An epoch in which
+          :meth:`decide` would mutate policy state carries that mutation
+          in its key as well (PMT: the next owner of a switch), and
+          :meth:`replay_policy` re-applies it when the key replays.
 
         Returning ``None`` (the default) forces a fresh :meth:`decide`
         call every epoch, as Neu10-temporal and any custom scheduler
         that does not opt in do.
         """
         return None
+
+    def replay_policy(self, sim: "Simulator", key: Hashable) -> None:
+        """Re-apply the policy-state change of a memoised decision.
+
+        The engine calls this on every memo hit, with the replayed
+        ``key`` from :meth:`state_fingerprint`, before the plan's
+        preempt effects and grants replay and before it asks
+        :meth:`forced_decision_at` for the plan's re-decision time.  A
+        policy whose :meth:`decide` mutates its own state on some epochs
+        spells the mutation out in those epochs' keys and performs it
+        here exactly as :meth:`decide` does (PMT: the new owner and its
+        quantum end), so a replay leaves the scheduler where a fresh
+        decision would have.  Keys whose decision mutates nothing are
+        left alone.
+
+        The engine binds the hook once per run and skips it entirely
+        for a scheduler that does not override this no-op (a policy
+        whose keys never carry a mutation).
+        """
 
     def memo_context(self) -> Optional[Hashable]:
         """Policy identity for sharing decision memos across simulators.
@@ -322,8 +343,10 @@ class SchedulerBase:
         now), and its :meth:`decide` sets the field from this hook so
         the time has one source.  The engine memoises such a plan only
         when this returns exactly the plan's time, and on a replay takes
-        the time from here.  ``None`` (the default) keeps every plan
-        that forces a re-decision out of the memo.
+        the time from here, after :meth:`replay_policy` has run (so a
+        replayed PMT switch reads its new quantum end).  ``None`` (the
+        default) keeps every plan that forces a re-decision out of the
+        memo.
         """
         return None
 

@@ -12,6 +12,7 @@ any drift is a bug.
 import pytest
 
 from repro.api.registries import scheme_isa
+from repro.baselines.pmt import PmtScheduler
 from repro.config import NpuCoreConfig, spawn_rng
 from repro.serving.server import (
     ALL_SCHEMES,
@@ -445,3 +446,76 @@ def test_unit_codes_hold_through_megabatch_materialisation(
     for kind, result in zip(("open", "closed"), results):
         reference = _guarded_sim("neu10", kind, False).run()
         assert _stats_snapshot(result) == _stats_snapshot(reference)
+
+
+# ----------------------------------------------------------------------
+# PMT owner switches replayed from the plan memo
+# ----------------------------------------------------------------------
+#: Three tenants, so a switch's next owner is a choice: with two it
+#: follows from the unit state and the current owner, and a key that
+#: leaves it out would still replay the right plan.
+_PMT_MODELS = (("MNIST", 8), ("DLRM", 8), ("NCF", 8))
+_PMT_OPEN_HORIZON = 3_000_000.0
+
+
+def _three_tenant_pmt_sim(quantum, kind, priorities, fast_path):
+    tenants = []
+    for idx, ((model, batch), priority) in enumerate(
+        zip(_PMT_MODELS, priorities)
+    ):
+        graph = build_trace(model, batch, core=CORE).compiled(scheme_isa("pmt"))
+        if kind == "closed":
+            stream = {"target_requests": 5}
+        else:
+            stream = {
+                "target_requests": None,
+                "arrivals": PoissonProcess(1.0 / 150_000.0).generate(
+                    _PMT_OPEN_HORIZON, spawn_rng(41, model, idx)
+                ),
+            }
+        tenants.append(
+            Tenant(tenant_id=idx, name=f"{model}#{idx}", graph=graph,
+                   alloc_mes=1, alloc_ves=1, priority=priority, **stream)
+        )
+    horizon = _PMT_OPEN_HORIZON if kind == "open" else float("inf")
+    return Simulator(CORE, PmtScheduler(quantum_cycles=quantum), tenants,
+                     horizon_cycles=horizon, fast_path=fast_path)
+
+
+@pytest.mark.parametrize("priorities", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.5)])
+@pytest.mark.parametrize("kind", ["closed", "open"])
+@pytest.mark.parametrize("quantum", [5_000.0, 20_000.0, 50_000.0])
+def test_pmt_three_tenant_switches_bit_identical(quantum, kind, priorities):
+    """Quantum expiries (closed loop) and owners running out of work
+    (open loop) both switch; every replayed switch must hand the core to
+    the owner a fresh least-service pick would."""
+    runs = {}
+    for fast in (True, False):
+        sim = _three_tenant_pmt_sim(quantum, kind, priorities, fast)
+        runs[fast] = _stats_snapshot(sim.run())
+    assert runs[True] == runs[False]
+
+
+def test_pmt_replays_owner_switches_through_the_hook():
+    """A memo hit on a switch key runs ``replay_policy``, which leaves
+    the scheduler with the key's next owner and a fresh quantum."""
+    sim = _three_tenant_pmt_sim(20_000.0, "closed", (1.0, 1.0, 1.0), True)
+    scheduler = sim.scheduler
+    real = scheduler.replay_policy
+    switches = []
+
+    def spy(s, key):
+        real(s, key)
+        if len(key) == 3:
+            switches.append(key)
+            assert scheduler._current == key[2]
+            assert scheduler._quantum_end == s.now + scheduler.quantum_cycles
+
+    scheduler.replay_policy = spy
+    result = sim.run()
+    assert switches
+    assert len({key[2] for key in switches}) > 1
+    reference = _three_tenant_pmt_sim(
+        20_000.0, "closed", (1.0, 1.0, 1.0), False
+    ).run()
+    assert _stats_snapshot(result) == _stats_snapshot(reference)
