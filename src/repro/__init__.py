@@ -16,10 +16,7 @@ A full-stack reproduction of the paper's system:
 - ``repro.serving``   -- multi-tenant serving harness and metrics.
 - ``repro.experiments`` -- one driver per paper table/figure.
 
-Quickstart::
-
-    from repro import quickstart
-    quickstart()          # collocate two models under all schemes
+``examples/quickstart.py`` walks the stack end to end.
 """
 
 from repro.config import (
@@ -47,22 +44,7 @@ __all__ = [
     "VnpuManager",
     "WorkloadSpec",
     "__version__",
-    "quickstart",
     "run_collocation",
     "run_solo",
 ]
 
-
-def quickstart() -> None:
-    """Collocate an ME-intensive and a VE-intensive model under every
-    scheme and print the comparison the paper's Figs. 19-21 make."""
-    from repro.serving.server import ALL_SCHEMES
-
-    specs = [WorkloadSpec("DLRM", 32), WorkloadSpec("RetinaNet", 32)]
-    cfg = ServingConfig(target_requests=3)
-    print(f"{'scheme':12s} {'pair':12s} {'p95 (Mcyc)':>22s} {'thr (rps)':>22s}")
-    for scheme in ALL_SCHEMES:
-        pair = run_collocation(specs, scheme, cfg)
-        p95 = "/".join(f"{t.p95_latency_cycles/1e6:8.2f}" for t in pair.tenants)
-        thr = "/".join(f"{t.throughput_rps:8.1f}" for t in pair.tenants)
-        print(f"{scheme:12s} {pair.pair:12s} {p95:>22s} {thr:>22s}")

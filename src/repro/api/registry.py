@@ -77,7 +77,7 @@ class Registry:
                 )
             self._entries[name] = entry
 
-    def register(self, name: str, **_ignored) -> Callable[[T], T]:
+    def register(self, name: str) -> Callable[[T], T]:
         """Decorator form of :meth:`add` for function/class entries."""
 
         def deco(obj: T) -> T:

@@ -496,9 +496,9 @@ def run_cluster_checkpointed(
             observation = sim.step_segment()
             done_count = sim.segments_completed
             if journal is not None and (done_count % every == 0 or sim.done):
-                key = _segment_key(done_count)
-                if key not in journal.completed:
-                    journal.record(key, sim.snapshot().to_dict())
+                journal.record(
+                    _segment_key(done_count), sim.snapshot().to_dict()
+                )
             if on_segment is not None:
                 on_segment(done_count, total, observation)
         return sim.result()

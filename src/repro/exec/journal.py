@@ -78,7 +78,9 @@ class SweepJournal:
         self.directory = Path(directory)
         self.sweep_digest = sweep_digest
         self.shard_keys = list(shard_keys)
-        #: Shard key -> recorded result payload (resume skips these).
+        #: Shard key -> result payload loaded on resume (resume skips
+        #: these).  :meth:`record` only appends to the file, so a long
+        #: run does not hold every payload it writes.
         self.completed: Dict[str, Any] = {}
         #: Failure payloads seen in the journal (informational only).
         self.prior_failures: List[Dict[str, Any]] = []
@@ -197,7 +199,6 @@ class SweepJournal:
 
     def record(self, key: str, result: Any) -> None:
         """Checkpoint one completed shard's result payload."""
-        self.completed[key] = result
         self._append({"shard": key, "result": result})
 
     def record_failure(self, key: str, failure: Mapping[str, Any]) -> None:

@@ -72,14 +72,9 @@ def run_pair(
     schemes: Sequence[str] = ALL_SCHEMES,
     target_requests: int = DEFAULT_TARGET_REQUESTS,
     core: Optional[NpuCoreConfig] = None,
-    record_assignment: bool = False,
 ) -> PairRun:
     core = core if core is not None else DEFAULT_CORE
-    cfg = ServingConfig(
-        core=core,
-        target_requests=target_requests,
-        record_assignment=record_assignment,
-    )
+    cfg = ServingConfig(core=core, target_requests=target_requests)
     run = PairRun(w1=w1, w2=w2)
     specs = specs_for_pair(w1, w2, core)
     for scheme in schemes:

@@ -13,10 +13,12 @@ from typing import List, Tuple
 
 from repro.config import DEFAULT_CORE, NpuCoreConfig
 from repro.megabatch import run_simulators
-from repro.serving.server import ServingConfig, WorkloadSpec, run_solo
-from repro.sim.engine import Simulator, Tenant
-from repro.sim.sched_static import StaticPartitionScheduler
-from repro.workloads.traces import build_trace
+from repro.serving.server import (
+    SCHEME_NEU10_NH,
+    ServingConfig,
+    WorkloadSpec,
+    prepare_collocation,
+)
 
 FIG5_MODELS = ["BERT", "TFMR", "DLRM", "NCF", "RsNt", "MRCNN"]
 
@@ -37,26 +39,14 @@ def run(
     core: NpuCoreConfig = DEFAULT_CORE,
     num_windows: int = 40,
 ) -> UtilizationTrace:
-    trace = build_trace(model, batch, core=core)
-    tenant = Tenant(
-        tenant_id=0,
-        name=trace.abbrev,
-        graph=trace.neuisa,
-        alloc_mes=core.num_mes,
-        alloc_ves=core.num_ves,
-        target_requests=1,
+    cfg = ServingConfig(
+        core=core, target_requests=1, record_assignment=True, record_ops=False
     )
-    sim = Simulator(
-        core,
-        StaticPartitionScheduler(),
-        [tenant],
-        record_assignment=True,
-        record_ops=False,
-    )
-    result = run_simulators([sim])[0]
+    prep = prepare_collocation([WorkloadSpec(model, batch)], SCHEME_NEU10_NH, cfg)
+    result = run_simulators([prep.sim])[0]
     samples = result.stats.assignment_trace
     if not samples:
-        return UtilizationTrace(trace.abbrev, batch, [], 0.0, 0.0)
+        return UtilizationTrace(prep.pair_label, batch, [], 0.0, 0.0)
     end = samples[-1].end_cycle
     width = end / num_windows
     windows: List[Tuple[float, float, float, float]] = []
@@ -78,7 +68,7 @@ def run(
             )
         )
     return UtilizationTrace(
-        model=trace.abbrev,
+        model=prep.pair_label,
         batch=batch,
         windows=windows,
         overall_me=result.stats.me_utilization(),

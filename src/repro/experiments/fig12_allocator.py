@@ -17,9 +17,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import DEFAULT_CORE, NpuCoreConfig
 from repro.core.allocator import split_eu_budget
-from repro.megabatch import run_simulators
-from repro.sim.engine import Simulator, Tenant
-from repro.sim.sched_static import StaticPartitionScheduler
+from repro.serving.server import (
+    SCHEME_NEU10_NH,
+    ServingConfig,
+    WorkloadSpec,
+    run_collocation,
+)
 from repro.workloads.traces import build_trace
 
 FIG12_MODELS = ["BERT", "RsNt", "ENet", "SMask"]
@@ -59,18 +62,12 @@ def _solo_throughput(
     model: str, batch: int, nm: int, nv: int, core: NpuCoreConfig,
     requests: int,
 ) -> float:
-    trace = build_trace(model, batch, core=core)
-    tenant = Tenant(
-        tenant_id=0,
-        name=trace.abbrev,
-        graph=trace.neuisa,
-        alloc_mes=nm,
-        alloc_ves=nv,
-        target_requests=requests,
+    pair = run_collocation(
+        [WorkloadSpec(model, batch, alloc_mes=nm, alloc_ves=nv)],
+        SCHEME_NEU10_NH,
+        ServingConfig(core=core, target_requests=requests, record_ops=False),
     )
-    sim = Simulator(core, StaticPartitionScheduler(), [tenant], record_ops=False)
-    result = run_simulators([sim])[0]
-    return result.tenant(0).throughput_rps
+    return pair.tenants[0].throughput_rps
 
 
 def run(

@@ -13,12 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.config import DEFAULT_CORE
-from repro.experiments import expected
 from repro.experiments.common import DEFAULT_TARGET_REQUESTS, specs_for_pair
 from repro.megabatch import run_simulators
-from repro.serving.server import SCHEME_NEU10, ServingConfig, make_scheduler
-from repro.sim.engine import Simulator, Tenant
-from repro.workloads.traces import build_trace
+from repro.serving.server import SCHEME_NEU10, ServingConfig, prepare_collocation
 
 FIG24_PAIRS = [("DLRM", "RtNt"), ("ENet", "SMask"), ("RNRS", "RtNt")]
 
@@ -50,34 +47,22 @@ def run(
     target_requests: int = DEFAULT_TARGET_REQUESTS,
 ) -> AssignmentTrace:
     core = DEFAULT_CORE
-    cfg = ServingConfig(target_requests=target_requests, record_assignment=True)
-    specs = specs_for_pair(w1, w2, core)
-    tenants = []
-    for idx, spec in enumerate(specs):
-        trace = build_trace(spec.model, spec.batch, core=core)
-        tenants.append(
-            Tenant(
-                tenant_id=idx,
-                name=trace.abbrev,
-                graph=trace.neuisa,
-                alloc_mes=spec.alloc_mes or core.num_mes // 2,
-                alloc_ves=spec.alloc_ves or core.num_ves // 2,
-                target_requests=cfg.target_requests,
-            )
-        )
-    sim = Simulator(
-        core, make_scheduler(SCHEME_NEU10), tenants,
-        record_assignment=True, record_ops=False,
+    cfg = ServingConfig(
+        core=core,
+        target_requests=target_requests,
+        record_assignment=True,
+        record_ops=False,
     )
-    result = run_simulators([sim])[0]
+    prep = prepare_collocation(specs_for_pair(w1, w2, core), SCHEME_NEU10, cfg)
+    result = run_simulators([prep.sim])[0]
     series: Dict[str, List[Tuple[float, float, float, float]]] = {}
-    for tenant in tenants:
+    for tenant in prep.sim.tenants:
         raw = result.stats.assignment_series(tenant.tenant_id)
         series[tenant.name] = [
             (core.cycles_to_us(s), core.cycles_to_us(e), mes, ves)
             for s, e, mes, ves in raw
         ]
-    return AssignmentTrace(pair=f"{tenants[0].name}+{tenants[1].name}", series=series)
+    return AssignmentTrace(pair=prep.pair_label, series=series)
 
 
 def main() -> None:

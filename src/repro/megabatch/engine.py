@@ -184,7 +184,7 @@ class _ChainNode:
     """
 
     __slots__ = (
-        "scope", "plan_key", "cursors", "n_slots", "tenant_slots",
+        "scope", "cursors", "n_slots", "tenant_slots",
         "slot_tenant", "slot_templates", "slot_tpl_ids", "dense",
         "dense_codes", "creation_order", "me_adv", "me_ve_adv", "ve_adv",
         "delta_me", "delta_ve", "blocked_tids", "me_busy_items",
@@ -214,7 +214,6 @@ class _ChainNode:
 
         node = cls()
         node.scope = scope
-        node.plan_key = plan_key
         node.cursors = cursors
         tenant_slots: List[Tuple[int, int]] = []
         slot_tenant: List[int] = []

@@ -1,18 +1,17 @@
-"""Multi-tenant ML inference serving harness.
+"""Closed-loop multi-tenant serving: the paper's collocation runs.
 
-Glues vNPUs, workload traces, a scheduling policy and request streams
-into one runnable experiment, and summarises results the way the paper's
-evaluation reports them (p95 tail latency, average latency, throughput,
-ME/VE utilization, harvesting overhead).
+Glues vNPUs, workload traces and a scheduling scheme into one
+closed-loop run (Sec. V-A) and summarises it the way the paper's
+evaluation reports it (p95 tail latency, average latency, throughput,
+ME/VE utilization).  :func:`repro.serving.server.prepare_collocation`
+is the one builder of such a run; :func:`run_collocation`,
+:func:`run_solo`, the figure modules and the open-loop calibration all
+build through it.  Open-loop arrivals live in
+:mod:`repro.traffic.arrivals`, and scheduler instances come from
+:func:`repro.api.registries.make_scheduler`.
 """
 
-from repro.serving.metrics import (
-    PairMetrics,
-    TenantMetrics,
-    percentile,
-    slo_attainment,
-)
-from repro.serving.requests import closed_loop, poisson_arrivals, steady_arrivals
+from repro.serving.metrics import PairMetrics, TenantMetrics, slo_attainment
 from repro.serving.server import (
     SCHEME_NEU10,
     SCHEME_NEU10_NH,
@@ -20,7 +19,6 @@ from repro.serving.server import (
     SCHEME_TEMPORAL,
     SCHEME_V10,
     ServingConfig,
-    make_scheduler,
     run_collocation,
     run_solo,
 )
@@ -34,12 +32,7 @@ __all__ = [
     "SCHEME_V10",
     "ServingConfig",
     "TenantMetrics",
-    "closed_loop",
-    "make_scheduler",
-    "percentile",
-    "slo_attainment",
-    "poisson_arrivals",
     "run_collocation",
     "run_solo",
-    "steady_arrivals",
+    "slo_attainment",
 ]

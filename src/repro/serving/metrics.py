@@ -2,37 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
-
-
-def percentile(values: List[float], pct: float) -> float:
-    """Nearest-rank percentile (matches TenantResult.latency_percentile).
-
-    ``pct`` must lie in [0, 100]: the rank formula clamps so pct=0 is
-    the minimum and any percentile of a single-sample list is that
-    sample, but out-of-range percentiles raise instead of silently
-    clamping to min/max.
-    """
-    return percentiles(values, (pct,))[0]
-
-
-def percentiles(values: List[float], pcts: Sequence[float]) -> List[float]:
-    """:func:`percentile` at each of ``pcts``, from one sort of ``values``."""
-    for pct in pcts:
-        if not 0.0 <= pct <= 100.0:
-            raise ConfigError(f"percentile must be in [0, 100], got {pct}")
-    if not values:
-        return [0.0] * len(pcts)
-    ordered = sorted(values)
-    n = len(ordered)
-    return [
-        ordered[min(n - 1, max(0, math.ceil(pct / 100.0 * n) - 1))]
-        for pct in pcts
-    ]
 
 
 def slo_attainment(

@@ -3,7 +3,9 @@
 ``run_collocation`` reproduces the paper's main methodology (SectionV-A):
 two workloads, each on a vNPU with half the core's engines, executed
 under one of {PMT, V10, Neu10-NH, Neu10, Neu10-temporal} until every
-workload completes its request target.
+workload completes its request target.  :func:`prepare_collocation` is
+the one builder of a closed-loop run on one core: :func:`run_solo`,
+Figs. 5, 12 and 24 and the open-loop calibration build through it too.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from repro.config import DEFAULT_CORE, NpuCoreConfig
 from repro.megabatch import run_simulators
 from repro.serving.metrics import PairMetrics, TenantMetrics
 from repro.sim.engine import SimResult, Simulator, Tenant
-from repro.sim.scheduler_base import SchedulerBase
 from repro.workloads.traces import build_trace
 
 SCHEME_PMT = "pmt"
@@ -31,11 +32,6 @@ SCHEME_TEMPORAL = "neu10-temporal"
 #: registered later should call
 #: :func:`repro.api.registries.default_scheme_names` instead.
 ALL_SCHEMES = registries.default_scheme_names()
-
-
-def make_scheduler(scheme: str) -> SchedulerBase:
-    """Instantiate a fresh scheduler (delegates to the registry)."""
-    return registries.make_scheduler(scheme)
 
 
 @dataclass
@@ -136,7 +132,7 @@ def prepare_collocation(
     tenants = _build_tenants(specs, scheme, cfg)
     sim = Simulator(
         cfg.core,
-        make_scheduler(scheme),
+        registries.make_scheduler(scheme),
         tenants,
         record_assignment=cfg.record_assignment,
         record_ops=cfg.record_ops,
@@ -165,29 +161,8 @@ def run_collocation(
 def run_solo(
     spec: WorkloadSpec,
     cfg: Optional[ServingConfig] = None,
-    isa: str = "neuisa",
     scheme: str = SCHEME_NEU10_NH,
 ) -> PairMetrics:
-    """Run a single workload alone (used as the isolation reference and
-    for the characterisation figures)."""
-    cfg = cfg if cfg is not None else ServingConfig()
-    trace = build_trace(spec.model, spec.batch, core=cfg.core)
-    tenant = Tenant(
-        tenant_id=0,
-        name=trace.abbrev,
-        graph=trace.compiled(isa),
-        alloc_mes=spec.alloc_mes if spec.alloc_mes is not None else cfg.core.num_mes,
-        alloc_ves=spec.alloc_ves if spec.alloc_ves is not None else cfg.core.num_ves,
-        target_requests=cfg.target_requests,
-        priority=spec.priority,
-        arrivals=list(spec.arrivals) if spec.arrivals is not None else None,
-    )
-    sim = Simulator(
-        cfg.core,
-        make_scheduler(scheme),
-        [tenant],
-        record_assignment=cfg.record_assignment,
-        record_ops=cfg.record_ops,
-    )
-    result = run_simulators([sim])[0]
-    return _to_metrics(result, scheme, trace.abbrev)
+    """Run a single workload alone on the whole core (unless ``spec``
+    sets its allocation): the isolation reference."""
+    return run_collocation([spec], scheme, cfg)

@@ -30,7 +30,7 @@ from repro.sim.hbm import (
     slowdown_factors,
 )
 from repro.sim.scheduler_base import Decision, ExecUnit, SchedulerBase, UnitKind, UnitState
-from repro.sim.stats import SimStats, ordered_mean
+from repro.sim.stats import SimStats, ordered_mean, percentiles
 
 #: Numerical tolerance for completion checks and capacity validation.
 EPS = 1e-6
@@ -484,20 +484,9 @@ class TenantResult:
     #: even when the horizon cuts a queue off mid-flight.
     offered_requests: int = 0
 
-    def latency_percentile(self, pct: float) -> float:
-        if not self.latencies_cycles:
-            return 0.0
-        ordered = sorted(self.latencies_cycles)
-        idx = min(len(ordered) - 1, max(0, math.ceil(pct / 100.0 * len(ordered)) - 1))
-        return ordered[idx]
-
     @property
     def p95_latency(self) -> float:
-        return self.latency_percentile(95.0)
-
-    @property
-    def p99_latency(self) -> float:
-        return self.latency_percentile(99.0)
+        return percentiles(self.latencies_cycles, (95.0,))[0]
 
     @property
     def mean_latency(self) -> float:

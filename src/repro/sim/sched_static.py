@@ -107,26 +107,21 @@ class StaticPartitionScheduler(SchedulerBase):
 
     name = "neu10-nh"
 
-    def __init__(self, strict: bool = True) -> None:
-        #: When True, verify the tenant allocations fit the core.
-        self.strict = strict
-
     def state_fingerprint(self, sim: "Simulator"):
         """Static partitions only read unit and allocation state."""
         return unit_state_fingerprint(sim)
 
     def memo_context(self):
-        return ("neu10-nh", self.strict)
+        return ("neu10-nh",)
 
     def decide(self, sim: "Simulator") -> Decision:
-        if self.strict:
-            total_me = sum(t.alloc_mes for t in sim.tenants)
-            total_ve = sum(t.alloc_ves for t in sim.tenants)
-            if total_me > sim.core.num_mes or total_ve > sim.core.num_ves:
-                raise SchedulerError(
-                    "static partition oversubscribes the core "
-                    f"({total_me} MEs / {total_ve} VEs)"
-                )
+        total_me = sum(t.alloc_mes for t in sim.tenants)
+        total_ve = sum(t.alloc_ves for t in sim.tenants)
+        if total_me > sim.core.num_mes or total_ve > sim.core.num_ves:
+            raise SchedulerError(
+                "static partition oversubscribes the core "
+                f"({total_me} MEs / {total_ve} VEs)"
+            )
         decision = Decision()
         for tenant in sim.tenants:
             cap = tenant.alloc_mes

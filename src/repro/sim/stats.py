@@ -12,12 +12,15 @@ Tracks everything the paper's evaluation section reports:
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Collection, Dict, Iterable, List, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.errors import ConfigError
 
 
 #: From Python 3.12 the builtin ``sum()`` compensates float rounding
@@ -39,6 +42,28 @@ def ordered_mean(values: Collection[float]) -> float:
     if not values:
         return 0.0
     return ordered_sum(values) / len(values)
+
+
+def percentiles(values: Collection[float], pcts: Sequence[float]) -> List[float]:
+    """Nearest-rank percentiles of ``values`` at each of ``pcts``, from
+    one sort.
+
+    Each ``pct`` must lie in [0, 100]: the rank clamps, so pct=0 is the
+    minimum and any percentile of one sample is that sample, but an
+    out-of-range percentile raises instead of clamping to min/max.  An
+    empty ``values`` gives 0.0 at every percentile.
+    """
+    for pct in pcts:
+        if not 0.0 <= pct <= 100.0:
+            raise ConfigError(f"percentile must be in [0, 100], got {pct}")
+    if not values:
+        return [0.0] * len(pcts)
+    ordered = sorted(values)
+    n = len(ordered)
+    return [
+        ordered[min(n - 1, max(0, math.ceil(pct / 100.0 * n) - 1))]
+        for pct in pcts
+    ]
 
 
 @dataclass

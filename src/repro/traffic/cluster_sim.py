@@ -63,7 +63,6 @@ from repro.cluster.autoscale import (
 )
 from repro.cluster.host import Host
 from repro.cluster.orchestrator import ClusterOrchestrator, PlacementRequest
-from repro.cluster.placement import PlacementPolicy
 from repro.cluster.virt import (
     FAULT_BURST_STORM,
     FAULT_HOST_CRASH,
@@ -84,8 +83,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.megabatch import run_simulators
-from repro.api.registries import SCHEDULERS, scheme_isa
-from repro.serving.server import make_scheduler
+from repro.api.registries import SCHEDULERS, make_scheduler, scheme_isa
 from repro.sim.engine import Simulator, Tenant
 from repro.sim.stats import ordered_mean
 from repro.traffic.stepper import (
@@ -163,7 +161,6 @@ class ClusterTrafficConfig:
     load: float = 0.6
     end_s: float = 0.002
     seed: int = DEFAULT_SEED
-    policy: Optional[PlacementPolicy] = None
     #: Host pools, elastic and possibly heterogeneous.
     pools: Tuple[HostPoolSpec, ...] = (
         HostPoolSpec("host", min_hosts=2, max_hosts=2),
@@ -280,7 +277,6 @@ class _Fleet:
         self,
         pools: Sequence[HostPoolSpec],
         core: NpuCoreConfig,
-        policy: Optional[PlacementPolicy],
         virtualization: Optional[VirtualizationSpec] = None,
     ) -> None:
         self.pools = {p.name: p for p in pools}
@@ -322,7 +318,7 @@ class _Fleet:
         ]
         if not initial:
             raise ConfigError("cluster needs at least one live host at t=0")
-        self.orch = ClusterOrchestrator(initial, policy)
+        self.orch = ClusterOrchestrator(initial)
         #: Hosts that were live at any point (utilization accounting).
         self.ever_active: List[Host] = list(initial)
 
@@ -672,7 +668,7 @@ class ClusterSimulation:
         """The fresh run state a checkpoint replaces: the fleet, the
         scripts and every accumulator, at t=0."""
         cfg = self.cfg
-        self.fleet = _Fleet(cfg.pools, cfg.core, cfg.policy, self.virt)
+        self.fleet = _Fleet(cfg.pools, cfg.core, self.virt)
         self.orch = self.fleet.orch
 
         self.fault_events: List[Dict[str, object]] = []

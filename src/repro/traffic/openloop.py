@@ -20,9 +20,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import DEFAULT_CORE, DEFAULT_SEED, NpuCoreConfig, spawn_rng
 from repro.errors import ConfigError
-from repro.api.registries import scheme_isa
+from repro.api.registries import make_scheduler, scheme_isa
 from repro.megabatch import run_simulators
-from repro.serving.server import make_scheduler
+from repro.serving.server import ServingConfig, WorkloadSpec, run_collocation
 from repro.sim.engine import Simulator, Tenant
 from repro.traffic.arrivals import ArrivalProcess, make_arrival_process
 from repro.traffic.slo import SloReport, SloSpec, build_slo_report
@@ -114,18 +114,12 @@ def _calibrate_cached(
 ) -> float:
     """Mean closed-loop latency (cycles) of the model running alone at
     the allocation it will hold in the collocated open-loop run."""
-    trace = build_trace(model, batch, core=core)
-    tenant = Tenant(
-        tenant_id=0,
-        name=trace.abbrev,
-        graph=trace.compiled(scheme_isa(scheme)),
-        alloc_mes=alloc_mes,
-        alloc_ves=alloc_ves,
-        target_requests=3,
+    pair = run_collocation(
+        [WorkloadSpec(model, batch, alloc_mes=alloc_mes, alloc_ves=alloc_ves)],
+        scheme,
+        ServingConfig(core=core, target_requests=3, record_ops=False),
     )
-    sim = Simulator(core, make_scheduler(scheme), [tenant], record_ops=False)
-    result = run_simulators([sim])[0]
-    svc = result.tenant(0).mean_latency
+    svc = pair.tenants[0].mean_latency_cycles
     if svc <= 0:
         raise ConfigError(f"calibration produced zero service time for {model}")
     return svc

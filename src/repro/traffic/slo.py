@@ -14,9 +14,8 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from repro.errors import ConfigError
-from repro.serving.metrics import percentiles
 from repro.sim.engine import TenantResult
-from repro.sim.stats import ordered_mean
+from repro.sim.stats import ordered_mean, percentiles
 
 
 @dataclass(frozen=True)

@@ -51,14 +51,12 @@ from repro.errors import CheckpointError
 
 #: Timeline event kinds, in the order one boundary applies them:
 #: autoscale actions first (not timeline events -- they happen at every
-#: boundary), then churn, then point faults.  ``phase`` and ``tick``
-#: entries are informational: load-phase edges only *cut* the timeline
-#: (the load multiplier is evaluated per segment), and autoscale ticks
-#: exist purely so the controller observes between churn events.
+#: boundary), then churn, then point faults.  Window-fault edges and
+#: autoscale ticks only *cut* the timeline: the load multiplier is
+#: evaluated per segment, and a tick exists so the controller observes
+#: between churn events.
 EVENT_CHURN = "churn"
 EVENT_FAULT = "fault"
-EVENT_PHASE = "load-phase"
-EVENT_TICK = "autoscale-tick"
 
 #: Schema version of :class:`ClusterCheckpoint`.  Bump on any change to
 #: the payload layout; :meth:`ClusterCheckpoint.verify` refuses other
@@ -123,9 +121,8 @@ class TimelineEvent:
     """One entry of the unified timeline.
 
     ``payload`` is the underlying object: a
-    :class:`~repro.traffic.cluster_sim.ChurnEvent` for ``churn``, a
-    :class:`~repro.cluster.virt.FaultSpec` for ``fault`` and ``phase``
-    entries, and ``None`` for autoscale ticks.
+    :class:`~repro.traffic.cluster_sim.ChurnEvent` for ``churn`` and a
+    :class:`~repro.cluster.virt.FaultSpec` for ``fault`` entries.
     """
 
     time_s: float
@@ -150,13 +147,6 @@ class Timeline:
     def total_segments(self) -> int:
         return max(0, len(self.boundaries) - 1)
 
-    @property
-    def events(self) -> Tuple[TimelineEvent, ...]:
-        """Every timeline event, flattened in boundary order."""
-        return tuple(
-            ev for t in self.boundaries for ev in self.events_at.get(t, ())
-        )
-
 
 def build_timeline(
     churn: Sequence[object],
@@ -175,7 +165,6 @@ def build_timeline(
     point = [f for f in faults if f.kind in _POINT_KINDS]
     extra = [f.time_s for f in faults] + [w.end_s for w in windows]
     boundaries = merge_boundaries(churn, end_s, interval_s, extra)
-    cut_set = set(boundaries)
 
     events_at: Dict[float, List[TimelineEvent]] = {}
     for ev in churn:
@@ -190,21 +179,6 @@ def build_timeline(
         if 0.0 <= f.time_s < end_s:
             events_at.setdefault(f.time_s, []).append(
                 TimelineEvent(f.time_s, EVENT_FAULT, f)
-            )
-    for w in windows:
-        if w.time_s in cut_set and w.time_s < end_s:
-            events_at.setdefault(w.time_s, []).append(
-                TimelineEvent(w.time_s, EVENT_PHASE, w)
-            )
-    known = (
-        {0.0, end_s}
-        | {ev.time_s for ev in churn if ev.time_s < end_s}
-        | {t for t in extra if 0.0 < t < end_s}
-    )
-    for t in boundaries:
-        if t not in known:
-            events_at.setdefault(t, []).append(
-                TimelineEvent(t, EVENT_TICK, None)
             )
     return Timeline(
         boundaries=tuple(boundaries),

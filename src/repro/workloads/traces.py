@@ -47,13 +47,15 @@ class WorkloadTrace:
 
 @lru_cache(maxsize=128)
 def _build_trace_cached(
-    name: str, batch: int, core: NpuCoreConfig, vliw_mes: int, vliw_ves: int
+    name: str, batch: int, core: NpuCoreConfig
 ) -> WorkloadTrace:
     info = model_info(name)
     graph = info.build(batch)
     profile = profile_graph(graph, core)
     neuisa = lower_graph_neuisa(graph, core, batch_hint=batch)
-    vliw = lower_graph_vliw(graph, core, vliw_mes, vliw_ves, batch_hint=batch)
+    vliw = lower_graph_vliw(
+        graph, core, core.num_mes, core.num_ves, batch_hint=batch
+    )
     return WorkloadTrace(
         name=info.name,
         abbrev=info.abbrev,
@@ -70,20 +72,11 @@ def build_trace(
     name: str,
     batch: int = 32,
     core: Optional[NpuCoreConfig] = None,
-    vliw_mes: Optional[int] = None,
-    vliw_ves: Optional[int] = None,
 ) -> WorkloadTrace:
     """Build (or fetch) the trace for ``name`` at ``batch``.
 
-    ``vliw_mes``/``vliw_ves`` control the engine count baked into the
-    VLIW binary (defaults to the whole core, as the temporal-sharing
-    baselines assume).
+    The VLIW binary is compiled for the whole core, as the
+    temporal-sharing baselines assume.
     """
     core = core if core is not None else DEFAULT_CORE
-    return _build_trace_cached(
-        model_info(name).name,
-        batch,
-        core,
-        vliw_mes if vliw_mes is not None else core.num_mes,
-        vliw_ves if vliw_ves is not None else core.num_ves,
-    )
+    return _build_trace_cached(model_info(name).name, batch, core)

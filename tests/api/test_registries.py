@@ -28,8 +28,8 @@ def test_serving_scheme_lists_come_from_the_registry():
 
 
 def test_make_scheduler_matches_legacy_factory():
+    from repro.api.registries import make_scheduler
     from repro.baselines.pmt import PmtScheduler
-    from repro.serving.server import make_scheduler
     from repro.sim.sched_neu10 import Neu10Scheduler
 
     assert isinstance(make_scheduler("pmt"), PmtScheduler)

@@ -34,15 +34,11 @@ import math
 
 import pytest
 
-from repro.api.registries import scheme_isa
+from repro.api.registries import make_scheduler, scheme_isa
 from repro.config import NpuCoreConfig, spawn_rng
 import repro.megabatch.engine as mb
 from repro.megabatch import MEGABATCH_ENV, MegaBatchEngine, megabatch_default
-from repro.serving.server import (
-    ALL_SCHEMES,
-    SCHEME_TEMPORAL,
-    make_scheduler,
-)
+from repro.serving.server import ALL_SCHEMES, SCHEME_TEMPORAL
 from repro.sim.engine import FAST_PATH_ENV, MIN_DELTA, Simulator, Tenant
 from repro.sim.scheduler_base import _creation_rank_perm
 from repro.traffic.arrivals import PoissonProcess

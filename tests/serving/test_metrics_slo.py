@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.serving.metrics import percentile, slo_attainment
+from repro.serving.metrics import slo_attainment
+from repro.sim.stats import percentiles
+
+
+def percentile(values, pct):
+    return percentiles(values, (pct,))[0]
 
 
 # ----------------------------------------------------------------------
@@ -40,6 +45,13 @@ def test_percentile_nearest_rank_interior():
     assert percentile(values, 95) == 95.0
     # Tiny positive percentile rounds up to the first rank, not below it.
     assert percentile(values, 0.5) == 1.0
+
+
+def test_percentiles_share_one_sort():
+    values = [float(i) for i in range(1, 101)]
+    assert percentiles(values, (50.0, 95.0, 100.0)) == [50.0, 95.0, 100.0]
+    assert percentiles([], (50.0, 95.0)) == [0.0, 0.0]
+    assert percentiles(values, ()) == []
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Tests for the serving harness: runners, metrics, request streams."""
+"""Tests for the serving harness: runners and metrics."""
+
+import dataclasses
 
 import pytest
 
+from repro.api.registries import make_scheduler
 from repro.config import DEFAULT_CORE
 from repro.errors import ConfigError
-from repro.serving.metrics import PairMetrics, TenantMetrics, percentile
-from repro.serving.requests import poisson_arrivals, steady_arrivals
+from repro.serving import server
+from repro.serving.metrics import PairMetrics, TenantMetrics
 from repro.serving.server import (
     ALL_SCHEMES,
     SCHEME_NEU10,
@@ -14,53 +17,14 @@ from repro.serving.server import (
     SCHEME_V10,
     ServingConfig,
     WorkloadSpec,
-    make_scheduler,
     run_collocation,
     run_solo,
 )
 
 
 # ----------------------------------------------------------------------
-# Request streams
-# ----------------------------------------------------------------------
-def test_poisson_arrivals_sorted_and_bounded():
-    arrivals = poisson_arrivals(100.0, 0.5, DEFAULT_CORE.frequency_hz, seed=1)
-    assert arrivals == sorted(arrivals)
-    assert all(0 <= a < 0.5 * DEFAULT_CORE.frequency_hz for a in arrivals)
-    # ~50 expected; allow wide slack.
-    assert 20 <= len(arrivals) <= 100
-
-
-def test_poisson_deterministic_with_seed():
-    a = poisson_arrivals(50.0, 0.2, 1e9, seed=7)
-    b = poisson_arrivals(50.0, 0.2, 1e9, seed=7)
-    assert a == b
-
-
-def test_steady_arrivals_evenly_spaced():
-    arrivals = steady_arrivals(10.0, 5, 1e9)
-    gaps = {round(b - a) for a, b in zip(arrivals, arrivals[1:])}
-    assert len(gaps) == 1
-
-
-def test_request_generators_validate():
-    with pytest.raises(ConfigError):
-        poisson_arrivals(-1.0, 1.0, 1e9)
-    with pytest.raises(ConfigError):
-        steady_arrivals(10.0, 0, 1e9)
-
-
-# ----------------------------------------------------------------------
 # Metrics
 # ----------------------------------------------------------------------
-def test_percentile_nearest_rank():
-    values = [float(i) for i in range(1, 101)]
-    assert percentile(values, 50) == 50.0
-    assert percentile(values, 95) == 95.0
-    assert percentile(values, 100) == 100.0
-    assert percentile([], 95) == 0.0
-
-
 def test_pair_metrics_lookup():
     pair = PairMetrics(pair="a+b", scheme="neu10", tenants=[
         TenantMetrics("a", "neu10", 1, 1, 1, 0, 0, 0, 1),
@@ -85,6 +49,64 @@ def test_run_solo_mnist():
     metrics = pair.tenants[0]
     assert metrics.completed_requests >= 2
     assert metrics.throughput_rps > 0
+
+
+def test_run_solo_is_a_one_spec_collocation_on_the_whole_core():
+    from repro.megabatch import run_simulators
+    from repro.sim.engine import Simulator, Tenant
+    from repro.sim.sched_static import StaticPartitionScheduler
+    from repro.workloads.traces import build_trace
+
+    spec = WorkloadSpec("DLRM", 8)
+    cfg = ServingConfig(target_requests=2)
+    solo = run_solo(spec, cfg)
+    pair = run_collocation([spec], SCHEME_NEU10_NH, cfg)
+    for f in dataclasses.fields(PairMetrics):
+        assert getattr(solo, f.name) == getattr(pair, f.name), f.name
+    # The tenant a hand-built solo run would give: the whole core,
+    # NeuISA, the static partition.
+    trace = build_trace("DLRM", 8)
+    tenant = Tenant(
+        tenant_id=0, name=trace.abbrev, graph=trace.neuisa,
+        alloc_mes=DEFAULT_CORE.num_mes, alloc_ves=DEFAULT_CORE.num_ves,
+        target_requests=2,
+    )
+    sim = Simulator(DEFAULT_CORE, StaticPartitionScheduler(), [tenant])
+    (tr,) = run_simulators([sim])[0].tenants.values()
+    (metrics,) = solo.tenants
+    assert (metrics.name, metrics.p95_latency_cycles, metrics.mean_latency_cycles) == (
+        tr.name, tr.p95_latency, tr.mean_latency
+    )
+    assert metrics.throughput_rps == tr.throughput_rps
+
+
+def test_every_closed_loop_single_core_run_builds_through_the_server(monkeypatch):
+    """Figs. 5, 12 and 24 and the open-loop calibration build their runs
+    with ``prepare_collocation``, not by hand."""
+    from repro.experiments import fig05_utilization, fig12_allocator
+    from repro.experiments import fig24_assignment
+    from repro.traffic import openloop
+
+    built = []
+    build_tenants = server._build_tenants
+
+    def spy(specs, scheme, cfg):
+        built.append((tuple(s.model for s in specs), scheme))
+        return build_tenants(specs, scheme, cfg)
+
+    monkeypatch.setattr(server, "_build_tenants", spy)
+    fig05_utilization.run("MNIST", batch=8, num_windows=4)
+    fig12_allocator._solo_throughput("MNIST", 8, 1, 1, DEFAULT_CORE, 1)
+    fig24_assignment.run("MNIST", "NCF", target_requests=1)
+    openloop._calibrate_cached.__wrapped__(
+        "MNIST", 8, 2, 2, SCHEME_NEU10, DEFAULT_CORE
+    )
+    assert built == [
+        (("MNIST",), SCHEME_NEU10_NH),
+        (("MNIST",), SCHEME_NEU10_NH),
+        (("MNIST", "NCF"), SCHEME_NEU10),
+        (("MNIST",), SCHEME_NEU10),
+    ]
 
 
 def test_run_collocation_produces_both_tenants():

@@ -11,14 +11,10 @@ any drift is a bug.
 
 import pytest
 
-from repro.api.registries import scheme_isa
+from repro.api.registries import make_scheduler, scheme_isa
 from repro.baselines.pmt import PmtScheduler
 from repro.config import NpuCoreConfig, spawn_rng
-from repro.serving.server import (
-    ALL_SCHEMES,
-    SCHEME_TEMPORAL,
-    make_scheduler,
-)
+from repro.serving.server import ALL_SCHEMES, SCHEME_TEMPORAL
 from repro.sim.engine import FAST_PATH_ENV, Simulator, Tenant
 from repro.sim.sched_static import StaticPartitionScheduler
 from repro.traffic import OpenLoopConfig, TrafficTenantSpec, run_open_loop

@@ -401,6 +401,30 @@ def test_checkpoint_every_n_segments(tmp_path):
     assert recorded == total // 2 + (1 if total % 2 else 0)
 
 
+def test_checkpointed_run_keeps_no_checkpoint_in_memory(tmp_path, monkeypatch):
+    """Each segment's checkpoint goes to the journal file only: the
+    journal object of a run holds none of them, so memory stays flat
+    however many segments the run records."""
+    import repro.exec.journal as journal_mod
+
+    journals = []
+
+    class CapturingJournal(journal_mod.SweepJournal):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            journals.append(self)
+
+    monkeypatch.setattr(journal_mod, "SweepJournal", CapturingJournal)
+    scenario = _adversarial("burst_storm")
+    run_cluster_checkpointed(
+        *cluster_inputs(scenario), directory=tmp_path / "ck", every=1
+    )
+    (journal,) = journals
+    assert journal.completed == {}
+    lines = (tmp_path / "ck" / "journal.jsonl").read_text().splitlines()
+    assert len(lines) == ClusterSimulation(*cluster_inputs(scenario)).total_segments
+
+
 def test_checkpointed_run_rejects_bad_arguments(tmp_path):
     scenario = _adversarial("burst_storm")
     with pytest.raises(ValidationError):
