@@ -146,7 +146,3 @@ class VnpuManager:
     def free_mes(self, core_index: int) -> int:
         pnpu = self.mapper.pnpus[core_index]
         return pnpu.core.num_mes - pnpu.mes_committed
-
-    def free_ves(self, core_index: int) -> int:
-        pnpu = self.mapper.pnpus[core_index]
-        return pnpu.core.num_ves - pnpu.ves_committed

@@ -134,9 +134,6 @@ class VnpuMapper:
         pnpu.hbm_segments_used -= _segments(cfg.hbm_bytes_per_core, HBM_SEGMENT_BYTES)
         vnpu.transition(VnpuState.DESTROYED)
 
-    def placement_of(self, vnpu: VnpuInstance) -> Optional[int]:
-        return self._placement.get(vnpu.vnpu_id)
-
     # ------------------------------------------------------------------
     def _choose(self, vnpu: VnpuInstance) -> Optional[PnpuState]:
         if self.mode is MappingMode.SPATIAL:

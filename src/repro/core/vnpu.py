@@ -119,10 +119,6 @@ class VnpuInstance:
             )
         self.state = new_state
 
-    @property
-    def is_live(self) -> bool:
-        return self.state in (VnpuState.MAPPED, VnpuState.ACTIVE)
-
     def describe(self) -> str:
         cfg = self.config
         return (

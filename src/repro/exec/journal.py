@@ -29,6 +29,13 @@ them -- the shard simply counts as not-done and is re-run -- so a
 journal is never unusable, and a resumed sweep's merged results are bit
 identical to an uninterrupted run's (the re-run shard is the same
 deterministic function of the same spec).
+
+Loading keeps only where each completed shard's line lies in the file:
+a payload is parsed again from exactly those bytes when it is read, so
+resuming a journal of large payloads (a cluster run's checkpoints) holds
+one at a time.  A kill between a line's JSON and its newline leaves the
+last line open; loading closes it, so the next record starts a line of
+its own.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (
+    Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.errors import ConfigError
 
@@ -51,6 +60,35 @@ JOURNAL_SCHEMA_VERSION = 1
 #: power cut just re-runs those shards on resume, while fsyncing every
 #: line would dominate the journal's cost on fast sweeps.
 _FSYNC_INTERVAL_S = 1.0
+
+
+class _JournalPayloads(Mapping[str, Any]):
+    """Shard key -> result payload of a loaded journal, read-only.
+
+    Holds each shard's ``(start, end)`` byte range in the journal file;
+    a payload is parsed from exactly those bytes each time it is read.
+    ``in``, ``len`` and iteration touch no payload.
+    """
+
+    def __init__(self, path: Path, spans: Dict[str, Tuple[int, int]]) -> None:
+        self._path = path
+        self._spans = spans
+
+    def __getitem__(self, key: str) -> Any:
+        start, end = self._spans[key]
+        with open(self._path, "rb") as fh:
+            fh.seek(start)
+            line = fh.read(end - start).decode("utf-8", "replace")
+        return json.loads(line)["result"]
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._spans
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._spans)
+
+    def __len__(self) -> int:
+        return len(self._spans)
 
 
 class SweepJournal:
@@ -78,10 +116,13 @@ class SweepJournal:
         self.directory = Path(directory)
         self.sweep_digest = sweep_digest
         self.shard_keys = list(shard_keys)
-        #: Shard key -> result payload loaded on resume (resume skips
-        #: these).  :meth:`record` only appends to the file, so a long
-        #: run does not hold every payload it writes.
-        self.completed: Dict[str, Any] = {}
+        #: Shard key -> result payload of the shards a resume found
+        #: done (resume skips these), read from the file on access.
+        #: :meth:`record` only appends to the file, so neither a long
+        #: run nor a resume holds every payload.
+        self.completed: Mapping[str, Any] = _JournalPayloads(
+            self.journal_path, {}
+        )
         #: Failure payloads seen in the journal (informational only).
         self.prior_failures: List[Dict[str, Any]] = []
         #: Undecodable lines skipped while loading (torn tail writes).
@@ -159,31 +200,56 @@ class SweepJournal:
                 "--checkpoint at the matching directory"
             )
         known = set(self.shard_keys)
+        spans: Dict[str, Tuple[int, int]] = {}
+        open_tail = False
         if self.journal_path.exists():
-            with open(self.journal_path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                        key = entry["shard"]
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        # Torn write from a killed run: skip; the shard
-                        # counts as not-done and is simply re-run.
-                        self.skipped_lines += 1
-                        continue
-                    if key not in known:
-                        # Same sweep digest implies the same shard set,
-                        # but stay defensive against hand-edited files.
-                        self.skipped_lines += 1
-                        continue
-                    if "result" in entry:
-                        self.completed[key] = entry["result"]
-                    elif "failure" in entry:
-                        self.prior_failures.append(entry["failure"])
-                    else:
-                        self.skipped_lines += 1
+            with open(self.journal_path, "rb") as fh:
+                end = 0
+                for raw in fh:
+                    start, end = end, end + len(raw)
+                    open_tail = not raw.endswith(b"\n")
+                    # Decoded and the bytes dropped before the parse:
+                    # one copy of one line beside its parsed entry.  A
+                    # stray byte becomes U+FFFD instead of ending the
+                    # resume.
+                    line = raw.decode("utf-8", "replace")
+                    del raw
+                    if not line.isspace():
+                        self._load_line(line, (start, end), known, spans)
+                    del line
+        if open_tail:
+            with open(self.journal_path, "ab") as fh:
+                fh.write(b"\n")
+        self.completed = _JournalPayloads(self.journal_path, spans)
+
+    def _load_line(
+        self,
+        line: str,
+        span: Tuple[int, int],
+        known: Set[str],
+        spans: Dict[str, Tuple[int, int]],
+    ) -> None:
+        """Account one journal line.  The parsed entry lives only in
+        this frame: a result line leaves just its byte range behind."""
+        try:
+            # Parsed whole, so a torn line never counts as done.
+            entry = json.loads(line)
+            key = entry["shard"]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            # Torn write from a killed run: skip; the shard counts as
+            # not-done and is simply re-run.
+            self.skipped_lines += 1
+            return
+        if key not in known:
+            # Same sweep digest implies the same shard set, but stay
+            # defensive against hand-edited files.
+            self.skipped_lines += 1
+        elif "result" in entry:
+            spans[key] = span
+        elif "failure" in entry:
+            self.prior_failures.append(entry["failure"])
+        else:
+            self.skipped_lines += 1
 
     # ------------------------------------------------------------------
     # Appending

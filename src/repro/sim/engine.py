@@ -30,7 +30,7 @@ from repro.sim.hbm import (
     slowdown_factors,
 )
 from repro.sim.scheduler_base import Decision, ExecUnit, SchedulerBase, UnitKind, UnitState
-from repro.sim.stats import SimStats, ordered_mean, percentiles
+from repro.sim.stats import SimStats, ordered_mean, ordered_sum, percentiles
 
 #: Numerical tolerance for completion checks and capacity validation.
 EPS = 1e-6
@@ -128,6 +128,9 @@ class Tenant:
         self.current_request: Optional[Request] = None
         self.op_cursor = 0
         self.group_cursor = 0
+        #: Start cycle of the open operator, kept only under ``record_ops``
+        #: (a tenant runs its operators in order, so one is open at most).
+        self._op_start = 0.0
         self.completed: List[Request] = []
         self._next_request_id = 0
         # Per-(op, group) unit templates: every request replays the same
@@ -194,10 +197,7 @@ class Tenant:
         assert request is not None
         templates = self._templates[self.op_cursor][self.group_cursor]
         if self.group_cursor == 0 and stats.record_ops:
-            op = self.graph.ops[self.op_cursor]
-            stats.op_started(
-                self.tenant_id, op.name, op.op_index, request.request_id, now,
-            )
+            self._op_start = now
         if not templates:
             op = self.graph.ops[self.op_cursor]
             raise SimulationError(f"operator {op.name!r} produced no units")
@@ -230,10 +230,10 @@ class Tenant:
             return False
         if stats.record_ops:
             op = self.graph.ops[op_cursor]
-            stats.op_finished(
-                self.tenant_id, op.op_index, self.current_request.request_id,
-                now,
-            )
+            stats.op_records.append((
+                self.tenant_id, op.name, op.op_index,
+                self.current_request.request_id, self._op_start, now,
+            ))
         self.group_cursor = 0
         self.op_cursor = op_cursor + 1
         if self.op_cursor < len(self._templates):
@@ -1136,7 +1136,7 @@ class Simulator:
             else:
                 by_key = slowdown_factors(keyed, self.core.hbm_bytes_per_cycle)
             factors = [by_key[i] for i in range(len(demands))]
-        hbm_rate = min(self.core.hbm_bytes_per_cycle, sum(demands))
+        hbm_rate = min(self.core.hbm_bytes_per_cycle, ordered_sum(demands))
 
         rates: List[Tuple[int, float]] = []
         ve_exec: List[Tuple[int, float]] = []

@@ -5,8 +5,9 @@ Tracks everything the paper's evaluation section reports:
 - per-engine-class busy integrals -> ME/VE utilization (Figs. 5, 22, 27);
 - per-tenant blocked cycles -> blocked-time overhead (Table III);
 - per-tenant assigned-engine traces over time (Fig. 24);
-- per-operator execution records -> operator durations for the
-  harvesting speedup breakdown (Fig. 23);
+- per-operator execution records (one :data:`OpRecord` tuple per
+  finished operator) -> operator durations for the harvesting speedup
+  breakdown (Fig. 23);
 - HBM bandwidth consumption over time (Fig. 7).
 """
 
@@ -66,20 +67,11 @@ def percentiles(values: Collection[float], pcts: Sequence[float]) -> List[float]
     ]
 
 
-@dataclass
-class OpRecord:
-    """One dynamic operator execution on one tenant."""
-
-    tenant_id: int
-    op_name: str
-    op_index: int
-    request_id: int
-    start_cycle: float
-    end_cycle: float = 0.0
-
-    @property
-    def duration(self) -> float:
-        return max(0.0, self.end_cycle - self.start_cycle)
+#: One finished operator execution on one tenant, as the engine appends
+#: it to :attr:`SimStats.op_records` when the operator's last group
+#: retires: (tenant_id, op_name, op_index, request_id, start_cycle,
+#: end_cycle).  An operator still open when the run stops has none.
+OpRecord = Tuple[int, str, int, int, float, float]
 
 
 @dataclass
@@ -93,7 +85,12 @@ class AssignmentSample:
 
 
 class SimStats:
-    """Accumulates integrals and traces during a simulation run."""
+    """Accumulates integrals and traces during a simulation run.
+
+    ``op_records`` holds one :data:`OpRecord` per finished operator, in
+    finish order, when ``record_ops`` is set; the tenant keeps the open
+    operator's start cycle until then.
+    """
 
     def __init__(self, num_mes: int, num_ves: int, record_assignment: bool = True,
                  record_ops: bool = True, record_bandwidth: bool = False) -> None:
@@ -113,7 +110,6 @@ class SimStats:
         self.assignment_trace: List[AssignmentSample] = []
         self.op_records: List[OpRecord] = []
         self.bandwidth_trace: List[Tuple[float, float, float]] = []
-        self._open_ops: Dict[Tuple[int, int, int], OpRecord] = {}
 
     # ------------------------------------------------------------------
     # Epoch accounting
@@ -181,33 +177,6 @@ class SimStats:
         )
 
     # ------------------------------------------------------------------
-    # Operator lifecycle
-    # ------------------------------------------------------------------
-    def op_started(
-        self, tenant_id: int, op_name: str, op_index: int, request_id: int, now: float
-    ) -> None:
-        if not self.record_ops:
-            return
-        key = (tenant_id, request_id, op_index)
-        self._open_ops[key] = OpRecord(
-            tenant_id=tenant_id,
-            op_name=op_name,
-            op_index=op_index,
-            request_id=request_id,
-            start_cycle=now,
-        )
-
-    def op_finished(self, tenant_id: int, op_index: int, request_id: int, now: float) -> None:
-        if not self.record_ops:
-            return
-        key = (tenant_id, request_id, op_index)
-        record = self._open_ops.pop(key, None)
-        if record is None:
-            return
-        record.end_cycle = now
-        self.op_records.append(record)
-
-    # ------------------------------------------------------------------
     # Summaries
     # ------------------------------------------------------------------
     def me_utilization(self) -> float:
@@ -231,11 +200,12 @@ class SimStats:
         return self.ve_busy_per_tenant[tenant_id] / (self.total_cycles * self.num_ves)
 
     def op_durations(self, tenant_id: int) -> Dict[str, List[float]]:
-        """Operator name -> list of execution durations for a tenant."""
+        """Operator name -> the tenant's execution durations, in finish
+        order (an end before its start counts as 0.0)."""
         out: Dict[str, List[float]] = defaultdict(list)
-        for record in self.op_records:
-            if record.tenant_id == tenant_id:
-                out[record.op_name].append(record.duration)
+        for tid, name, _index, _rid, start, end in self.op_records:
+            if tid == tenant_id:
+                out[name].append(max(0.0, end - start))
         return out
 
     def assignment_series(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -94,3 +95,56 @@ def test_resume_then_append_accumulates(tmp_path):
     resumed = SweepJournal(tmp_path, "d", KEYS, resume=True)
     assert set(resumed.completed) == {"aaa", "bbb"}
     resumed.close()
+
+
+def test_record_after_a_line_cut_before_its_newline(tmp_path):
+    """A kill just before a line's newline leaves a whole last line: the
+    resumed run reads its payload, and its next record starts a line of
+    its own, so a second resume finds both."""
+    with SweepJournal(tmp_path, "d", KEYS) as journal:
+        journal.record("aaa", {"x": 1})
+    path = tmp_path / "journal.jsonl"
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    with SweepJournal(tmp_path, "d", KEYS, resume=True) as resumed:
+        resumed.record("bbb", {"x": 2})
+        assert resumed.completed["aaa"] == {"x": 1}
+    again = SweepJournal(tmp_path, "d", KEYS, resume=True)
+    assert again.completed == {"aaa": {"x": 1}, "bbb": {"x": 2}}
+    assert again.skipped_lines == 0
+    again.close()
+
+
+def test_record_after_a_torn_tail_keeps_its_line(tmp_path):
+    with SweepJournal(tmp_path, "d", KEYS) as journal:
+        journal.record("aaa", {"x": 1})
+    with open(tmp_path / "journal.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"shard": "bbb", "resu')
+    with SweepJournal(tmp_path, "d", KEYS, resume=True) as resumed:
+        resumed.record("bbb", {"x": 2})
+    again = SweepJournal(tmp_path, "d", KEYS, resume=True)
+    assert again.completed == {"aaa": {"x": 1}, "bbb": {"x": 2}}
+    assert again.skipped_lines == 1  # only the torn fragment
+    again.close()
+
+
+def test_resume_holds_one_payload_at_a_time(tmp_path):
+    """Resuming keeps where each shard's line starts, not its payload:
+    loading a journal of many large payloads and reading one back peaks
+    at about two payloads (one line's text and its parsed value), not
+    at all of them."""
+    keys = [f"k{i}" for i in range(8)]
+    size = 1_000_000
+    with SweepJournal(tmp_path, "d", keys) as journal:
+        for i, key in enumerate(keys):
+            journal.record(key, {"payload": "abcdefgh"[i] * size})
+    tracemalloc.start()
+    try:
+        resumed = SweepJournal(tmp_path, "d", keys, resume=True)
+        last = resumed.completed[keys[-1]]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    resumed.close()
+    assert list(resumed.completed) == keys
+    assert last == {"payload": "h" * size}
+    assert peak < 2.5 * size

@@ -120,11 +120,7 @@ def _snapshot(result):
         "blocked_cycles_per_tenant": dict(stats.blocked_cycles_per_tenant),
         "preemption_count": stats.preemption_count,
         "reclaim_penalty_cycles": stats.reclaim_penalty_cycles,
-        "op_records": [
-            (r.tenant_id, r.op_index, r.request_id, r.start_cycle,
-             r.end_cycle)
-            for r in stats.op_records
-        ],
+        "op_records": list(stats.op_records),
         "tenants": {
             tid: (
                 tr.latencies_cycles,

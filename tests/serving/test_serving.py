@@ -1,12 +1,15 @@
 """Tests for the serving harness: runners and metrics."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
 from repro.api.registries import make_scheduler
 from repro.config import DEFAULT_CORE
 from repro.errors import ConfigError
+from repro.experiments.common import run_pair
 from repro.serving import server
 from repro.serving.metrics import PairMetrics, TenantMetrics
 from repro.serving.server import (
@@ -120,6 +123,27 @@ def test_run_collocation_produces_both_tenants():
     assert pair.pair == "MNIST+DLRM"
     assert pair.total_me_utilization > 0
     assert pair.op_durations is not None
+
+
+#: sha256 over canonical JSON of NCF+RsNt's op durations under every
+#: scheme, the figures Fig. 23's harvesting breakdown averages.
+NCF_RSNT_OP_DURATIONS_SHA256 = (
+    "2d04a3530134249edb950ee7f0e4dcabbf7449426476abf7f5964f095e99518c"
+)
+
+
+def test_pair_op_durations_are_pinned():
+    run = run_pair("NCF", "RsNt", schemes=ALL_SCHEMES)
+    doc = {
+        scheme: {
+            str(tid): dict(durations)
+            for tid, durations in run.results[scheme].op_durations.items()
+        }
+        for scheme in ALL_SCHEMES
+    }
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == NCF_RSNT_OP_DURATIONS_SHA256
 
 
 def test_collocation_scheme_isa_mapping():

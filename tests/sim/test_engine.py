@@ -112,6 +112,24 @@ def test_horizon_stops_simulation():
     assert result.total_cycles <= 50_001.0
 
 
+def test_horizon_inside_an_operator_leaves_it_unrecorded():
+    """Operators still open when the run stops are not recorded; the
+    ones that finished before the horizon are, exactly as in a full
+    run."""
+    def run(horizon):
+        tenant = make_tenant(make_me_graph(), CORE, alloc_mes=4,
+                             alloc_ves=4, target_requests=1)
+        sim = Simulator(CORE, StaticPartitionScheduler(), [tenant],
+                        horizon_cycles=horizon, record_ops=True)
+        return sim.run().stats.op_records
+
+    full = run(float("inf"))
+    _, _, _, _, start, end = full[2]
+    horizon = (start + end) / 2
+    assert start < horizon < end
+    assert run(horizon) == full[:2]
+
+
 def test_more_engines_never_slower():
     lat = {}
     for mes in (1, 2, 4):

@@ -17,8 +17,11 @@ from repro.config import (
     NpuCoreConfig,
 )
 from repro.errors import ConfigError
+from repro.sim.engine import Simulator, Tenant
 from repro.sim.hw_cost import scheduler_cost
+from repro.sim.sched_static import StaticPartitionScheduler
 from repro.sim.stats import SimStats, ordered_mean, ordered_sum
+from repro.workloads.traces import build_trace
 
 
 # ----------------------------------------------------------------------
@@ -98,20 +101,51 @@ def test_stats_assignment_trace_coalesces():
 
 
 def test_stats_op_lifecycle():
-    stats = SimStats(num_mes=4, num_ves=4)
-    stats.op_started(0, "mm", 3, 0, 100.0)
-    stats.op_finished(0, 3, 0, 300.0)
-    [record] = stats.op_records
-    assert record.duration == 200.0
+    """Each finished operator appends one (tenant_id, op_name, op_index,
+    request_id, start_cycle, end_cycle) tuple, in finish order, and the
+    next operator starts where the previous one ended -- an operator of
+    several uTOp groups starts at its first group."""
+    graph = build_trace("MNIST", 8).compiled("neuisa")
+    assert any(len(op.groups) > 1 for op in graph.ops)
+    tenant = Tenant(3, "mnist", graph, alloc_mes=4, alloc_ves=4,
+                    target_requests=2)
+    sim = Simulator(DEFAULT_CORE, StaticPartitionScheduler(), [tenant])
+    records = sim.run().stats.op_records
+    assert [r[:4] for r in records] == [
+        (3, op.name, op.op_index, rid) for rid in range(2) for op in graph.ops
+    ]
+    assert [r[4] for r in records] == [0.0] + [r[5] for r in records[:-1]]
+    assert all(end > start for *_, start, end in records)
 
 
 def test_stats_op_durations_grouping():
     stats = SimStats(num_mes=4, num_ves=4)
     for req in range(3):
-        stats.op_started(0, "mm", 1, req, req * 100.0)
-        stats.op_finished(0, 1, req, req * 100.0 + 50.0)
+        t = req * 100.0
+        stats.op_records.append((0, "mm", 1, req, t, t + 50.0))
+        stats.op_records.append((1, "mm", 1, req, t, t + 7.0))
+        stats.op_records.append((0, "ln", 2, req, t + 50.0, t + 60.0))
     durations = stats.op_durations(0)
-    assert durations["mm"] == [50.0, 50.0, 50.0]
+    assert durations == {"mm": [50.0, 50.0, 50.0], "ln": [10.0, 10.0, 10.0]}
+    assert stats.op_durations(2) == {}
+    assert stats.op_durations(2)["mm"] == []  # a defaultdict(list)
+
+
+def test_stats_op_duration_of_end_before_start_is_zero():
+    stats = SimStats(num_mes=4, num_ves=4)
+    stats.op_records.append((0, "mm", 1, 0, 300.0, 100.0))
+    stats.op_records.append((0, "mm", 1, 1, 300.0, 300.0))
+    assert stats.op_durations(0)["mm"] == [0.0, 0.0]
+
+
+def test_stats_op_durations_keep_finish_order():
+    """Durations follow the order operators finished in, not their
+    start cycles or request ids."""
+    stats = SimStats(num_mes=4, num_ves=4)
+    stats.op_records.append((0, "mm", 1, 2, 40.0, 70.0))
+    stats.op_records.append((0, "mm", 1, 0, 0.0, 80.0))
+    stats.op_records.append((0, "mm", 1, 1, 20.0, 90.0))
+    assert stats.op_durations(0)["mm"] == [30.0, 80.0, 70.0]
 
 
 def test_stats_bandwidth_average():
