@@ -20,6 +20,7 @@ import copy
 import hashlib
 import json
 import sys
+from array import array
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Dict, Mapping, Optional
 
@@ -57,7 +58,8 @@ def _plain(obj: Any) -> Any:
 
 
 def _json_default(obj: Any) -> Any:
-    if isinstance(obj, tuple):
+    # A packed log (``SloReport``) encodes as the list it holds.
+    if isinstance(obj, (tuple, array)):
         return list(obj)
     raise TypeError(f"not JSON-serialisable: {type(obj).__name__}")
 

@@ -64,10 +64,20 @@ _FAULT_KIND_MAP = {
 
 
 def _checkpoint_hmac(payload: Mapping[str, Any], key: str) -> str:
-    """HMAC-SHA256 of a checkpoint payload (sans ``auth``) under ``key``."""
+    """HMAC-SHA256 under ``key`` of a checkpoint's header: the canonical
+    JSON of every field except ``auth`` and ``payload``.
+
+    The header holds ``payload_digest``, and
+    :meth:`ClusterCheckpoint.from_dict` refuses a payload whose sha256
+    differs from it before anything is unpickled, so the signature binds
+    the payload without running its base64 text through the HMAC.
+    """
     try:
         canonical = json.dumps(
-            {k: v for k, v in payload.items() if k != "auth"},
+            {
+                k: v for k, v in payload.items()
+                if k not in ("auth", "payload")
+            },
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -87,8 +97,10 @@ def sign_checkpoint(
     A checkpoint payload embeds pickled simulator state, and unpickling
     attacker-supplied bytes executes arbitrary code -- so ``POST
     /restore`` only unpickles payloads whose ``auth`` field carries a
-    valid HMAC under the server's restore key.  Snapshots minted by
-    ``GET /snapshot`` arrive pre-signed; use this helper to push an
+    valid HMAC under the server's restore key.  The HMAC covers the
+    header, ``payload_digest`` included, and the payload must match that
+    digest, so a signature admits exactly one payload.  Snapshots minted
+    by ``GET /snapshot`` arrive pre-signed; use this helper to push an
     unsigned journal checkpoint (``repro run --checkpoint``) into a
     live server whose key you hold.
     """
@@ -222,10 +234,15 @@ class ServeController:
         # Authenticate before anything else touches the payload: the
         # checkpoint embeds a pickle, and unpickling unauthenticated
         # input would hand remote clients arbitrary code execution.
+        # ``from_dict`` then checks the payload against the signed
+        # digest.  A non-ASCII ``auth`` never matches a hex digest, and
+        # ``compare_digest`` raises TypeError on one.
         provided = payload.get("auth")
         expected = _checkpoint_hmac(payload, self.restore_key)
-        if not isinstance(provided, str) or not hmac.compare_digest(
-            provided, expected
+        if (
+            not isinstance(provided, str)
+            or not provided.isascii()
+            or not hmac.compare_digest(provided, expected)
         ):
             raise CheckpointError(
                 "restore payload is not authenticated: checkpoints embed "

@@ -10,6 +10,7 @@ crosses saturation.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -53,6 +54,11 @@ class SloReport:
     re-arrives with another SLO is judged per window (``target_cycles``
     keeps the first window's).  Attainment and goodput derive from the
     count, so reading them costs nothing per request.
+
+    ``latencies_cycles`` and ``queueing_cycles`` are packed
+    ``array('d')`` logs in completion order.  A checkpoint pickles each
+    as its raw doubles, and :meth:`extend` and :meth:`copy` move them
+    in one memcpy; reading a value back builds a float.
     """
 
     name: str
@@ -62,8 +68,8 @@ class SloReport:
     completed: int
     attained: int
     duration_s: float
-    latencies_cycles: List[float] = field(default_factory=list)
-    queueing_cycles: List[float] = field(default_factory=list)
+    latencies_cycles: array = field(default_factory=lambda: array("d"))
+    queueing_cycles: array = field(default_factory=lambda: array("d"))
 
     @property
     def attainment(self) -> float:
@@ -116,8 +122,8 @@ class SloReport:
         untouched."""
         return replace(
             self,
-            latencies_cycles=list(self.latencies_cycles),
-            queueing_cycles=list(self.queueing_cycles),
+            latencies_cycles=array("d", self.latencies_cycles),
+            queueing_cycles=array("d", self.queueing_cycles),
         )
 
 
@@ -156,6 +162,6 @@ def build_slo_report(
         completed=result.completed_requests,
         attained=attained,
         duration_s=duration_s,
-        latencies_cycles=list(result.latencies_cycles),
-        queueing_cycles=list(result.queueing_cycles),
+        latencies_cycles=array("d", result.latencies_cycles),
+        queueing_cycles=array("d", result.queueing_cycles),
     )

@@ -21,14 +21,21 @@ mutable state, taken in a single ``pickle.dumps`` call so shared
 object identity (a resident's host *is* the fleet's host) survives the
 round trip.
 
+The payload is hashed once, where outside input is parsed:
+:meth:`ClusterCheckpoint.from_dict` refuses a payload whose sha256
+differs from ``payload_digest`` before anything is unpickled, and
+:meth:`ClusterCheckpoint.state` unpickles what :meth:`create` or
+:meth:`from_dict` produced.
+
 Because the payload is a pickle, restoring a checkpoint executes
-whatever its bytes describe: :meth:`ClusterCheckpoint.verify` only
-proves integrity (the payload matches its own recorded digest), never
-provenance.  Only restore checkpoints from sources you trust -- your
-own journal directory, your own process.  Network-facing paths must
-authenticate first: ``repro serve`` refuses ``POST /restore`` payloads
-that do not carry a valid HMAC under the server's restore key (see
-:mod:`repro.serve.controller`).
+whatever its bytes describe: the digest check only proves integrity
+(the payload matches its own recorded digest), never provenance.  Only
+restore checkpoints from sources you trust -- your own journal
+directory, your own process.  Network-facing paths must authenticate
+first: ``repro serve`` refuses ``POST /restore`` payloads that do not
+carry a valid HMAC under the server's restore key.  The HMAC signs the
+header, ``payload_digest`` included, so it binds the payload through
+the digest check (see :mod:`repro.serve.controller`).
 """
 
 from __future__ import annotations
@@ -59,9 +66,12 @@ EVENT_CHURN = "churn"
 EVENT_FAULT = "fault"
 
 #: Schema version of :class:`ClusterCheckpoint`.  Bump on any change to
-#: the payload layout; :meth:`ClusterCheckpoint.verify` refuses other
-#: versions rather than unpickling a layout it does not understand.
-CHECKPOINT_VERSION = 2
+#: the payload layout or to the fields ``repro serve`` signs;
+#: :meth:`ClusterCheckpoint.verify` refuses other versions rather than
+#: unpickling a layout it does not understand.  Version 3 packs each
+#: ``SloReport`` log as ``array('d')``, and ``repro serve`` signs its
+#: header instead of its payload.
+CHECKPOINT_VERSION = 3
 
 #: Pickle protocol pinned for checkpoint payloads so snapshots written
 #: by one interpreter restore under another (protocol 4 is available
@@ -240,8 +250,9 @@ class ClusterCheckpoint:
             )
 
     def state(self) -> object:
-        """Verify and unpickle the captured simulation state."""
-        self.verify()
+        """Unpickle the captured simulation state.  The payload was
+        verified where it entered: :meth:`create` hashed its own
+        pickle, and :meth:`from_dict` checks outside input."""
         return pickle.loads(self.payload)
 
     def to_dict(self) -> Dict[str, object]:

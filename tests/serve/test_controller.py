@@ -100,6 +100,53 @@ def test_restore_authenticates_with_the_shared_key():
         second.restore({k: v for k, v in snapshot.items() if k != "auth"})
 
 
+def test_restore_refuses_a_non_ascii_auth():
+    controller = ServeController(_scenario())
+    controller.advance(segments=1)
+    snapshot = controller.snapshot()
+    with pytest.raises(CheckpointError, match="auth"):
+        controller.restore(dict(snapshot, auth="\u00e9" * 64))
+    assert controller.restore(snapshot)["segments_completed"] == 1
+
+
+def _two_snapshots(controller):
+    """Signed snapshots taken at segments 1 and 2, which leave the
+    controller at segment 2."""
+    controller.advance(segments=1)
+    first = controller.snapshot()
+    controller.advance(segments=1)
+    return first, controller.snapshot()
+
+
+def test_signed_header_binds_the_payload():
+    """The HMAC signs the header, not the payload: another snapshot's
+    payload under this header fails its digest check before anything is
+    unpickled, and the live run stays as it was."""
+    controller = ServeController(_scenario())
+    first, second = _two_snapshots(controller)
+    before = controller.metrics()
+    swapped = dict(second, payload=first["payload"])
+    with pytest.raises(CheckpointError, match="corrupt"):
+        controller.restore(swapped)
+    assert controller.status()["segments_completed"] == 2
+    assert controller.metrics() == before
+
+
+def test_signature_covers_the_payload_digest():
+    """Swapping ``payload`` and ``payload_digest`` together under the
+    old ``auth`` fails the signature."""
+    controller = ServeController(_scenario())
+    first, second = _two_snapshots(controller)
+    swapped = dict(
+        second,
+        payload=first["payload"],
+        payload_digest=first["payload_digest"],
+    )
+    with pytest.raises(CheckpointError, match="auth"):
+        controller.restore(swapped)
+    assert controller.status()["segments_completed"] == 2
+
+
 def test_sign_checkpoint_admits_unsigned_journal_payloads():
     controller = ServeController(_scenario(), restore_key="k")
     controller.advance(segments=1)

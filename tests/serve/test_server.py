@@ -153,6 +153,11 @@ def test_restore_requires_the_auth_hmac(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _post(server, "/restore", forged)
     assert excinfo.value.code == 409
+    # A non-ASCII auth is refused like any other forgery, not as a
+    # malformed parameter.
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _post(server, "/restore", dict(snapshot, auth="\u00e9" * 64))
+    assert excinfo.value.code == 409
     # The genuine signed snapshot still restores.
     status = _post(server, "/restore", snapshot)
     assert status["segments_completed"] == 1

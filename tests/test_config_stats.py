@@ -185,6 +185,8 @@ def test_ordered_sum_matches_the_sequential_reference():
 
 
 def test_result_means_use_the_ordered_sum():
+    from array import array
+
     from repro.sim.engine import TenantResult
     from repro.traffic.slo import SloReport
 
@@ -200,7 +202,14 @@ def test_result_means_use_the_ordered_sum():
         completed=3, attained=0, duration_s=1.0,
         latencies_cycles=values, queueing_cycles=values,
     )
-    for holder in (tenant, report):
+    # The packed logs a report builds and checkpoints.
+    packed = SloReport(
+        name="t", scheme="neu10", target_cycles=1.0, offered=3,
+        completed=3, attained=0, duration_s=1.0,
+        latencies_cycles=array("d", values),
+        queueing_cycles=array("d", values),
+    )
+    for holder in (tenant, report, packed):
         assert holder.mean_latency == 0.0
         assert holder.mean_queueing_delay == 0.0
 

@@ -283,6 +283,59 @@ def test_restore_refuses_tampered_payload():
         )
 
 
+def test_latency_logs_stay_packed():
+    """``SloReport`` keeps its logs as ``array('d')`` when built,
+    extended, copied and restored from a checkpoint; an earlier copy
+    never sees a later extend; and a packed log digests as the list it
+    holds."""
+    from array import array
+
+    from repro.sim.engine import TenantResult
+    from repro.traffic.slo import build_slo_report
+
+    def window(latencies):
+        return TenantResult(
+            tenant_id=0, name="t", latencies_cycles=list(latencies),
+            throughput_rps=0.0, me_utilization=0.0, ve_utilization=0.0,
+            blocked_fraction=0.0, completed_requests=len(latencies),
+            queueing_cycles=[lat / 2 for lat in latencies],
+            offered_requests=len(latencies),
+        )
+
+    def assert_packed(report):
+        for log in (report.latencies_cycles, report.queueing_cycles):
+            assert type(log) is array and log.typecode == "d"
+
+    report = build_slo_report("t", "neu10", 10.0, window([4.0, 12.0]), 0.001)
+    early = report.copy()
+    report.extend(build_slo_report("t", "neu10", 10.0, window([8.0]), 0.001))
+    for held in (report, early, report.copy()):
+        assert_packed(held)
+    assert list(report.latencies_cycles) == [4.0, 12.0, 8.0]
+    assert list(report.queueing_cycles) == [2.0, 6.0, 4.0]
+    assert list(early.latencies_cycles) == [4.0, 12.0]
+    assert list(early.queueing_cycles) == [2.0, 6.0]
+    assert (report.attained, early.attained) == (2, 1)
+
+    scenario = _adversarial("burst_storm")
+    donor = ClusterSimulation(*cluster_inputs(scenario))
+    donor.advance(scenario.duration_s / 2)
+    checkpoint = ClusterCheckpoint.from_dict(donor.snapshot().to_dict())
+    restored = ClusterSimulation.restore(
+        checkpoint, *cluster_inputs(scenario)
+    )
+    assert restored.reports
+    for name, held in restored.reports.items():
+        assert_packed(held)
+        assert held.latencies_cycles == donor.reports[name].latencies_cycles
+        assert held.queueing_cycles == donor.reports[name].queueing_cycles
+
+    values = [1e16, 0.1, -3.0, 2.5e-7]
+    assert canonical_digest({"log": array("d", values)}) == canonical_digest(
+        {"log": values}
+    )
+
+
 def test_restore_refuses_unpicklable_configuration():
     class Rogue:
         def observe(self, obs):
@@ -376,16 +429,17 @@ def test_cli_resume_refuses_a_journal_of_an_older_version(tmp_path, capsys):
     assert cli_main(argv) == 0
     journal = tmp_path / "ck" / "journal.jsonl"
     entries = [json.loads(line) for line in journal.read_text().splitlines()]
-    for entry in entries:
-        entry["result"]["version"] = 1
-    journal.write_text("".join(json.dumps(e) + "\n" for e in entries))
-    capsys.readouterr()
-    assert cli_main(argv + ["--resume"]) == 1
-    err = capsys.readouterr().err
-    assert err == (
-        "error: checkpoint version 1 is not supported "
-        "(this build reads version 2)\n"
-    )
+    for version in (1, 2):
+        for entry in entries:
+            entry["result"]["version"] = version
+        journal.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        capsys.readouterr()
+        assert cli_main(argv + ["--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: checkpoint version {version} is not supported "
+            "(this build reads version 3)\n"
+        )
 
 
 def test_checkpoint_every_n_segments(tmp_path):

@@ -243,8 +243,9 @@ def test_checkpoint_verify_rejects_corrupt_payload():
 
 
 def test_checkpoint_rejects_unknown_version():
-    # Version 1 checkpoints predate the fleet-owned id counters.
-    for version in (1, 99):
+    # Version 1 checkpoints predate the fleet-owned id counters, and
+    # version 2 ones pickle their latency logs as lists of floats.
+    for version in (1, 2, 99):
         raw = _checkpoint().to_dict()
         raw["version"] = version
         with pytest.raises(

@@ -7,9 +7,12 @@ story through the real CLI, across a hard process death:
 1. an uninterrupted ``repro run --json`` (the reference);
 2. a ``repro serve`` server advanced part-way over HTTP, snapshotted,
    then SIGKILLed -- the snapshot JSON is all that survives;
-3. a *fresh* ``repro serve --tick 0.01`` process, which starts
-   paused, restores the snapshot over HTTP, takes ``POST /start`` and
-   finishes on its auto-tick thread while the tool polls ``/status``.
+3. a *fresh* ``repro serve --tick 0.01`` process, which first refuses
+   the snapshot with another snapshot's payload swapped in under the
+   same signed header (409, and ``/status`` still answers), then
+   starts paused, restores the snapshot over HTTP, takes ``POST
+   /start`` and finishes on its auto-tick thread while the tool polls
+   ``/status``.
 
 The restored run's ``/metrics`` must be **bit-identical** to the
 reference.  Exit 0 on success, 1 with a diagnostic on any mismatch.
@@ -29,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -116,6 +120,15 @@ def _post(base: str, path: str, body=None):
         return json.load(resp)
 
 
+def _post_status(base: str, path: str, body) -> int:
+    """The HTTP status ``POST path`` answers with."""
+    try:
+        _post(base, path, body)
+    except urllib.error.HTTPError as exc:
+        return exc.code
+    return 200
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--keep", type=Path, default=None,
@@ -147,6 +160,9 @@ def main(argv=None) -> int:
     try:
         status = _get(base, "/status")
         total = status["total_segments"]
+        # A genuine, signed snapshot of segment 0: its payload is the
+        # one step 3 swaps in.
+        early = _get(base, "/snapshot")
         cut = max(1, total // 2)
         reply = _post(base, "/advance", {"segments": cut})
         print(f"advanced {len(reply['segments'])} of {total} segment(s) "
@@ -165,6 +181,20 @@ def main(argv=None) -> int:
     proc, base, _ = _start_server(scenario_file, env, restore_key,
                                   tick_s=TICK_S)
     try:
+        # The restore key signs the header, payload_digest included, not
+        # the payload: another snapshot's payload under this header must
+        # fail its digest check before anything is unpickled.
+        swapped = dict(snapshot, payload=early["payload"])
+        code = _post_status(base, "/restore", swapped)
+        if code != 409:
+            print(f"FAIL: a swapped payload got HTTP {code}, not 409",
+                  file=sys.stderr)
+            return 1
+        if _get(base, "/status")["segments_completed"] != 0:
+            print("FAIL: the refused restore moved the session",
+                  file=sys.stderr)
+            return 1
+        print("refused a swapped payload with 409")
         restored = _post(base, "/restore", snapshot)
         if restored["segments_completed"] != snapshot["segment_index"]:
             print("FAIL: restore did not land on the snapshot segment",
