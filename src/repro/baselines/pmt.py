@@ -17,7 +17,7 @@ from repro.sim.scheduler_base import (
     ExecUnit,
     SchedulerBase,
     UnitState,
-    unit_state_fingerprint,
+    attribute_code,
 )
 from repro.sim.sched_static import allocate_tenant_ve, sort_me_candidates
 
@@ -48,30 +48,69 @@ class PmtScheduler(SchedulerBase):
 
     # ------------------------------------------------------------------
     def state_fingerprint(self, sim: "Simulator"):
-        """Unit fingerprint plus the current owner, and on a switch the
-        next one.
+        """The inputs of this epoch's plan, plus the current owner, and
+        on a switch the next one.
 
-        An epoch that keeps its owner is a pure function of the unit
-        state and ``_current``, so its key is ``(unit key, current
-        owner)``; the quantum end only times the forced re-decision,
-        which :meth:`forced_decision_at` supplies.  An epoch that
-        switches owner (no current owner, an idle one, or an expired
-        quantum with someone else waiting) also moves ``_current`` and
-        ``_quantum_end``: its key is ``(unit key, current owner, next
-        owner)``, the next owner being the least-service pick
-        :meth:`decide` makes, and :meth:`replay_policy` performs the
-        move when the key replays.  An epoch with no work anywhere
-        returns None.
+        An epoch that keeps its owner is a pure function of the owner's
+        units, the reclaim count (the free MEs), ``_current`` and, for
+        each other tenant, whether it has work (which decides whether
+        the quantum end forces a re-decision) and whether it wants MEs
+        (which makes it blocked).  Its key is ``((reclaim count, owner's
+        unit codes and the other tenants' flags in tenant order),
+        current owner)`` and its plan touches the owner's units only:
+        every other unit is READY or DONE without a grant, since a
+        switch plan takes every engine from the outgoing owner and a
+        tenant that does not own the core never progresses.  The quantum
+        end only times the forced re-decision, which
+        :meth:`forced_decision_at` supplies.
+
+        An epoch that switches owner (no current owner, an idle one, or
+        an expired quantum with someone else waiting) also moves
+        ``_current`` and ``_quantum_end``.  Its key is ``((reclaim count,
+        codes), current owner, next owner)``, the next owner being the
+        least-service pick :meth:`decide` makes, with the next owner's
+        units spelled out in full and every other unit as (is ME, state,
+        granted MEs); its plan touches every unit.  No rank permutation is
+        needed, since the policy reads no unit order across tenants.
+        :meth:`replay_policy` tells the two kinds apart by key length
+        and performs the switch when a switch key replays.  An epoch
+        with no work anywhere returns None.
         """
         candidates = [t for t in sim.tenants if self._has_work(t)]
         if not candidates:
             return None
-        key, units = unit_state_fingerprint(sim)
         current = self._tenant_by_id(sim, self._current)
+        flat: List = [len(sim.reclaims)]
+        append = flat.append
         if self._must_switch(sim, candidates, current):
             nxt = self._pick_next(sim, candidates, current)
-            return (key, self._current, nxt.tenant_id), units
-        return (key, self._current), units
+            units: List[ExecUnit] = []
+            for tenant in sim.tenants:
+                active = tenant.active_units
+                units += active
+                append(-1)
+                if tenant is nxt:
+                    for u in active:
+                        code = u.code
+                        append(code if code is not None else attribute_code(u))
+                else:
+                    # Below -1: (state, grant) from the code's low byte,
+                    # doubled, plus the ME bit.
+                    for u in active:
+                        code = u.code
+                        append(
+                            -2 - (((code & 255) << 1) | u.is_me_unit)
+                            if code is not None else attribute_code(u)
+                        )
+            return (tuple(flat), self._current, nxt.tenant_id), units
+        for tenant in sim.tenants:
+            if tenant is current:
+                for u in tenant.active_units:
+                    code = u.code
+                    append(code if code is not None else attribute_code(u))
+            else:
+                append(self._waiting_flag(tenant))
+        return (tuple(flat), self._current), current.active_units
 
     def replay_policy(self, sim: "Simulator", key) -> None:
         """On a replayed switch, hand the core to the key's next owner
@@ -143,6 +182,20 @@ class PmtScheduler(SchedulerBase):
             if u.state is not done:
                 return True
         return False
+
+    @staticmethod
+    def _waiting_flag(tenant: "Tenant") -> int:
+        """A tenant's part of a key between switches when it does not
+        own the core: -1 without work, -2 with work but no ME demand,
+        -3 with ME demand (it is then blocked)."""
+        done = UnitState.DONE
+        flag = -1
+        for u in tenant.active_units:
+            if u.state is not done:
+                if u.is_me_unit and u.me_engines_needed:
+                    return -3
+                flag = -2
+        return flag
 
     @staticmethod
     def _tenant_by_id(sim: "Simulator", tenant_id: Optional[int]) -> Optional["Tenant"]:

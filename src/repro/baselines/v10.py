@@ -24,7 +24,8 @@ from repro.sim.scheduler_base import (
     SchedulerBase,
     UnitKind,
     UnitState,
-    unit_state_fingerprint,
+    attribute_code,
+    creation_rank_perm,
 )
 from repro.sim.sched_static import allocate_tenant_ve
 
@@ -57,19 +58,44 @@ class V10Scheduler(SchedulerBase):
 
     # ------------------------------------------------------------------
     def state_fingerprint(self, sim: "Simulator"):
-        """Unit fingerprint plus the outcome of the service comparisons.
+        """The inputs of this epoch's plan, plus the outcome of the
+        service comparisons.
 
         The deficit trigger and the least-served pick are the only
         inputs of :meth:`decide` beyond the unit state; the key carries
-        their discrete outcome, ``(unit key, beneficiary id or None,
-        picked unit's owner or None)``, as computed by
-        :meth:`_service_choices`.  The policy keeps no other mutable
-        state, so every epoch is memoisable.
+        their discrete outcome, ``((rank permutation, (reclaim count,
+        codes)), beneficiary id or None, picked unit's owner or None)``,
+        as computed by :meth:`_service_choices`.  The reclaim count is
+        all the plan reads of the reclaim timers (the free MEs).  The
+        codes follow :func:`unit_state_fingerprint`'s layout, except
+        that every READY ME unit other than the picked one is the marker
+        ``-2 - me_engines_needed``: the plan reads such a unit only for
+        the fact that it waits and for the MEs it needs, never for its
+        rates.  The rank permutation stays, because VE operators share
+        the VEs in creation order across tenants.  The plan touches
+        every active unit.  The policy keeps no other mutable state, so
+        every epoch is memoisable.
         """
-        key, units = unit_state_fingerprint(sim)
         _running, beneficiary, picked = self._service_choices(sim)
+        ready = UnitState.READY
+        units: List[ExecUnit] = []
+        flat: List = [len(sim.reclaims)]
+        append = flat.append
+        for tenant in sim.tenants:
+            active = tenant.active_units
+            units += active
+            append(-1)
+            for u in active:
+                if u.is_me_unit and u.state is ready and u is not picked:
+                    append(-2 - u.me_engines_needed)
+                else:
+                    code = u.code
+                    append(code if code is not None else attribute_code(u))
+        rank_perm = sim._rank_perm
+        if rank_perm is None:
+            rank_perm = sim._rank_perm = creation_rank_perm(units)
         return (
-            key,
+            (rank_perm, tuple(flat)),
             beneficiary.tenant_id if beneficiary is not None else None,
             picked.owner if picked is not None else None,
         ), units

@@ -391,8 +391,9 @@ def _graph_unit_templates(
 #: An epoch plan is one decision-memo entry, the 11-tuple ``(preempt
 #: effects, dense state, ME rates, VE rates, HBM rate, blocked tenant
 #: ids, me_busy, ve_busy, me_assigned, ve_assigned, forced)``, applied to
-#: the epoch's units in fingerprint order (tenant order, then each
-#: tenant's active units):
+#: the units the plan touches, in fingerprint order (the units
+#: ``state_fingerprint`` returns: tenant order, then each tenant's
+#: active units):
 #:
 #: - preempt effects are ``(position, reclaim owner)`` pairs, applied
 #:   before the dense state;
@@ -674,7 +675,7 @@ class Simulator:
         6. completion retire: units driven to zero become DONE and their
            tenants advance (retire runs at the top of the loop).
 
-        A plan is a memo entry applied to the units in fingerprint order
+        A plan is a memo entry applied to the units the plan touches
         (see :data:`PlanEntry`).  The clock, the epoch count, the stats
         maps and the scheduler's bound methods live in locals;
         ``self.now`` is written after every advance and ``self.epochs``
@@ -935,8 +936,8 @@ class Simulator:
         self, fp: Optional[Tuple[Hashable, List[ExecUnit]]]
     ) -> Tuple[PlanEntry, List[ExecUnit], Optional[float], bool]:
         """A fresh decision: run the scheduler, validate and apply its
-        decision, and build the plan's memo entry over the units in
-        fingerprint order (``fp``'s, or every active unit in the same
+        decision, and build the plan's memo entry over the units the
+        plan touches (``fp``'s, or every active unit in fingerprint
         order when the epoch was not fingerprinted).  Returns ``(entry,
         units, next_at, had_preempt)``."""
         decision = self.scheduler.decide(self)

@@ -178,8 +178,10 @@ class Neu10Scheduler(SchedulerBase):
         """The frozen engine belongs to the vNPU reclaiming it: first the
         tenants whose grants were trimmed this round, then whichever
         tenant has the most unused home allocation (the lender)."""
-        trimmed = list(self._trimmed)
+        trimmed = self._trimmed
         self._trimmed = []
+        if not preempted:
+            return
         lenders = sorted(
             sim.tenants,
             key=lambda t: (

@@ -224,18 +224,18 @@ def unit_state_fingerprint(
         append(-1)
         for u in active:
             code = u.code
-            append(code if code is not None else _attribute_code(u))
+            append(code if code is not None else attribute_code(u))
     if sim.reclaims:
         rc = tuple(sim.reclaiming_for(t.tenant_id) for t in sim.tenants)
     else:
         rc = None
     rank_perm = sim._rank_perm
     if rank_perm is None:
-        rank_perm = sim._rank_perm = _creation_rank_perm(units)
+        rank_perm = sim._rank_perm = creation_rank_perm(units)
     return (rc, rank_perm, tuple(flat)), units
 
 
-def _attribute_code(u: ExecUnit) -> Tuple:
+def attribute_code(u: ExecUnit) -> Tuple:
     """A unit's fingerprint part when it has no :attr:`ExecUnit.code`."""
     k = u.kind
     s = u.state
@@ -251,7 +251,7 @@ def _attribute_code(u: ExecUnit) -> Tuple:
     )
 
 
-def _creation_rank_perm(units: List[ExecUnit]) -> Tuple[int, ...]:
+def creation_rank_perm(units: List[ExecUnit]) -> Tuple[int, ...]:
     """Positions of ``units`` in creation (``unit_id``) order; the empty
     tuple, canonical for the identity, when they already are in FIFO
     order (the common case)."""
@@ -273,25 +273,32 @@ class SchedulerBase:
     def state_fingerprint(
         self, sim: "Simulator"
     ) -> Optional[Tuple[Hashable, List[ExecUnit]]]:
-        """Cheap signature of every input :meth:`decide` reads, or None.
+        """Cheap signature of every input this epoch's plan reads, or
+        None.
 
         A scheduler that opts in returns ``(key, units)``: ``key``
-        hashes everything the next decision depends on and ``units``
-        lists every active unit in fingerprint order.  The engine's fast
-        path uses the key to memoise decisions (and the epoch's progress
-        rates) across structurally identical epochs -- closed-loop
-        tenants replay the same graph per request, so the same states
-        recur thousands of times.
+        hashes everything the plan depends on (the decision, the
+        blocked tenants and the progress rates), and nothing else, and
+        ``units`` lists the units the plan touches, in tenant order and
+        each tenant's active-unit order.  Every other active unit must
+        be READY or DONE, with no grant and not harvesting, whenever
+        the plan replays, so that a fresh decision would leave it as it
+        is.  The engine's fast path uses the key to memoise decisions
+        (and the epoch's progress rates) across structurally identical
+        epochs -- closed-loop tenants replay the same graph per
+        request, so the same states recur thousands of times.
 
         - State-free policies (Neu10, Neu10-NH) return
-          :func:`unit_state_fingerprint` as is.
-        - History-dependent policies (PMT, V10) append a small *policy
-          token*: the discrete outcome of the service counters and
-          policy state :meth:`decide` reads, such as the current owner
-          or the tenant a preemption benefits.  An epoch in which
-          :meth:`decide` would mutate policy state carries that mutation
-          in its key as well (PMT: the next owner of a switch), and
-          :meth:`replay_policy` re-applies it when the key replays.
+          :func:`unit_state_fingerprint` as is: every active unit.
+        - History-dependent policies (PMT, V10) build their own key and
+          add a small *policy token*: the discrete outcome of the
+          service counters and policy state :meth:`decide` reads, such
+          as the current owner or the tenant a preemption benefits.  An
+          epoch in which :meth:`decide` would mutate policy state
+          carries that mutation in its key as well (PMT: the next owner
+          of a switch), and :meth:`replay_policy` re-applies it when the
+          key replays.  Between owner switches PMT's plan touches the
+          owner's units only.
 
         Returning ``None`` (the default) forces a fresh :meth:`decide`
         call every epoch, as Neu10-temporal and any custom scheduler

@@ -40,7 +40,7 @@ import repro.megabatch.engine as mb
 from repro.megabatch import MEGABATCH_ENV, MegaBatchEngine, megabatch_default
 from repro.serving.server import ALL_SCHEMES, SCHEME_TEMPORAL
 from repro.sim.engine import FAST_PATH_ENV, MIN_DELTA, Simulator, Tenant
-from repro.sim.scheduler_base import _creation_rank_perm
+from repro.sim.scheduler_base import creation_rank_perm
 from repro.traffic.arrivals import PoissonProcess
 from repro.workloads.traces import build_trace
 
@@ -146,7 +146,7 @@ def _assert_rank_caches(sims):
         ):
             continue
         units = [u for t in sim.tenants for u in t.active_units]
-        assert sim._rank_perm == _creation_rank_perm(units)
+        assert sim._rank_perm == creation_rank_perm(units)
 
 
 def _assert_batch_matches_scalar(specs):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.api.registries import make_scheduler, scheme_isa
 from repro.baselines.pmt import PmtScheduler
+from repro.baselines.v10 import V10Scheduler
 from repro.config import NpuCoreConfig, spawn_rng
 from repro.serving.server import ALL_SCHEMES, SCHEME_TEMPORAL
 from repro.sim.engine import FAST_PATH_ENV, Simulator, Tenant
@@ -282,33 +283,138 @@ def test_forced_plans_without_a_matching_hook_are_not_memoised(scheduler_cls):
 # ----------------------------------------------------------------------
 # Fingerprint state carried on the units: codes and the rank permutation
 # ----------------------------------------------------------------------
-def _reference_unit_key(sim):
-    """``unit_state_fingerprint``'s key, computed from scratch from each
-    unit's attributes, as the fingerprint did before units carried their
-    codes."""
+def _reference_code(u):
+    """One unit's part of ``unit_state_fingerprint``'s key, computed from
+    scratch from its attributes, as the fingerprint did before units
+    carried their codes."""
     from repro.sim.scheduler_base import UnitKind, UnitState
 
     kinds = [UnitKind.ME_UTOP, UnitKind.VE_UTOP, UnitKind.VLIW_ME,
              UnitKind.VLIW_VE]
-    states = [UnitState.READY, UnitState.RUNNING, UnitState.DONE]
+    sc = [UnitState.READY, UnitState.RUNNING, UnitState.DONE].index(u.state)
+    if u.tpl_id >= 0 and u.granted_me < 64:
+        return u.tpl_id * 256 + sc * 64 + u.granted_me
+    return (kinds.index(u.kind), sc, u.me_engines_needed, u.granted_me,
+            u.ve_rate, u.hbm_rate, u.parallelism)
+
+
+def _reference_rank_perm(sim):
+    ids = [u.unit_id for t in sim.tenants for u in t.active_units]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return () if order == list(range(len(ids))) else tuple(order)
+
+
+def _reference_unit_key(sim):
+    """``unit_state_fingerprint``'s key, computed from scratch."""
     flat = []
     for tenant in sim.tenants:
         flat.append(-1)
-        for u in tenant.active_units:
-            sc = states.index(u.state)
-            if u.tpl_id >= 0 and u.granted_me < 64:
-                flat.append(u.tpl_id * 256 + sc * 64 + u.granted_me)
-            else:
-                flat.append((kinds.index(u.kind), sc, u.me_engines_needed,
-                             u.granted_me, u.ve_rate, u.hbm_rate,
-                             u.parallelism))
+        flat.extend(_reference_code(u) for u in tenant.active_units)
     rc = None
     if sim.reclaims:
         rc = tuple(sim.reclaiming_for(t.tenant_id) for t in sim.tenants)
-    ids = [u.unit_id for t in sim.tenants for u in t.active_units]
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    rank_perm = () if order == list(range(len(ids))) else tuple(order)
-    return (rc, rank_perm, tuple(flat))
+    return (rc, _reference_rank_perm(sim), tuple(flat))
+
+
+def _reference_pmt_key(sim):
+    """``PmtScheduler``'s key, computed from scratch from the unit
+    attributes and the policy state: between switches the reclaim
+    count, the owner's codes and each other tenant's flag (-1 idle, -2
+    VE work only, -3 wants MEs); at a switch the reclaim count, the next
+    owner's codes and every other unit as -2 - (2 * (state * 64 + grant)
+    + is ME)."""
+    from repro.sim.scheduler_base import UnitState
+
+    sched = sim.scheduler
+    states = [UnitState.READY, UnitState.RUNNING, UnitState.DONE]
+
+    def has_work(t):
+        return any(u.state is not UnitState.DONE for u in t.active_units)
+
+    candidates = [t for t in sim.tenants if has_work(t)]
+    if not candidates:
+        return None
+    current = next(
+        (t for t in sim.tenants if t.tenant_id == sched._current), None
+    )
+    flat = [len(sim.reclaims)]
+    if (current is None or not has_work(current)
+            or (sim.now >= sched._quantum_end - 1e-9 and len(candidates) > 1)):
+        served = sim.stats.me_busy_per_tenant
+        pool = [t for t in candidates if t is not current] or candidates
+        nxt = min(pool, key=lambda t: served.get(t.tenant_id, 0.0)
+                  / max(t.priority, 1e-9))
+        for tenant in sim.tenants:
+            flat.append(-1)
+            for u in tenant.active_units:
+                code = _reference_code(u)
+                if tenant is not nxt and isinstance(code, int):
+                    grant = states.index(u.state) * 64 + u.granted_me
+                    code = -2 - (2 * grant + int(u.is_me_unit))
+                flat.append(code)
+        return (tuple(flat), sched._current, nxt.tenant_id)
+    for tenant in sim.tenants:
+        if tenant is current:
+            flat.extend(_reference_code(u) for u in tenant.active_units)
+        elif any(u.is_me_unit and u.state is not UnitState.DONE
+                 and u.me_engines_needed > 0 for u in tenant.active_units):
+            flat.append(-3)
+        else:
+            flat.append(-2 if has_work(tenant) else -1)
+    return (tuple(flat), sched._current)
+
+
+def _reference_v10_key(sim):
+    """``V10Scheduler``'s key, computed from scratch from the unit
+    attributes, with the service choices ``decide`` makes: every READY
+    ME unit but the picked one is -2 - its engine count."""
+    from repro.sim.scheduler_base import UnitState
+
+    _running, beneficiary, picked = sim.scheduler._service_choices(sim)
+    flat = [len(sim.reclaims)]
+    for tenant in sim.tenants:
+        flat.append(-1)
+        for u in tenant.active_units:
+            if (u.is_me_unit and u.state is UnitState.READY
+                    and u is not picked):
+                flat.append(-2 - u.me_engines_needed)
+            else:
+                flat.append(_reference_code(u))
+    return (
+        (_reference_rank_perm(sim), tuple(flat)),
+        None if beneficiary is None else beneficiary.tenant_id,
+        None if picked is None else picked.owner,
+    )
+
+
+def _reference_key(sim):
+    name = sim.scheduler.name
+    if name == "pmt":
+        return _reference_pmt_key(sim)
+    if name == "v10":
+        return _reference_v10_key(sim)
+    return _reference_unit_key(sim)
+
+
+def _assert_plan_units(sim, key, units):
+    """A plan's units are every active unit, except between PMT owner
+    switches (a 2-long PMT key), where they are the owner's active units
+    and every other unit is READY or DONE without any grant."""
+    from repro.sim.scheduler_base import UnitState
+
+    every = [u for t in sim.tenants for u in t.active_units]
+    if sim.scheduler.name != "pmt" or len(key) == 3:
+        assert units == every
+        return
+    owner = next(t for t in sim.tenants if t.tenant_id == key[1])
+    assert units == owner.active_units
+    for tenant in sim.tenants:
+        if tenant is owner:
+            continue
+        for u in tenant.active_units:
+            assert u.state in (UnitState.READY, UnitState.DONE)
+            assert u.granted_me == 0 and u.granted_ve == 0.0
+            assert not u.harvesting
 
 
 def _assert_unit_codes(sim):
@@ -325,17 +431,16 @@ def _assert_rank_cache(sim):
     if sim._rank_perm is not None and not any(
         t._units_mutated for t in sim.tenants
     ):
-        assert sim._rank_perm == _reference_unit_key(sim)[1]
+        assert sim._rank_perm == _reference_rank_perm(sim)
 
 
 def _guard_fingerprints(sim):
     """Check, at every fingerprint ``sim``'s scheduler takes, each live
-    unit's code, the fingerprint key and the cached rank permutation
-    against a from-scratch computation.  Returns the fingerprint count."""
+    unit's code, the fingerprint key, the plan's units and the cached
+    rank permutation against a from-scratch computation.  Returns the
+    fingerprint count."""
     scheduler = sim.scheduler
     original = scheduler.state_fingerprint
-    # PMT and V10 wrap the unit key with a policy token.
-    tokened = scheduler.memo_context() is None
     count = [0]
 
     def checked(s):
@@ -343,10 +448,13 @@ def _guard_fingerprints(sim):
         fp = original(s)
         if fp is not None:
             count[0] += 1
-            key = fp[0][0] if tokened else fp[0]
-            assert key == _reference_unit_key(s)
-            assert s._rank_perm == key[1]
-            assert fp[1] == [u for t in s.tenants for u in t.active_units]
+            key, units = fp
+            assert key == _reference_key(s)
+            _assert_plan_units(s, key, units)
+            if scheduler.name == "v10":
+                assert s._rank_perm == key[0][0]
+            elif scheduler.name != "pmt":
+                assert s._rank_perm == key[1]
         return fp
 
     scheduler.state_fingerprint = checked
@@ -378,8 +486,9 @@ def test_unit_codes_and_rank_perm_hold_at_every_epoch(
 ):
     """At every epoch the frame offers a promotion hook -- where a
     mega-batch lane binds to a chain node -- each live unit's code
-    equals a from-scratch packing and the cached rank permutation the
-    from-scratch one; every fingerprint equals the from-scratch key, and
+    equals a from-scratch packing, the cached rank permutation the
+    from-scratch one and the plan's units the units its key names;
+    every fingerprint equals the from-scratch key of its scheduler, and
     a run whose hook declines every epoch equals a plain run exactly."""
     sim = _guarded_sim(scheme, kind, record_ops)
     fingerprints = _guard_fingerprints(sim)
@@ -388,7 +497,7 @@ def test_unit_codes_and_rank_perm_hold_at_every_epoch(
     def offer(plan_key, units):
         _assert_unit_codes(sim)
         _assert_rank_cache(sim)
-        assert units == [u for t in sim.tenants for u in t.active_units]
+        _assert_plan_units(sim, plan_key, units)
         offers.append(plan_key)
         return None  # the frame steps the epoch itself
 
@@ -450,12 +559,14 @@ _PMT_MODELS = (("MNIST", 8), ("DLRM", 8), ("NCF", 8))
 _PMT_OPEN_HORIZON = 3_000_000.0
 
 
-def _three_tenant_pmt_sim(quantum, kind, priorities, fast_path):
+def _three_tenant_sim(scheduler, kind, priorities, fast_path):
     tenants = []
     for idx, ((model, batch), priority) in enumerate(
         zip(_PMT_MODELS, priorities)
     ):
-        graph = build_trace(model, batch, core=CORE).compiled(scheme_isa("pmt"))
+        graph = build_trace(model, batch, core=CORE).compiled(
+            scheme_isa(scheduler.name)
+        )
         if kind == "closed":
             stream = {"target_requests": 5}
         else:
@@ -470,8 +581,14 @@ def _three_tenant_pmt_sim(quantum, kind, priorities, fast_path):
                    alloc_mes=1, alloc_ves=1, priority=priority, **stream)
         )
     horizon = _PMT_OPEN_HORIZON if kind == "open" else float("inf")
-    return Simulator(CORE, PmtScheduler(quantum_cycles=quantum), tenants,
+    return Simulator(CORE, scheduler, tenants,
                      horizon_cycles=horizon, fast_path=fast_path)
+
+
+def _three_tenant_pmt_sim(quantum, kind, priorities, fast_path):
+    return _three_tenant_sim(
+        PmtScheduler(quantum_cycles=quantum), kind, priorities, fast_path
+    )
 
 
 @pytest.mark.parametrize("priorities", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.5)])
@@ -511,3 +628,69 @@ def test_pmt_replays_owner_switches_through_the_hook():
         20_000.0, "closed", (1.0, 1.0, 1.0), False
     ).run()
     assert _stats_snapshot(result) == _stats_snapshot(reference)
+
+
+@pytest.mark.parametrize("priorities", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.5)])
+@pytest.mark.parametrize("kind", ["closed", "open"])
+def test_v10_three_tenant_picks_bit_identical(kind, priorities):
+    """With three tenants the least-served pick chooses between two
+    waiting tenants, whose READY ME operators the key reduces to their
+    engine counts; every replayed pick must run the operator a fresh
+    decision would."""
+    runs = {}
+    for fast in (True, False):
+        sim = _three_tenant_sim(V10Scheduler(), kind, priorities, fast)
+        runs[fast] = _stats_snapshot(sim.run())
+    assert runs[True] == runs[False]
+
+
+# ----------------------------------------------------------------------
+# Keys name only what the plan reads
+# ----------------------------------------------------------------------
+def _vliw_me(owner, tpl_id, engines, running=False):
+    """A VLIW ME operator whose template is ``tpl_id``; its rates differ
+    with the template, as two operators' rates do."""
+    from repro.sim.scheduler_base import ExecUnit, UnitKind, UnitState
+
+    return ExecUnit(
+        kind=UnitKind.VLIW_ME, owner=owner, op_index=tpl_id,
+        op_name=f"op{tpl_id}", request_id=0, me_engines_needed=engines,
+        remaining_me=50_000.0, remaining_ve=1_000.0,
+        ve_rate=0.01 * tpl_id, hbm_rate=0.5 * tpl_id, tpl_id=tpl_id,
+        state=UnitState.RUNNING if running else UnitState.READY,
+        granted_me=engines if running else 0,
+    )
+
+
+def _waiting_key(scheduler, waiting):
+    """The key of a state in which tenant 0 runs a 2-ME operator and
+    tenants 1 and 2 wait, tenant 2 with the operator ``waiting``."""
+    sim = _three_tenant_sim(scheduler, "closed", (1.0, 1.0, 1.0), True)
+    units = [_vliw_me(0, 1, 2, running=True), _vliw_me(1, 2, 1), waiting]
+    for tenant, unit in zip(sim.tenants, units):
+        tenant.active_units = [unit]
+    if isinstance(scheduler, PmtScheduler):
+        scheduler._current = 0
+        scheduler._quantum_end = float("inf")
+    key, plan_units = scheduler.state_fingerprint(sim)
+    return key, plan_units
+
+
+def test_keys_leave_out_a_waiting_tenants_operator():
+    """Between PMT switches a waiting tenant is only its flags, so two
+    states that differ in its operator share one key (and one plan over
+    the owner's units); V10 reads a waiting VLIW ME operator only for
+    its engine count, so they share one V10 key when the counts match
+    and not otherwise."""
+    pmt = [_waiting_key(PmtScheduler(), _vliw_me(2, tpl, engines))
+           for tpl, engines in ((3, 2), (4, 2), (5, 4))]
+    assert all(len(key) == 2 for key, _units in pmt)
+    assert pmt[0][0] == pmt[1][0] == pmt[2][0]
+    assert all(units[0].owner == 0 and len(units) == 1 for _key, units in pmt)
+
+    same = _waiting_key(V10Scheduler(), _vliw_me(2, 3, 2))[0]
+    other_template = _waiting_key(V10Scheduler(), _vliw_me(2, 4, 2))[0]
+    other_count = _waiting_key(V10Scheduler(), _vliw_me(2, 5, 4))[0]
+    assert same[1:] == (None, None)  # no deficit, and an operator runs
+    assert same == other_template
+    assert same != other_count
